@@ -22,8 +22,15 @@ if cert is None:
 elif cert["kind"] == "negative_entry":
     ok = m[cert["i"], cert["j"]] < 0 and abs(m[cert["i"], cert["j"]] - cert["value"]) <= TOL
 elif cert["kind"] == "violation_vector":
-    x = np.asarray(cert["x"])
-    ok = x.min() >= -TOL and float(x @ m @ x) < TOL
+    # A PSD (or DNN) witness is any real vector; a copositive one lies on
+    # the standard simplex.  Either way the form must be strictly negative
+    # and equal to the reported value.
+    x = np.asarray(cert["x"], dtype=float)
+    q = float(x @ m @ x)
+    scale = max(1.0, np.abs(m).max())
+    ok = q < -TOL * scale and abs(q - cert["value"]) <= TOL * scale
+    if result["cone"] == "COPOSITIVE":
+        ok = ok and x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL
 elif cert["kind"] == "boundary_zero":
     x = np.asarray(cert["x"])
     ok = x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL and abs(float(x @ m @ x)) <= TOL

@@ -499,11 +499,13 @@ def heuristic_min_factor(
     restarts: int = 20,
     tol: Tolerance = DEFAULT_TOL,
 ) -> NonnegFactor | None:
-    """Search a nonnegative factor with exactly ``p_target`` columns.
+    """Search a nonnegative factor with at most ``p_target`` columns.
 
     Alternating projection between the manifold {B Q : Q has orthonormal
     rows} of exact roots and the nonnegative orthant, with deterministic
-    random restarts; the first restart index to succeed wins.  ``None``
+    random restarts; the first restart index to succeed wins.  The search
+    runs with ``p_target`` columns, but columns that end up exactly zero are
+    dropped by :class:`NonnegFactor`, so fewer may come back.  ``None``
     means the search failed, which is not a proof of impossibility.
     """
     m = kernel.as_sym(m, tol)

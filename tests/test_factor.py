@@ -240,6 +240,17 @@ class TestHeuristic:
             assert v.p <= p  # exact zero columns are dropped
             assert np.abs(v.product() - m).max() <= 1e-7 * np.abs(m).max()
 
+    def test_zero_column_leaves_fewer_than_target(self):
+        # The projection lands on a factor with one all-zero column, which
+        # NonnegFactor drops: 5 columns come back for a target of 6.
+        b = np.random.default_rng(0).random((5, 8))
+        m = b @ b.T
+        v = heuristic_min_factor(m, 6)
+        assert v is not None
+        assert v.p <= 6
+        assert v.v.min() >= 0.0
+        assert np.abs(v.product() - m).max() <= 1e-7 * np.abs(m).max()
+
     def test_below_rank_returns_none(self):
         assert heuristic_min_factor(np.eye(3), 2) is None
 

@@ -10,9 +10,10 @@ from copcone.errors import DataError
 from copcone.io import canonical_json, load_matrix, to_jsonable
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, cwd=None):
     import os
 
     full_env = dict(os.environ)
@@ -23,6 +24,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        cwd=cwd,
     )
 
 
@@ -169,19 +171,70 @@ class TestCliFlags:
         assert all(len(v) == 64 for v in inputs.values())
 
 
-def test_certificate_checker_script(tmp_path):
-    root = FIXTURES.parent
-    r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir()))
+def test_check_copositive_matches_golden_report(fixture):
+    """The certificates the copositivity test hands out are pinned byte for
+    byte; the command runs from the repository root so the report's paths
+    are relative."""
+    r = run_cli("check", "--cone", "copositive", f"fixtures/{fixture}", cwd=FIXTURES.parent)
+    golden = GOLDEN / f"check-copositive-{Path(fixture).stem}.json"
+    assert r.stdout == golden.read_text()
+
+
+def check_certificate(tmp_path, report_text, matrix):
     report = tmp_path / "report.json"
-    report.write_text(r.stdout)
-    chk = subprocess.run(
+    report.write_text(report_text)
+    return subprocess.run(
         [
             sys.executable,
-            str(root / "scripts" / "check_certificate.py"),
+            str(FIXTURES.parent / "scripts" / "check_certificate.py"),
             str(report),
-            str(FIXTURES / "horn.json"),
+            str(matrix),
         ],
         capture_output=True,
         text=True,
     )
+
+
+def test_certificate_checker_script(tmp_path):
+    r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
+    chk = check_certificate(tmp_path, r.stdout, FIXTURES / "horn.json")
     assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
+def _negate_value(res):
+    res["certificate"]["value"] *= -1.0
+
+
+def _zero_vector(res):
+    res["certificate"]["x"] = [0.0] * len(res["certificate"]["x"])
+    res["certificate"]["value"] = 0.0
+
+
+def _claim_copositive(res):
+    res["cone"] = "COPOSITIVE"  # a PSD witness has entries of both signs
+
+
+@pytest.mark.parametrize(
+    "cone, corrupt",
+    [
+        ("psd", _negate_value),
+        ("psd", _zero_vector),
+        ("psd", _claim_copositive),
+        ("copositive", _negate_value),
+        ("copositive", _zero_vector),
+    ],
+    ids=["psd-flip", "psd-zero", "psd-as-copositive", "copositive-flip", "copositive-zero"],
+)
+def test_certificate_checker_rejects_corrupted(tmp_path, cone, corrupt):
+    fixture = "horn.json" if cone == "psd" else "negdiag.txt"
+    doc = json.loads(run_cli("check", "--cone", cone, str(FIXTURES / fixture)).stdout)
+    assert doc["result"]["certificate"]["kind"] == "violation_vector"
+    matrix = FIXTURES / "horn.json"
+    if cone == "copositive":
+        matrix = tmp_path / "negdiag.json"  # the checker reads JSON matrices only
+        matrix.write_text('{"n": 2, "data": [[-1, 0], [0, 1]]}')
+    assert check_certificate(tmp_path, json.dumps(doc), matrix).returncode == 0
+    corrupt(doc["result"])
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr

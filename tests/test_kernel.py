@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sym
 from copcone import Tolerance, eig_sym, horn_matrix, lp_feasible, num_rank, psd_check
-from copcone.kernel import pivoted_cholesky, simplex_form_min
+from copcone.kernel import pivoted_cholesky, simplex_form_min, simplex_stationary_points
 
 
 def gauss_rank(a, tol=1e-9):
@@ -98,6 +98,82 @@ def test_simplex_form_min_quadratic_oracle():
     # Horn form vanishes on edge midpoints
     val, x = simplex_form_min(horn_matrix())
     assert abs(val) <= 1e-12
+
+
+def reference_stationary_points(q):
+    """One KKT solve per support, in mask order: the loop the batched
+    enumeration must reproduce bit for bit."""
+    q = np.asarray(q, dtype=float)
+    q = 0.5 * (q + q.T)
+    n = q.shape[0]
+    scale = max(1.0, np.abs(q).max())
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        k = len(idx)
+        lam_full = np.zeros(n)
+        if k == 1:
+            lam_full[idx[0]] = 1.0
+            yield float(q[idx[0], idx[0]]), lam_full
+            continue
+        qs = q[np.ix_(idx, idx)]
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = 2.0 * qs
+        kkt[:k, k] = -1.0
+        kkt[k, :k] = 1.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        if not np.all(np.isfinite(sol)):
+            continue
+        if np.abs(kkt @ sol - rhs).max() > 1e-8 * scale:
+            continue
+        lam = sol[:k]
+        if lam.min() < -1e-10:
+            continue
+        lam = np.clip(lam, 0.0, None)
+        total = lam.sum()
+        if total <= 0.0:
+            continue
+        lam /= total
+        lam_full[idx] = lam
+        yield float(lam @ qs @ lam), lam_full
+
+
+def oracle_matrices():
+    rng = np.random.default_rng(7)
+    mats = []
+    for n in range(2, 10):
+        a = random_sym(rng, n, scale=2.0)
+        mats += [a, np.round(a)]  # integer entries give singular faces
+    h = horn_matrix()
+    for _ in range(3):
+        p = rng.permutation(5)
+        d = rng.uniform(0.5, 2.0, 5)
+        mats.append((d[:, None] * h * d[None, :])[np.ix_(p, p)])
+    h2 = np.eye(7)
+    h2[:5, :5] = h
+    mats.append(h2)
+    a = random_sym(rng, 11)
+    mats += [np.round(2.0 * a), np.eye(11) + 0.05 * a]  # 2047 masks: two blocks
+    return mats
+
+
+@pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
+def test_stationary_points_match_per_support_loop(a):
+    got = list(simplex_stationary_points(a))
+    want = list(reference_stationary_points(a))
+    assert len(got) == len(want)
+    for (v1, x1), (v2, x2) in zip(got, want):
+        assert v1 == v2
+        assert np.array_equal(x1, x2)
+
+
+def test_stationary_points_order_limit():
+    with pytest.raises(ValueError):
+        next(simplex_stationary_points(np.eye(17)))
 
 
 @settings(max_examples=40, deadline=None)
