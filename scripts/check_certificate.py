@@ -11,35 +11,42 @@ import numpy as np
 
 TOL = 1e-8
 
+# The certificate kinds each answer may carry: a failure needs a witness,
+# membership carries a zero or a factor or nothing, UNDECIDED nothing.
+KINDS = {
+    "NOT_IN": {"negative_entry", "violation_vector"},
+    "IN": {None, "boundary_zero", "factor", "interior"},
+    "UNDECIDED": {None},
+}
+
 report = json.load(open(sys.argv[1]))
 doc = json.load(open(sys.argv[2]))
 m = np.asarray(doc["data"], dtype=float).reshape(int(doc["n"]), -1)
+scale = max(1.0, np.abs(m).max())
 result = report["result"]
 cert = result.get("certificate")
-ok = True
-if cert is None:
+kind = None if cert is None else cert.get("kind")
+ok = kind in KINDS.get(result.get("answer"), ())
+if not ok or kind is None:
     pass
-elif cert["kind"] == "negative_entry":
+elif kind == "negative_entry":
     ok = m[cert["i"], cert["j"]] < 0 and abs(m[cert["i"], cert["j"]] - cert["value"]) <= TOL
-elif cert["kind"] == "violation_vector":
+elif kind == "violation_vector":
     # A PSD (or DNN) witness is any real vector; a copositive one lies on
     # the standard simplex.  Either way the form must be strictly negative
     # and equal to the reported value.
     x = np.asarray(cert["x"], dtype=float)
     q = float(x @ m @ x)
-    scale = max(1.0, np.abs(m).max())
     ok = q < -TOL * scale and abs(q - cert["value"]) <= TOL * scale
     if result["cone"] == "COPOSITIVE":
         ok = ok and x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL
-elif cert["kind"] == "boundary_zero":
-    x = np.asarray(cert["x"])
-    ok = x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL and abs(float(x @ m @ x)) <= TOL
-elif cert["kind"] in ("factor", "interior"):
+elif kind == "boundary_zero":
+    x = np.asarray(cert["x"], dtype=float)
+    ok = x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL and abs(float(x @ m @ x)) <= TOL * scale
+else:  # factor or interior
     v = np.asarray(cert["factor"], dtype=float)
-    ok = v.min() >= -TOL and np.abs(v @ v.T - m).max() <= TOL * max(1.0, np.abs(m).max())
-    if cert["kind"] == "interior":
+    ok = v.min() >= -TOL and np.abs(v @ v.T - m).max() <= TOL * scale
+    if kind == "interior":
         ok = ok and v[:, cert["positive_column_index"]].min() > 0
-else:
-    ok = False
 print("certificate OK" if ok else "certificate FAILED")
 sys.exit(0 if ok else 3)

@@ -83,8 +83,6 @@ def _certificate_dict(cert):
             "positive_column_index": cert.positive_column_index,
             "rank": cert.rank,
         }
-    if isinstance(cert, cones.FactorCertificate):
-        return {"kind": "factor", "factor": cert.factor.v}
     return {"kind": "unknown"}
 
 

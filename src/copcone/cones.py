@@ -24,7 +24,6 @@ __all__ = [
     "NegativeEntry",
     "ViolationVector",
     "BoundaryZero",
-    "FactorCertificate",
     "InteriorCertificate",
     "is_nonneg",
     "is_psd",
@@ -64,13 +63,6 @@ class BoundaryZero:
 
     x: np.ndarray
     value: float
-
-
-@dataclass(frozen=True)
-class FactorCertificate:
-    """Nonnegative factor certifying complete positivity."""
-
-    factor: object  # NonnegFactor
 
 
 @dataclass(frozen=True)
@@ -121,31 +113,53 @@ _KKT_DEPTH = 3
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeVerdict:
     """Copositivity test by simplicial partition of the standard simplex.
 
-    A cell with vertex matrix U is pruned when all entries of U.T A U clear
-    the -tol threshold (the form is then certified above -tol on the cell),
-    refuted when a vertex value drops below it, and otherwise bisected along
-    its longest edge.  Cells surviving past a fixed shallow depth are
-    resolved exactly by KKT support enumeration, so matrices on the cone
-    boundary terminate quickly; UNDECIDED is only possible when ``max_depth``
-    undercuts the resolution depth.
+    First every index whose row, restricted to the indices still kept, is
+    entrywise >= 0 is deleted, until none is left (Hadeler 1983, LAA 49;
+    Cottle-Habetler-Lemke 1970, LAA 3).  Such a row has a_ii >= 0 and cannot
+    lower a negative simplex minimum, so A is copositive iff the principal
+    submatrix that remains is; the threshold still comes from the whole
+    matrix, and certificates are zero-padded back to order n.  The order-16
+    limit of the exact enumeration applies to the order left after this.
+
+    On what remains, a cell with vertex matrix U is pruned when all entries
+    of U.T A U clear the -tol threshold (the form is then certified above
+    -tol on the cell), refuted when a vertex value drops below it, and
+    otherwise bisected along its longest edge.  Cells surviving past a fixed
+    shallow depth are resolved exactly by KKT support enumeration, so
+    matrices on the cone boundary terminate quickly; UNDECIDED is only
+    possible when ``max_depth`` undercuts the resolution depth.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     a = kernel.as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
-    min_seen = np.inf
+    keep = np.arange(n)
+    while keep.size:
+        drop = (a[np.ix_(keep, keep)] >= 0).all(axis=1)
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    b = a[np.ix_(keep, keep)]
+    k = keep.size
+
+    def pad(x):
+        out = np.zeros(n)
+        out[keep] = x
+        return out
+
+    min_seen = float(np.diag(a).min())
     undecided = False
-    stack = [(np.eye(n), 0)]
+    stack = [(np.eye(k), 0)] if k else []
     while stack:
         u, depth = stack.pop()
-        q = u.T @ a @ u
+        q = u.T @ b @ u
         q = 0.5 * (q + q.T)
         diag = np.diag(q)
         i = int(np.argmin(diag))
         if diag[i] < -thr:
             return ConeVerdict(
-                "COPOSITIVE", Answer.NOT_IN, ViolationVector(u[:, i].copy(), float(diag[i]))
+                "COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(u[:, i]), float(diag[i]))
             )
         min_seen = min(min_seen, float(diag[i]))
         if q.min() >= -thr:
@@ -153,9 +167,9 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
         if depth >= _KKT_DEPTH:
             val, lam = kernel.simplex_form_min(q)
             x = u @ lam
-            value = float(x @ a @ x)
+            value = float(x @ b @ x)
             if value < -thr:
-                return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(x, value))
+                return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), value))
             min_seen = min(min_seen, value)
             continue
         if depth >= max_depth:
@@ -163,8 +177,8 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
             continue
         # Bisect the longest edge, lowest vertex pair first on ties.
         best = (-1.0, 0, 1)
-        for p in range(n - 1):
-            for r in range(p + 1, n):
+        for p in range(k - 1):
+            for r in range(p + 1, k):
                 d = float(np.abs(u[:, p] - u[:, r]).sum())
                 if d > best[0] + 1e-15:
                     best = (d, p, r)
@@ -181,9 +195,16 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
     certificate = None
     if abs(min_seen) <= thr:
         # boundary matrix: record one vanishing point of the form
-        val, lam = kernel.simplex_form_min(a)
+        val = np.inf
+        if k:
+            val, lam = kernel.simplex_form_min(b)
+            x = pad(lam)
+        if abs(val) > thr:
+            # the remaining block has no zero: a deleted row has a_ii ~ 0
+            i = int(np.argmin(np.diag(a)))
+            x, val = np.eye(n)[i], a[i, i]
         if abs(val) <= thr:
-            certificate = BoundaryZero(lam, float(val))
+            certificate = BoundaryZero(x, float(val))
             min_seen = min(min_seen, float(val))
     return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=min_seen)
 

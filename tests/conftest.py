@@ -1,7 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from copcone import NonnegFactor, horn_generators
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, env=None, cwd=None):
+    """Run ``python -m copcone`` in a subprocess that imports this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    full_env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    if env:
+        full_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "copcone", *args],
+        capture_output=True,
+        text=True,
+        env=full_env,
+        cwd=cwd,
+    )
 
 
 @pytest.fixture

@@ -2,8 +2,6 @@
 PASS/FAIL line.  Run with -s to see the lines as they happen."""
 
 import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -16,6 +14,7 @@ from conftest import (
     random_dd_nonneg,
     random_positive_dd,
     random_sym,
+    run_cli,
     simplex_grid_min,
 )
 
@@ -193,11 +192,6 @@ def test_09_perturb_positify():
 
 
 def test_10_cli_determinism_and_exit_codes():
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "copcone", *args], capture_output=True, text=True
-        )
-
     ok = True
     runs = [
         ("check", "--cone", "copositive", str(FIXTURES / "horn.json")),
@@ -211,12 +205,12 @@ def test_10_cli_determinism_and_exit_codes():
         ("bounds", "--n", "6"),
     ]
     for args in runs:
-        r1, r2 = run(*args), run(*args)
+        r1, r2 = run_cli(*args), run_cli(*args)
         ok &= r1.stdout == r2.stdout and bool(r1.stdout)
         ok &= json.loads(r1.stdout) is not None
-    ok &= run("check", "--cone", "copositive", str(FIXTURES / "horn.json")).returncode == 0
-    ok &= run("check", "--cone", "psd", str(FIXTURES / "horn.json")).returncode == 1
-    ok &= run("check", "--cone", "psd", "missing.json").returncode == 65
-    ok &= run("check", str(FIXTURES / "horn.json")).returncode == 64
-    ok &= run("factorize", "--method", "dd", str(FIXTURES / "horn.json")).returncode == 1
+    ok &= run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json")).returncode == 0
+    ok &= run_cli("check", "--cone", "psd", str(FIXTURES / "horn.json")).returncode == 1
+    ok &= run_cli("check", "--cone", "psd", "missing.json").returncode == 65
+    ok &= run_cli("check", str(FIXTURES / "horn.json")).returncode == 64
+    ok &= run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json")).returncode == 1
     report("10 cli determinism and exit codes", ok)

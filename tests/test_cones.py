@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sym, simplex_grid_min
 from copcone import (
@@ -13,6 +15,7 @@ from copcone import (
     is_nonneg,
     is_psd,
 )
+from copcone.cones import BoundaryZero, ViolationVector
 from copcone.errors import NotCopositiveError
 
 
@@ -79,6 +82,55 @@ def test_copositive_shift_monotonicity(rng):
             continue
         d = np.diag(rng.random(4))
         assert is_copositive(a + d).answer is Answer.IN
+
+
+def assert_certificate_holds(v, a):
+    """The verdict's certificate is a simplex point of the right sign on a."""
+    thr = 1e-9 * (1.0 + np.abs(a).max())
+    if v.certificate is None:
+        assert v.answer is Answer.IN
+        return
+    x = np.asarray(v.certificate.x)
+    assert x.shape == (a.shape[0],)
+    assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
+    q = float(x @ a @ x)
+    assert abs(q - v.certificate.value) <= 1e-12 * (1.0 + np.abs(a).max())
+    if v.answer is Answer.NOT_IN:
+        assert isinstance(v.certificate, ViolationVector) and q < -thr
+    else:
+        assert isinstance(v.certificate, BoundaryZero) and abs(q) <= thr
+
+
+def test_horn_plus_identity_17_is_decided_on_the_horn_block():
+    # Order 17 is past the enumeration limit; the twelve nonnegative rows
+    # are deleted first, so the search runs on the 5x5 Horn block.
+    a = np.eye(17)
+    a[:5, :5] = horn_matrix()
+    v = is_copositive(a)
+    assert v.answer is Answer.IN
+    assert isinstance(v.certificate, BoundaryZero)
+    assert not v.certificate.x[5:].any()
+    assert_certificate_holds(v, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10_000))
+def test_nonnegative_border_keeps_answer(n, m, seed):
+    """Bordering A by nonnegative rows and permuting leaves the answer of A,
+    and the certificate holds on the bordered matrix."""
+    rng = np.random.default_rng(seed)
+    a = random_sym(rng, n)
+    top = np.abs(a).max()  # keep the threshold of A
+    c = rng.random((n, m)) * top
+    d = rng.random((m, m)) * top
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, np.diag(d) * (rng.random(m) < 0.7))  # zero diagonal entries too
+    full = np.block([[a, c], [c.T, d]])
+    perm = rng.permutation(n + m)
+    full = full[np.ix_(perm, perm)]
+    v = is_copositive(full)
+    assert v.answer is is_copositive(a).answer
+    assert_certificate_holds(v, full)
 
 
 def test_boundary_zeros_of_horn_contains_edge_midpoints():

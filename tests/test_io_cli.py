@@ -6,26 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_cli
+from copcone import horn_matrix
 from copcone.errors import DataError
 from copcone.io import canonical_json, load_matrix, to_jsonable
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def run_cli(*args, env=None, cwd=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "copcone", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-        cwd=cwd,
-    )
 
 
 class TestLoadMatrix:
@@ -215,6 +202,10 @@ def _claim_copositive(res):
     res["cone"] = "COPOSITIVE"  # a PSD witness has entries of both signs
 
 
+def _claim_in(res):
+    res["answer"] = "IN"  # a violation vector cannot certify membership
+
+
 @pytest.mark.parametrize(
     "cone, corrupt",
     [
@@ -223,8 +214,16 @@ def _claim_copositive(res):
         ("psd", _claim_copositive),
         ("copositive", _negate_value),
         ("copositive", _zero_vector),
+        ("copositive", _claim_in),
     ],
-    ids=["psd-flip", "psd-zero", "psd-as-copositive", "copositive-flip", "copositive-zero"],
+    ids=[
+        "psd-flip",
+        "psd-zero",
+        "psd-as-copositive",
+        "copositive-flip",
+        "copositive-zero",
+        "copositive-answer-swapped",
+    ],
 )
 def test_certificate_checker_rejects_corrupted(tmp_path, cone, corrupt):
     fixture = "horn.json" if cone == "psd" else "negdiag.txt"
@@ -238,3 +237,39 @@ def test_certificate_checker_rejects_corrupted(tmp_path, cone, corrupt):
     corrupt(doc["result"])
     chk = check_certificate(tmp_path, json.dumps(doc), matrix)
     assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def write_matrix(path, a):
+    path.write_text(json.dumps({"n": a.shape[0], "data": a.tolist()}))
+    return path
+
+
+def test_certificate_checker_scales_boundary_zero(tmp_path):
+    # Entries near 1e12: the zero's form value is about -6e-5, far above an
+    # absolute 1e-8 but well inside the library's relative threshold.
+    d = np.random.default_rng(5).uniform(0.5, 2.0, 5) * 1e6
+    matrix = write_matrix(tmp_path / "dhd.json", horn_matrix() * np.outer(d, d))
+    r = run_cli("check", "--cone", "copositive", str(matrix))
+    doc = json.loads(r.stdout)
+    assert doc["result"]["certificate"]["kind"] == "boundary_zero"
+    chk = check_certificate(tmp_path, r.stdout, matrix)
+    assert chk.returncode == 0, chk.stdout + chk.stderr
+    x = doc["result"]["certificate"]["x"]
+    i, j = np.flatnonzero(x)[:2]
+    x[i] += 1e-3  # still on the simplex, but off the zero
+    x[j] -= 1e-3
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def test_check_copositive_beyond_enumeration_order(tmp_path):
+    """Horn + I_12 has order 17, past the order-16 enumeration limit; its
+    nonnegative rows are deleted first, so it is decided with a zero."""
+    a = np.eye(17)
+    a[:5, :5] = horn_matrix()
+    matrix = write_matrix(tmp_path / "horn-plus-i12.json", a)
+    r = run_cli("check", "--cone", "copositive", str(matrix))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["certificate"]["kind"] == "boundary_zero"
+    chk = check_certificate(tmp_path, r.stdout, matrix)
+    assert chk.returncode == 0, chk.stdout + chk.stderr
