@@ -3,8 +3,10 @@ copositive, doubly nonnegative, plus the sufficient interior certificate for
 complete positivity.
 
 Every negative verdict carries a certificate that re-verifies with plain
-arithmetic; copositivity is decided by simplicial branch-and-bound on the
-standard simplex with exact KKT resolution of the surviving cells.
+arithmetic.  Copositivity is decided by simplicial bisection of the standard
+simplex as a vertex pre-filter; the first cell that survives it triggers one
+exact KKT enumeration of the whole simplex, which settles the decision and
+supplies the boundary certificate.
 """
 
 from __future__ import annotations
@@ -104,10 +106,27 @@ def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     return ConeVerdict("PSD", Answer.NOT_IN, ViolationVector(witness, value))
 
 
-# Depth at which surviving branch-and-bound cells are resolved exactly via
-# KKT support enumeration.  Cells on the cone boundary (zero minimum) are
+# Depth at which the vertex pre-filter gives up: the first cell that reaches
+# it unsettled triggers the exact KKT enumeration of the whole simplex, which
+# decides every cell at once.  Cells on the cone boundary (zero minimum) are
 # never settled by vertex tests alone, so this keeps boundary inputs fast.
 _KKT_DEPTH = 3
+
+
+def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
+    """Indices left after deleting, to a fixpoint, every index whose row is
+    entrywise >= 0 on the indices still kept (and, with ``positive_diag``,
+    whose diagonal entry is > 0)."""
+    keep = np.arange(a.shape[0])
+    while keep.size:
+        sub = a[np.ix_(keep, keep)]
+        drop = (sub >= 0).all(axis=1)
+        if positive_diag:
+            drop &= np.diag(sub) > 0
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    return keep
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeVerdict:
@@ -124,22 +143,22 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
     On what remains, a cell with vertex matrix U is pruned when all entries
     of U.T A U clear the -tol threshold (the form is then certified above
     -tol on the cell), refuted when a vertex value drops below it, and
-    otherwise bisected along its longest edge.  Cells surviving past a fixed
-    shallow depth are resolved exactly by KKT support enumeration, so
-    matrices on the cone boundary terminate quickly; UNDECIDED is only
-    possible when ``max_depth`` undercuts the resolution depth.
+    otherwise bisected along its longest edge.  The first cell that survives
+    to a fixed shallow depth ends the bisection: one KKT support enumeration
+    of the whole remaining simplex yields the KKT points of every face, so
+    its minimum is exact for every cell, explored or not.  It refutes with
+    its minimizer, or decides IN and supplies the ``BoundaryZero``, so a
+    call enumerates at most once.  ``minimum`` is then that exact minimum
+    (or a smaller diagonal entry of a deleted row); when the vertex tests
+    settle every cell it is the smallest vertex value seen.  UNDECIDED is only possible when ``max_depth``
+    undercuts the resolution depth.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     a = kernel.as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
-    keep = np.arange(n)
-    while keep.size:
-        drop = (a[np.ix_(keep, keep)] >= 0).all(axis=1)
-        if not drop.any():
-            break
-        keep = keep[~drop]
+    keep = _kept_indices(a)
     b = a[np.ix_(keep, keep)]
     k = keep.size
 
@@ -150,6 +169,7 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
 
     min_seen = float(np.diag(a).min())
     undecided = False
+    exact = None  # (val, lam) of the one whole-simplex enumeration
     stack = [(np.eye(k), 0)] if k else []
     while stack:
         u, depth = stack.pop()
@@ -165,13 +185,13 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
         if q.min() >= -thr:
             continue  # form >= -thr on the whole cell
         if depth >= _KKT_DEPTH:
-            val, lam = kernel.simplex_form_min(q)
-            x = u @ lam
-            value = float(x @ b @ x)
-            if value < -thr:
-                return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), value))
-            min_seen = min(min_seen, value)
-            continue
+            val, lam = exact = kernel.simplex_form_min(b)
+            if val < -thr:
+                return ConeVerdict(
+                    "COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(lam), float(lam @ b @ lam))
+                )
+            min_seen = min(min_seen, float(val))
+            break  # the enumeration covered every cell
         if depth >= max_depth:
             undecided = True
             continue
@@ -197,7 +217,7 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeV
         # boundary matrix: record one vanishing point of the form
         val = np.inf
         if k:
-            val, lam = kernel.simplex_form_min(b)
+            val, lam = exact or kernel.simplex_form_min(b)
             x = pad(lam)
         if abs(val) > thr:
             # the remaining block has no zero: a deleted row has a_ii ~ 0
@@ -216,15 +236,25 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     |[A x]_k| <= tol for every k in the support of x.  Zeros are collected
     from the KKT stationary points of every support set; where the zero set
     is a continuum, one representative per support is returned.
+
+    Only the indices that can carry a zero are enumerated: an index whose row
+    is entrywise >= 0 on the indices kept and whose a_ii > 0 is deleted, to a
+    fixpoint, because at a zero x, [A x]_i = 0 on supp(x) while such a row
+    gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
     """
     a = kernel.as_sym(a, tol)
     verdict = is_copositive(a, tol)
     if verdict.answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
     thr = tol.scaled(np.abs(a).max())
+    keep = _kept_indices(a, positive_diag=True)
     zeros = []
     seen = set()
-    for val, lam in kernel.simplex_stationary_points(a):
+    if not keep.size:
+        return zeros
+    for val, kept_lam in kernel.simplex_stationary_points(a[np.ix_(keep, keep)]):
+        lam = np.zeros(a.shape[0])
+        lam[keep] = kept_lam
         if abs(val) > thr:
             continue
         support = lam > thr

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sym, simplex_grid_min
+from copcone import kernel
 from copcone import (
     Answer,
     NonnegFactor,
@@ -113,6 +114,49 @@ def test_horn_plus_identity_17_is_decided_on_the_horn_block():
     assert_certificate_holds(v, a)
 
 
+def _interior(rng):
+    g = rng.standard_normal((8, 8))
+    u = rng.uniform(0.1, 1.0, (8, 8))
+    return g @ g.T / 8 + 0.05 * (u + u.T)
+
+
+def _near_identity_12(rng):
+    return np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
+
+
+def _horn_orbit(rng):
+    a = np.eye(7)
+    a[:5, :5] = horn_matrix()
+    perm = rng.permutation(7)
+    d = rng.uniform(0.5, 2.0, 7)
+    return a[np.ix_(perm, perm)] * np.outer(d, d)
+
+
+@pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
+def test_is_copositive_enumerates_the_simplex_once(monkeypatch, rng, make):
+    """The first surviving cell triggers one enumeration of the whole
+    simplex; it decides the call, supplies any BoundaryZero, and its value
+    is the reported minimum."""
+    a = make(rng)
+    inner = kernel.simplex_form_min
+    calls = []
+
+    def counting(q):
+        calls.append(inner(q))
+        return calls[-1]
+
+    monkeypatch.setattr(kernel, "simplex_form_min", counting)
+    v = is_copositive(a)
+    assert v.answer is Answer.IN
+    assert len(calls) == 1
+    val, lam = calls[0]
+    assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
+    if v.certificate is not None:
+        assert v.certificate.value == val
+        assert np.array_equal(v.certificate.x[v.certificate.x > 0], lam[lam > 0])
+    assert_certificate_holds(v, a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10_000))
 def test_nonnegative_border_keeps_answer(n, m, seed):
@@ -146,6 +190,29 @@ def test_boundary_zeros_of_horn_contains_edge_midpoints():
         if any(np.abs(np.asarray(z) - x).max() <= 1e-9 for z in zeros):
             found += 1
     assert found == 5
+
+
+def test_boundary_zeros_of_horn_plus_identity_17_stay_on_the_horn_block():
+    # Order 17 is past the enumeration limit; the twelve identity rows are
+    # nonnegative with a positive diagonal, so no zero can use them.
+    a = np.eye(17)
+    a[:5, :5] = horn_matrix()
+    zeros = copositive_boundary_zeros(a)
+    assert len(zeros) == 10
+    horn_zeros = copositive_boundary_zeros(horn_matrix())
+    for z, h in zip(zeros, horn_zeros):
+        assert not z[5:].any()
+        assert np.array_equal(z[:5], h)
+        assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
+        assert abs(float(z @ a @ z)) <= 1e-12
+        assert np.abs((a @ z)[z > 0]).max() <= 1e-12
+
+
+def test_boundary_zeros_keep_a_nonnegative_row_with_zero_diagonal():
+    # Row 0 is nonnegative but a_00 = 0, so its vertex is a zero.
+    zeros = copositive_boundary_zeros(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    assert len(zeros) == 1
+    assert np.array_equal(zeros[0], [1.0, 0.0])
 
 
 def test_boundary_zeros_rejects_non_copositive():
