@@ -189,11 +189,9 @@ def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
             break
         v = nxt
     else:
-        # degenerate spectral gap; fall back to the deterministic eigensolver
-        _, q = kernel.eig_sym(shifted)
-        v = q[:, 0]
-        if v.sum() < 0:
-            v = -v
+        # tiny spectral gap: take the leading eigenvector from LAPACK eigh,
+        # whose sign rule makes its largest entry positive
+        v = kernel.eig_sym(shifted)[1][:, 0]
     lam = float(v @ m @ v)
     if v.min() <= tol.scaled(np.abs(v).max()):
         raise PerronNotPositiveError("Perron vector has a vanishing coordinate")
@@ -250,74 +248,40 @@ def truncate_factor(v: NonnegFactor, k: int) -> NonnegFactor:
 # order-3 factorization
 
 
-def _rotation_scan_2d(l: np.ndarray) -> np.ndarray | None:
-    """Search G in O(2) with l @ G >= 0 by angle scan plus local refinement."""
-    best = None
-    lo, hi, steps = 0.0, 2.0 * np.pi, 360
-    for reflect in (1.0, -1.0):
-        a, b, m = lo, hi, steps
-        for _ in range(8):  # refine towards 1e-12 angular resolution
-            theta = np.linspace(a, b, m, endpoint=False)
-            c, s = np.cos(theta), np.sin(theta)
-            # stack of rotations (optionally composed with a reflection)
-            g = np.empty((m, 2, 2))
-            g[:, 0, 0] = c
-            g[:, 0, 1] = -s * reflect
-            g[:, 1, 0] = s
-            g[:, 1, 1] = c * reflect
-            prod = np.einsum("nr,mrk->mnk", l, g)
-            mins = prod.min(axis=(1, 2))
-            j = int(np.argmax(mins))
-            cand = prod[j]
-            if best is None or cand.min() > best.min():
-                best = cand
-            width = (b - a) / m
-            a, b, m = theta[j] - width, theta[j] + width, 64
-    if best is not None and best.min() >= -1e-12 * max(1.0, np.abs(l).max()):
-        return np.clip(best, 0.0, None)
-    return None
+def _quadrant_rotate(l: np.ndarray) -> np.ndarray:
+    """Rotate the rows of an n x 2 root into the nonnegative quadrant.
 
-
-def _procrustes_polish(l: np.ndarray, g0: np.ndarray, scale: float) -> np.ndarray | None:
-    """Alternate clipping to the nonnegative orthant with an orthogonal
-    Procrustes fit; returns the nonnegative product l @ G on success."""
-    g = g0
-    for _ in range(300):
-        prod = l @ g
-        if prod.min() >= -1e-12 * scale:
-            return np.clip(prod, 0.0, None)
-        target = np.clip(prod, 0.0, None)
-        u, _, vt = np.linalg.svd(l.T @ target)
-        g_next = u @ vt
-        if np.abs(g_next - g).max() < 1e-16:
-            break
-        g = g_next
-    prod = l @ g
-    if prod.min() >= -1e-12 * scale:
-        return np.clip(prod, 0.0, None)
-    return None
-
-
-def _orth_seeds(r: int) -> list[np.ndarray]:
-    seeds = [np.eye(r)]
-    for mask in range(1, 1 << r):
-        d = np.diag([-1.0 if mask >> i & 1 else 1.0 for i in range(r)])
-        seeds.append(d)
-    rng = np.random.default_rng(20240517)
-    for _ in range(24):
-        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
-        seeds.append(q)
-    return seeds
+    Rows with pairwise inner products >= 0 lie on an arc of at most 90
+    degrees; the row that ends the widest gap between the row angles starts
+    that arc and is turned to angle 0.
+    """
+    theta = np.sort(np.arctan2(l[:, 1], l[:, 0]))
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    start = theta[(np.argmax(gaps) + 1) % theta.size]
+    c, s = np.cos(start), np.sin(start)
+    return l @ np.array([[c, -s], [s, c]])
 
 
 def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     """Completely positive factorization of a doubly nonnegative matrix of
     order at most 3, with at most 3 columns.
 
-    At these orders doubly nonnegative already implies completely positive
-    with cp-rank <= 3 <= order, so some orthogonal rotation of the pivoted
-    Cholesky root is nonnegative; the rotation is found by direct checks,
-    an angle scan (rank 2), and Procrustes alternation (rank 3).
+    At these orders doubly nonnegative implies completely positive with at
+    most n columns (Maxfield & Minc 1962), and the proof is constructive.
+    With the pivoted Cholesky root L of rank r:
+
+    - r = 1: Y = l l.T with l_j l_k >= 0, so ``|l|`` is a factor.
+    - r = 2: the rows of L have pairwise inner products y_jk >= 0, so one
+      rotation of the plane moves them all into the nonnegative quadrant.
+    - r = 3: take i = argmax y_ii and t = 1 / (Y^-1)_ii, the largest t for
+      which Y - t e_i e_i.T stays PSD.  The remainder is doubly nonnegative
+      of rank 2: with u = L^-1 e_i, so that t = 1 / |u|^2, its root is L Q
+      for Q an orthonormal basis of the complement of u.  Rotate that root
+      as for r = 2 and append the column sqrt(t) e_i.
+
+    Entries down to -tol.scaled(max|Y|) / max|L| are roundoff and are
+    clipped, which moves the product by at most the tolerance; a root that
+    is already nonnegative within that bound is returned as is.
     """
     y = kernel.as_sym(y, tol)
     n = y.shape[0]
@@ -325,52 +289,25 @@ def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
         raise ValueError("cp3_factorize handles orders up to 3")
     if is_dnn(y, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
-    scale = max(1.0, np.abs(y).max())
     l = kernel.pivoted_cholesky(y, tol)
     r = l.shape[1]
     if r == 0:
         return NonnegFactor(np.zeros((n, 0)), tol)
-    if l.min() >= -1e-12 * scale:
-        return NonnegFactor(np.clip(l, 0.0, None), tol)
-    if r == 1:
-        return NonnegFactor(np.abs(l), tol)
-    if r == 2:
-        prod = _rotation_scan_2d(l)
-        if prod is not None:
-            return NonnegFactor(prod, tol)
-    for seed in _orth_seeds(r):
-        prod = _procrustes_polish(l, seed, scale)
-        if prod is not None:
-            return NonnegFactor(prod, tol)
-    if r == 3:
-        # coarse Euler-angle sweep to seed a final polish
-        grid = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-        best, best_min = None, -np.inf
-        for ta in grid:
-            ra = np.array(
-                [[np.cos(ta), -np.sin(ta), 0], [np.sin(ta), np.cos(ta), 0], [0, 0, 1.0]]
-            )
-            for tb in grid:
-                rb = np.array(
-                    [[1.0, 0, 0], [0, np.cos(tb), -np.sin(tb)], [0, np.sin(tb), np.cos(tb)]]
-                )
-                for tc in grid:
-                    rc = np.array(
-                        [
-                            [np.cos(tc), -np.sin(tc), 0],
-                            [np.sin(tc), np.cos(tc), 0],
-                            [0, 0, 1.0],
-                        ]
-                    )
-                    g = ra @ rb @ rc
-                    low = (l @ g).min()
-                    if low > best_min:
-                        best, best_min = g, low
-        if best is not None:
-            prod = _procrustes_polish(l, best, scale)
-            if prod is not None:
-                return NonnegFactor(prod, tol)
-    raise NotDnnError("no nonnegative rotation of the Cholesky root was found")
+    clip = tol.scaled(np.abs(y).max()) / np.abs(l).max()
+    if l.min() >= -clip:
+        v = l
+    elif r == 1:
+        v = np.abs(l)
+    elif r == 2:
+        v = _quadrant_rotate(l)
+    else:
+        i = int(np.argmax(np.diag(y)))
+        u = np.linalg.solve(l, np.eye(n)[i])
+        q = np.linalg.svd(u[:, None])[0][:, 1:]
+        v = np.column_stack([_quadrant_rotate(l @ q), np.eye(n)[i] / np.linalg.norm(u)])
+    if v.min() < -clip:
+        raise NotDnnError("no nonnegative factor within tolerance")
+    return NonnegFactor(np.clip(v, 0.0, None), tol)
 
 
 # ---------------------------------------------------------------------------

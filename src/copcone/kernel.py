@@ -1,6 +1,6 @@
 """Dense numerical kernel for small symmetric matrices.
 
-Cyclic Jacobi eigendecomposition, pivoted Cholesky, numerical rank,
+Eigendecomposition (LAPACK ``eigh``), pivoted Cholesky, numerical rank,
 exact quadratic-form minimization over the standard simplex, and a dense
 two-phase simplex LP.  Orders are small (n <= ~12), so robustness and high
 relative accuracy come first.  The one exception is the exact simplex
@@ -73,55 +73,19 @@ def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def eig_sym(a, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic-by-rows Jacobi.
+def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(w, q)`` with eigenvalues ``w`` in descending order and
     orthonormal eigenvector columns ``q``, so that ``a = q @ diag(w) @ q.T``.
+    Each column's sign is fixed so that its largest-magnitude entry (the
+    first one, on ties) is positive.
     """
-    a = np.array(a, dtype=float)
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    q = np.eye(n)
-    scale = max(np.abs(a).max(), np.finfo(float).tiny)
-    converged = False
-    for _ in range(max_sweeps):
-        off = 0.0
-        if n > 1:
-            off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= 1e-14 * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-18 * scale:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- G.T A G with the rotation acting on the (p, r) plane.
-                ap, ar = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * ap - s * ar
-                a[:, r] = s * ap + c * ar
-                ap, ar = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * ap - s * ar
-                a[r, :] = s * ap + c * ar
-                a[p, r] = a[r, p] = 0.5 * (a[p, r] + a[r, p])
-                qp, qr = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    else:
-        converged = n == 1
-    if not converged:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], q[:, order]
+    a = np.asarray(a, dtype=float)
+    w, q = np.linalg.eigh(0.5 * (a + a.T))
+    w, q = w[::-1], q[:, ::-1]
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    return w, q * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def num_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:

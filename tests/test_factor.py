@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible_factor, random_dd_nonneg, random_positive_dd
 from copcone import (
+    DEFAULT_TOL,
     NonnegFactor,
     cp3_factorize,
     dd_factorize,
@@ -167,6 +168,19 @@ class TestCp3:
         assert v.p <= 3
         assert np.abs(v.product() - y).max() <= 1e-7
 
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e12])
+    def test_relative_residual_does_not_grow_with_scale(self, s):
+        # the residual of a rotation search that accepts negatives down to
+        # -1e-12 max|Y| grew with s: 1.4e-12 at s = 1, 1.3e-6 at s = 1e12
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(200):
+            v = rng.uniform(0.0, 1.0, (3, 3))
+            y = s * (v @ v.T)
+            f = cp3_factorize(y)
+            worst = max(worst, np.abs(f.product() - y).max() / np.abs(y).max())
+        assert worst <= 1e-14
+
     def test_rejects_non_dnn(self):
         with pytest.raises(NotDnnError):
             cp3_factorize(np.array([[1.0, -0.5], [-0.5, 1.0]]))
@@ -272,3 +286,30 @@ def test_dd_factorization_roundtrip_property(n, seed):
     m = random_dd_nonneg(rng, n)
     v = dd_factorize(m)
     assert np.abs(v.product() - m).max() <= 1e-9 * np.abs(m).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(["uniform", "wide", "integer"]),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.integers(0, 10_000),
+)
+def test_cp3_property(n, r, kind, zero_rows, seed):
+    """Order <= 3 V V' with V >= 0 of rank <= 3: zero rows, entries spread
+    over 1e-6..1e6, and small integer entries that make Y exactly singular."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        v = rng.integers(0, 3, (n, r)).astype(float)
+    else:
+        v = rng.uniform(0.0, 1.0, (n, r))
+        if kind == "wide":
+            v *= 10.0 ** rng.uniform(-6.0, 6.0, (n, r))
+    v[np.array(zero_rows[:n])] = 0.0
+    y = v @ v.T
+    f = cp3_factorize(y)
+    scale = np.abs(y).max()
+    assert f.p <= 3
+    assert f.v.min(initial=0.0) >= 0.0
+    assert np.abs(f.product() - y).max() <= DEFAULT_TOL.scaled(scale) + 1e-12 * max(1.0, scale)

@@ -39,14 +39,39 @@ def test_horn_eigenvalues_match_circulant_formula():
     assert np.allclose(w, expected, atol=1e-12)
 
 
+def check_eig_pairs(a, w, q):
+    n = a.shape[0]
+    scale = max(np.abs(a).max(), 1.0)
+    assert w.shape == (n,) and q.shape == (n, n)
+    assert np.all(np.diff(w) <= 0.0)
+    assert np.abs(q @ np.diag(w) @ q.T - a).max() <= 1e-12 * scale
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
+    # each column's largest-magnitude entry, the first one on ties, is positive
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
+    assert np.all(lead > 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
 def test_eig_reconstruction_and_orthogonality(rng, n):
     a = random_sym(rng, n, scale=3.0)
     w, q = eig_sym(a)
-    scale = max(np.abs(a).max(), 1.0)
-    assert np.abs(q @ np.diag(w) @ q.T - a).max() <= 1e-12 * n * scale
-    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12 * n
-    assert all(w[i] >= w[i + 1] for i in range(n - 1))
+    check_eig_pairs(a, w, q)
+
+
+@pytest.mark.parametrize(
+    "a, spectrum",
+    [
+        (np.array([[-2.5]]), [-2.5]),
+        (np.zeros((3, 3)), [0.0, 0.0, 0.0]),
+        (np.eye(4), [1.0, 1.0, 1.0, 1.0]),
+        (np.ones((4, 4)), [4.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["order1", "zero", "eye4", "J4"],
+)
+def test_eig_sym_degenerate_inputs(a, spectrum):
+    w, q = eig_sym(a)
+    check_eig_pairs(a, w, q)
+    assert np.allclose(w, spectrum, atol=1e-12)
 
 
 def test_num_rank_agrees_with_gaussian_elimination(rng):
