@@ -18,9 +18,8 @@ from .errors import (
     InconsistentBoundsError,
     NotCopositiveWitnessError,
     NotDnnError,
-    NotOrthogonalError,
 )
-from .extremal import horn_orbit_recognize, zero_diag_reduce
+from .extremal import _require_orthogonal, horn_orbit_recognize, zero_diag_reduce
 from .kernel import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -107,9 +106,7 @@ def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:
     m = kernel.as_sym(m, tol)
     a = kernel.as_sym(a, tol)
     n = m.shape[0]
-    gauge = np.linalg.norm(a) * np.linalg.norm(m)
-    if abs(float(np.sum(a * m))) > tol.scaled(gauge):
-        raise NotOrthogonalError("witness is not orthogonal to the matrix")
+    _require_orthogonal(m, a, tol)
     if is_copositive(a, tol).answer is not Answer.IN:
         raise NotCopositiveWitnessError("witness is not certified copositive")
     thr = tol.scaled(np.abs(a).max())

@@ -3,10 +3,10 @@ copositive, doubly nonnegative, plus the sufficient interior certificate for
 complete positivity.
 
 Every negative verdict carries a certificate that re-verifies with plain
-arithmetic.  Copositivity is decided by simplicial bisection of the standard
-simplex as a vertex pre-filter; the first cell that survives it triggers one
-exact KKT enumeration of the whole simplex, which settles the decision and
-supplies the boundary certificate.
+arithmetic.  Copositivity is decided exactly: after deleting nonnegative
+rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form,
+and otherwise one KKT enumeration of the remaining simplex settles the
+decision and supplies the boundary certificate.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     return ConeVerdict("PSD", Answer.NOT_IN, ViolationVector(witness, value))
 
 
-# Depth at which the vertex pre-filter gives up: the first cell that reaches
-# it unsettled triggers the exact KKT enumeration of the whole simplex, which
-# decides every cell at once.  Cells on the cone boundary (zero minimum) are
-# never settled by vertex tests alone, so this keeps boundary inputs fast.
-_KKT_DEPTH = 3
-
-
 def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
     """Indices left after deleting, to a fixpoint, every index whose row is
     entrywise >= 0 on the indices still kept (and, with ``positive_diag``,
@@ -129,104 +122,75 @@ def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
     return keep
 
 
-def is_copositive(a, tol: Tolerance = DEFAULT_TOL, max_depth: int = 40) -> ConeVerdict:
-    """Copositivity test by simplicial partition of the standard simplex.
+def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
+    """Exact copositivity test: vertex and edge checks, then one enumeration.
 
     First every index whose row, restricted to the indices still kept, is
     entrywise >= 0 is deleted, until none is left (Hadeler 1983, LAA 49;
     Cottle-Habetler-Lemke 1970, LAA 3).  Such a row has a_ii >= 0 and cannot
     lower a negative simplex minimum, so A is copositive iff the principal
-    submatrix that remains is; the threshold still comes from the whole
-    matrix, and certificates are zero-padded back to order n.  The order-16
-    limit of the exact enumeration applies to the order left after this.
+    submatrix B that remains is; the threshold still comes from the whole
+    matrix, and certificates are zero-padded back to order n.
 
-    On what remains, a cell with vertex matrix U is pruned when all entries
-    of U.T A U clear the -tol threshold (the form is then certified above
-    -tol on the cell), refuted when a vertex value drops below it, and
-    otherwise bisected along its longest edge.  The first cell that survives
-    to a fixed shallow depth ends the bisection: one KKT support enumeration
-    of the whole remaining simplex yields the KKT points of every face, so
-    its minimum is exact for every cell, explored or not.  It refutes with
-    its minimizer, or decides IN and supplies the ``BoundaryZero``, so a
-    call enumerates at most once.  ``minimum`` is then that exact minimum
-    (or a smaller diagonal entry of a deleted row); when the vertex tests
-    settle every cell it is the smallest vertex value seen.  UNDECIDED is only possible when ``max_depth``
-    undercuts the resolution depth.
+    On B, the most negative diagonal entry refutes at its vertex, and then
+    the lowest edge minimum over the pairs with b_ij < 0 (the exact 2x2
+    principal check) refutes at its minimizer.  Otherwise one KKT support
+    enumeration of B finds the exact minimum of the form on the simplex: it
+    refutes with its minimizer, or decides IN and supplies the
+    ``BoundaryZero`` when the minimum vanishes.  ``minimum`` is the smaller
+    of the smallest diagonal entry of A and that exact minimum.  UNDECIDED
+    means that B exceeds order 16, the limit of the enumeration.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     a = kernel.as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
     keep = _kept_indices(a)
     b = a[np.ix_(keep, keep)]
-    k = keep.size
 
     def pad(x):
         out = np.zeros(n)
         out[keep] = x
         return out
 
-    min_seen = float(np.diag(a).min())
-    undecided = False
-    exact = None  # (val, lam) of the one whole-simplex enumeration
-    stack = [(np.eye(k), 0)] if k else []
-    while stack:
-        u, depth = stack.pop()
-        q = u.T @ b @ u
-        q = 0.5 * (q + q.T)
-        diag = np.diag(q)
-        i = int(np.argmin(diag))
-        if diag[i] < -thr:
-            return ConeVerdict(
-                "COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(u[:, i]), float(diag[i]))
-            )
-        min_seen = min(min_seen, float(diag[i]))
-        if q.min() >= -thr:
-            continue  # form >= -thr on the whole cell
-        if depth >= _KKT_DEPTH:
-            val, lam = exact = kernel.simplex_form_min(b)
-            if val < -thr:
-                return ConeVerdict(
-                    "COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(lam), float(lam @ b @ lam))
-                )
-            min_seen = min(min_seen, float(val))
-            break  # the enumeration covered every cell
-        if depth >= max_depth:
-            undecided = True
-            continue
-        # Bisect the longest edge, lowest vertex pair first on ties.
-        best = (-1.0, 0, 1)
-        for p in range(k - 1):
-            for r in range(p + 1, k):
-                d = float(np.abs(u[:, p] - u[:, r]).sum())
-                if d > best[0] + 1e-15:
-                    best = (d, p, r)
-        _, p, r = best
-        mid = 0.5 * (u[:, p] + u[:, r])
-        child1 = u.copy()
-        child1[:, p] = mid
-        child2 = u.copy()
-        child2[:, r] = mid
-        stack.append((child2, depth + 1))
-        stack.append((child1, depth + 1))
-    if undecided:
-        return ConeVerdict("COPOSITIVE", Answer.UNDECIDED, minimum=min_seen)
+    def refute(x):
+        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(x @ b @ x)))
+
+    minimum = float(np.diag(a).min())
+    val = np.inf
+    if keep.size:
+        d = np.diag(b)
+        i = int(np.argmin(d))
+        if d[i] < -thr:
+            return refute(np.eye(keep.size)[i])
+        # Edge {i, j} minimum (b_ii b_jj - b_ij^2) / (b_ii + b_jj - 2 b_ij),
+        # attained at x ~ (b_jj - b_ij, b_ii - b_ij) when both are >= 0.  A
+        # pair with b_ij < 0 and a denominator <= 0 has all three entries in
+        # [-thr, 0), so its form stays >= -thr and it can refute nothing.
+        den = d[:, None] + d[None, :] - 2.0 * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = (np.outer(d, d) - b * b) / den
+        edge[~(np.triu(b < 0, 1) & (den > 0))] = np.inf
+        i, j = np.unravel_index(np.argmin(edge), edge.shape)
+        if np.isfinite(edge[i, j]):
+            x = np.zeros(keep.size)
+            x[[i, j]] = np.maximum([d[j] - b[i, j], d[i] - b[i, j]], 0.0)
+            x /= x.sum()
+            if x @ b @ x < -thr:
+                return refute(x)
+        if keep.size > kernel.ENUMERATION_MAX_ORDER:
+            return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
+        val, lam = kernel.simplex_form_min(b)
+        if val < -thr:
+            return refute(lam)
+        minimum = min(minimum, float(val))
     certificate = None
-    if abs(min_seen) <= thr:
-        # boundary matrix: record one vanishing point of the form
-        val = np.inf
-        if k:
-            val, lam = exact or kernel.simplex_form_min(b)
-            x = pad(lam)
-        if abs(val) > thr:
-            # the remaining block has no zero: a deleted row has a_ii ~ 0
-            i = int(np.argmin(np.diag(a)))
-            x, val = np.eye(n)[i], a[i, i]
-        if abs(val) <= thr:
-            certificate = BoundaryZero(x, float(val))
-            min_seen = min(min_seen, float(val))
-    return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=min_seen)
+    if abs(val) <= thr:
+        certificate = BoundaryZero(pad(lam), float(val))
+    elif abs(minimum) <= thr:
+        # the remaining block has no zero: a deleted row has a_ii ~ 0
+        i = int(np.argmin(np.diag(a)))
+        certificate = BoundaryZero(np.eye(n)[i], float(a[i, i]))
+    return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum)
 
 
 def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

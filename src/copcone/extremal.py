@@ -245,10 +245,7 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     rank = kernel.num_rank(a, tol)
     if rank <= 1:
         w, q = kernel.eig_sym(a)
-        vec = np.sqrt(max(w[0], 0.0)) * q[:, 0]
-        if vec[np.argmax(np.abs(vec))] < 0:
-            vec = -vec
-        return ExtremeClass("PSD_RANK1", vector=vec)
+        return ExtremeClass("PSD_RANK1", vector=np.sqrt(max(w[0], 0.0)) * q[:, 0])
     if rank == 2:
         witness = _e12_recognize(a, tol)
         if witness is not None:

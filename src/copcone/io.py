@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError
 from .kernel import Tolerance
 
-__all__ = ["MatrixFile", "load_matrix", "canonical_json", "to_jsonable"]
+__all__ = ["MatrixFile", "load_matrix", "load_factor", "canonical_json", "to_jsonable"]
 
 _SYM_TOL = Tolerance(abs=0.0, rel=1e-12)
 
@@ -83,6 +83,24 @@ def load_matrix(path: str) -> MatrixFile:
     if factor is not None and factor.size and factor.min() < 0:
         raise DataError("factor entries must be nonnegative")
     return MatrixFile(n, 0.5 * (data + data.T), factor, digest)
+
+
+def load_factor(path: str) -> tuple[np.ndarray, str]:
+    """Load an n x p nonnegative factor from a JSON file ("factor" or "data"
+    field); returns it with the sha256 digest of the file bytes."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        doc = json.loads(blob.decode("utf-8"))
+        n = int(doc["n"])
+        factor = _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
+    except DataError:
+        raise
+    except Exception as exc:
+        raise DataError(f"malformed factor file {path}: {exc}") from exc
+    if factor.min(initial=0.0) < 0:
+        raise DataError("factor entries must be nonnegative")
+    return factor, hashlib.sha256(blob).hexdigest()
 
 
 def to_jsonable(obj):

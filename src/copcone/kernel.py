@@ -141,6 +141,9 @@ def pivoted_cholesky(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # batch over all masks at order 12 measured +1.8 MB of peak RSS.
 _BLOCK = 1024
 
+# Largest order whose 2**n - 1 supports are enumerated.
+ENUMERATION_MAX_ORDER = 16
+
 
 def simplex_stationary_points(q):
     """Yield ``(value, lam)`` for all KKT points of ``lam.T @ q @ lam`` on the
@@ -159,8 +162,8 @@ def simplex_stationary_points(q):
     q = np.asarray(q, dtype=float)
     q = 0.5 * (q + q.T)
     n = q.shape[0]
-    if n > 16:
-        raise ValueError("support enumeration is limited to order 16")
+    if n > ENUMERATION_MAX_ORDER:
+        raise ValueError(f"support enumeration is limited to order {ENUMERATION_MAX_ORDER}")
     scale = max(1.0, np.abs(q).max())
     bits = 1 << np.arange(n)
     for start in range(1, 1 << n, _BLOCK):

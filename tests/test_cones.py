@@ -132,12 +132,9 @@ def _horn_orbit(rng):
     return a[np.ix_(perm, perm)] * np.outer(d, d)
 
 
-@pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
-def test_is_copositive_enumerates_the_simplex_once(monkeypatch, rng, make):
-    """The first surviving cell triggers one enumeration of the whole
-    simplex; it decides the call, supplies any BoundaryZero, and its value
-    is the reported minimum."""
-    a = make(rng)
+@pytest.fixture
+def form_min_calls(monkeypatch):
+    """Results of every ``kernel.simplex_form_min`` call, in call order."""
     inner = kernel.simplex_form_min
     calls = []
 
@@ -146,15 +143,87 @@ def test_is_copositive_enumerates_the_simplex_once(monkeypatch, rng, make):
         return calls[-1]
 
     monkeypatch.setattr(kernel, "simplex_form_min", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
+def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
+    """A call the vertex and edge checks cannot refute enumerates the
+    simplex once; that enumeration decides the call, supplies any
+    BoundaryZero, and its value is the reported minimum."""
+    a = make(rng)
     v = is_copositive(a)
     assert v.answer is Answer.IN
-    assert len(calls) == 1
-    val, lam = calls[0]
+    assert len(form_min_calls) == 1
+    val, lam = form_min_calls[0]
     assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
     if v.certificate is not None:
         assert v.certificate.value == val
         assert np.array_equal(v.certificate.x[v.certificate.x > 0], lam[lam > 0])
     assert_certificate_holds(v, a)
+
+
+def _vertex_violation(rng):
+    a = random_sym(rng, 6)
+    np.fill_diagonal(a, 2.0)
+    a[3, 3] = -0.5
+    return a, {3}
+
+
+def _edge_violation(rng):
+    a = np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4))
+    a[1, 2] = a[2, 1] = -1.5
+    d = rng.uniform(0.5, 2.0, 4)
+    return a * np.outer(d, d), {1, 2}
+
+
+def _horn_push_minus(rng):
+    # Horn + I_2 with the -1 pair (0, 1) pushed down: negative near the
+    # scaled midpoint of edge {0, 1}, positive at the plain midpoint.
+    a = np.eye(7)
+    a[:5, :5] = horn_matrix()
+    a[0, 1] = a[1, 0] = -1.006
+    d = rng.uniform(0.9, 1.1, 7)
+    d[0], d[1] = 0.82, 1.18
+    return a * np.outer(d, d), {0, 1}
+
+
+@pytest.mark.parametrize("make", [_vertex_violation, _edge_violation, _horn_push_minus])
+def test_vertex_and_edge_violations_need_no_enumeration(form_min_calls, rng, make):
+    a, support = make(rng)
+    v = is_copositive(a)
+    assert v.answer is Answer.NOT_IN
+    assert form_min_calls == []
+    assert set(np.flatnonzero(v.certificate.x)) == support
+    assert_certificate_holds(v, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_2x2_answer_matches_the_closed_form(a, b, c, scale):
+    """[[a, b], [b, c]] is copositive iff a, c >= 0 and b >= -sqrt(ac).
+    Integer entries put every input exactly on the boundary or at least
+    1/120 (times the scale) away from it, far outside the tolerance band."""
+    m = scale * np.array([[a, b], [b, c]], dtype=float)
+    copositive = a >= 0 and c >= 0 and (b >= 0 or b * b <= a * c)
+    v = is_copositive(m)
+    assert v.answer is (Answer.IN if copositive else Answer.NOT_IN)
+    assert_certificate_holds(v, m)
+
+
+def test_reduced_order_beyond_the_enumeration_is_undecided():
+    # No row of I_17 - 0.01 (J - I) is nonnegative and no vertex or edge
+    # is negative, so the order-17 block is left to an enumeration that
+    # the order-16 limit rules out.
+    a = 1.01 * np.eye(17) - 0.01
+    v = is_copositive(a)
+    assert v.answer is Answer.UNDECIDED
+    assert v.certificate is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -273,3 +273,16 @@ def test_check_copositive_beyond_enumeration_order(tmp_path):
     assert json.loads(r.stdout)["result"]["certificate"]["kind"] == "boundary_zero"
     chk = check_certificate(tmp_path, r.stdout, matrix)
     assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
+def test_check_copositive_undecided_beyond_enumeration_order(tmp_path):
+    """I_17 - 0.01 (J - I) keeps all 17 rows and has no negative vertex or
+    edge: the answer is UNDECIDED (exit 2) with no certificate."""
+    matrix = write_matrix(tmp_path / "near-identity-17.json", 1.01 * np.eye(17) - 0.01)
+    r = run_cli("check", "--cone", "copositive", str(matrix))
+    assert r.returncode == 2, r.stderr
+    result = json.loads(r.stdout)["result"]
+    assert result["answer"] == "UNDECIDED"
+    assert result["certificate"] is None
+    chk = check_certificate(tmp_path, r.stdout, matrix)
+    assert chk.returncode == 0, chk.stdout + chk.stderr
