@@ -5,8 +5,9 @@ complete positivity.
 Every negative verdict carries a certificate that re-verifies with plain
 arithmetic.  Copositivity is decided exactly: after deleting nonnegative
 rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form,
-and otherwise one KKT enumeration of the remaining simplex settles the
-decision and supplies the boundary certificate.
+and otherwise one exact simplex minimization of the remaining block (an
+active set if it is positive definite, a KKT enumeration if not) settles
+the decision and supplies the boundary certificate.
 """
 
 from __future__ import annotations
@@ -134,12 +135,14 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
 
     On B, the most negative diagonal entry refutes at its vertex, and then
     the lowest edge minimum over the pairs with b_ij < 0 (the exact 2x2
-    principal check) refutes at its minimizer.  Otherwise one KKT support
-    enumeration of B finds the exact minimum of the form on the simplex: it
-    refutes with its minimizer, or decides IN and supplies the
-    ``BoundaryZero`` when the minimum vanishes.  ``minimum`` is the smaller
-    of the smallest diagonal entry of A and that exact minimum.  UNDECIDED
-    means that B exceeds order 16, the limit of the enumeration.
+    principal check) refutes at its minimizer.  Otherwise one call of
+    ``kernel.simplex_form_min`` finds the exact minimum of the form on the
+    simplex of B: by the active set with a strict KKT check when B is
+    positive definite, by one KKT support enumeration otherwise.  It refutes
+    with its minimizer, or decides IN and supplies the ``BoundaryZero`` when
+    the minimum vanishes.  ``minimum`` is the smaller of the smallest
+    diagonal entry of A and that exact minimum.  UNDECIDED means that B
+    exceeds order 16, the limit of the enumeration.
     """
     a = kernel.as_sym(a, tol)
     n = a.shape[0]

@@ -97,6 +97,8 @@ class AntiDdResult:
 
 
 def _require_orthogonal(m: np.ndarray, a: np.ndarray, tol: Tolerance):
+    if m.shape != a.shape:
+        raise ValueError(f"matrix orders differ: {m.shape[0]} and {a.shape[0]}")
     gauge = np.linalg.norm(m) * np.linalg.norm(a)
     if abs(float(np.sum(m * a))) > tol.scaled(gauge):
         raise NotOrthogonalError("matrices are not orthogonal within tolerance")

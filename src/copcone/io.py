@@ -66,9 +66,9 @@ def load_matrix(path: str) -> MatrixFile:
             if not tokens:
                 raise DataError("empty matrix file")
             n = int(tokens[0])
-            values = [float(t) for t in tokens[1 : 1 + n * n]]
+            values = [float(t) for t in tokens[1:]]
             if len(values) != n * n:
-                raise DataError("expected n^2 matrix values")
+                raise DataError(f"expected n^2 = {n * n} matrix values, got {len(values)}")
             data = np.array(values).reshape(n, n)
             factor = None
     except DataError:

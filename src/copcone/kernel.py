@@ -3,12 +3,15 @@
 Eigendecomposition (LAPACK ``eigh``), pivoted Cholesky, numerical rank,
 exact quadratic-form minimization over the standard simplex, and a dense
 two-phase simplex LP.  Orders are small (n <= ~12), so robustness and high
-relative accuracy come first.  The one exception is the exact simplex
-minimization: it enumerates all 2**n - 1 supports, so it solves their KKT
-systems in stacked LAPACK calls, one per support size within each block of
-1024 bitmasks, which bounds the memory it holds to one block's systems.  It
-still yields the points in increasing mask order, with the values a
-one-support-at-a-time loop gives, bit for bit.
+relative accuracy come first.  Speed matters in one place, the exact
+simplex minimization.  A positive definite form is convex there: an active
+set finds its optimal support, whose face point is kept after a strict KKT
+check.  Any other form, or a near tie, enumerates all 2**n - 1 supports and
+solves their KKT systems in stacked LAPACK calls, one per support size
+within each block of 1024 bitmasks, which bounds the memory held to one
+block's systems.  The enumeration yields its points in increasing mask
+order, with the values a one-support-at-a-time loop gives, bit for bit; the
+active set returns the enumeration's minimum, bit for bit.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.
@@ -144,6 +147,30 @@ _BLOCK = 1024
 # Largest order whose 2**n - 1 supports are enumerated.
 ENUMERATION_MAX_ORDER = 16
 
+# A face KKT solution whose residual exceeds this times the scale came from a
+# singular, inconsistent system (solved by least squares): the face has no
+# stationary point in its relative interior.
+_RESIDUAL = 1e-8
+
+# Simplex weights down to this are roundoff of a point on the face's boundary
+# and are clipped to 0; a lower weight puts the stationary point outside the
+# simplex, and the face is skipped.
+_WEIGHT_FLOOR = -1e-10
+
+# The positive definite fast path keeps its support S only when every
+# j outside S has (q lam)_j - value above this times max|q_ij|.  The
+# curvature along e_j - lam is at most max|q_ij|, so the stationary point of
+# the face S + {j} then has lam_j below _WEIGHT_FLOOR, ten times over, and
+# the enumeration skips that face; a smaller gap is a near tie, left to the
+# enumeration.
+_KKT_MARGIN = 1e-9
+
+# ... and only when dropping any i from S raises the face minimum, by
+# lam_i**2 / (q_S^-1)_ii, by more than this times max|q_ij|.  A smaller rise
+# can round to a tie, which the enumeration gives to the subface (it comes
+# first in mask order).
+_SUBFACE_GAP = 1e-12
+
 
 def simplex_stationary_points(q):
     """Yield ``(value, lam)`` for all KKT points of ``lam.T @ q @ lam`` on the
@@ -204,9 +231,9 @@ def _face_points(q, idx, scale):
     keep = np.flatnonzero(np.isfinite(sol).all(axis=1))
     # inconsistent: no stationary point in this face interior
     resid = np.abs((kkt[keep] @ sol[keep][:, :, None])[:, :, 0] - rhs).max(axis=1)
-    keep = keep[~(resid > 1e-8 * scale)]
+    keep = keep[~(resid > _RESIDUAL * scale)]
     lam = sol[keep, :k]
-    ok = lam.min(axis=1) >= -1e-10
+    ok = lam.min(axis=1) >= _WEIGHT_FLOOR
     keep, lam = keep[ok], np.clip(lam[ok], 0.0, None)
     total = lam.sum(axis=1)
     ok = total > 0.0
@@ -238,16 +265,99 @@ def _solve_kkt(kkt, rhs):
 def simplex_form_min(q) -> tuple[float, np.ndarray]:
     """Global minimum of the quadratic form over the standard simplex.
 
-    Returns ``(value, lam)`` with ``lam >= 0``, ``sum(lam) == 1``.  Exact up
-    to roundoff via KKT support enumeration; ties resolved deterministically
-    by enumeration order.
+    Returns ``(value, lam)`` with ``lam >= 0``, ``sum(lam) == 1``, exact up
+    to roundoff.  A positive definite ``q`` is a convex problem (Bomze 1998,
+    J. Glob. Optim. 13): an active set finds the optimal support, and its
+    face point is kept if it passes a strict KKT check.  Any other ``q``,
+    or a near tie, goes to the KKT support enumeration, which resolves ties
+    by enumeration order.  Both give the enumeration's answer bit for bit.
     """
+    found = _convex_form_min(q)
+    if found is not None:
+        return found
     best_val = np.inf
     best_lam = None
     for val, lam in simplex_stationary_points(q):
         if val < best_val:
             best_val, best_lam = val, lam
     return best_val, best_lam
+
+
+def _convex_form_min(q):
+    """``simplex_form_min`` of a positive definite ``q`` without enumerating,
+    or ``None`` when ``q`` is not positive definite or the answer is not
+    certain to be the enumeration's.
+
+    The active set gives the support S of the minimizer; ``_face_points``
+    then computes S's point exactly as the enumeration does.  It is kept
+    only if every index outside S has a positive KKT multiplier and every
+    index in S a positive subface gap, both with a margin: then no other
+    face's point can match or undercut it.
+    """
+    q = np.asarray(q, dtype=float)
+    q = 0.5 * (q + q.T)
+    n = q.shape[0]
+    if n > ENUMERATION_MAX_ORDER:
+        return None
+    try:
+        np.linalg.cholesky(q)
+        support = _nnls_support(q)
+        if support is None:
+            return None
+        inv_diag = np.diag(np.linalg.inv(q[np.ix_(support, support)]))
+    except np.linalg.LinAlgError:  # not positive definite, or singular in roundoff
+        return None
+    scale = np.abs(q).max()
+    keep, values, lams = _face_points(q, support[None, :], max(1.0, scale))
+    if not keep.size:
+        return None
+    val = values[0]
+    lam = np.zeros(n)
+    lam[support] = lams[0]
+    outside = np.delete(q @ lam, support) - val
+    inside = lams[0] ** 2 / inv_diag
+    # a NaN fails both comparisons
+    if outside.min(initial=np.inf) > _KKT_MARGIN * scale and inside.min() > _SUBFACE_GAP * scale:
+        return float(val), lam
+    return None
+
+
+def _nnls_support(q):
+    """Support of the minimizer of ``z @ q @ z - 2 * z.sum()`` over z >= 0,
+    for a positive definite ``q``, by the Lawson-Hanson active set (Lawson &
+    Hanson 1974, ch. 23) on the normal equations; its direction z / sum(z)
+    minimizes the form on the simplex.  ``None`` if it does not settle
+    within 3n additions (roundoff cycling)."""
+    n = q.shape[0]
+    ones = np.ones(n)
+    passive = np.zeros(n, dtype=bool)
+    z = np.zeros(n)
+    for _ in range(3 * n):
+        w = ones - q @ z  # minus half the gradient
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= 0.0:
+            return np.flatnonzero(passive)
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            trial = np.zeros(n)
+            trial[idx] = np.linalg.solve(q[np.ix_(idx, idx)], ones[idx])
+            if trial[idx].min() > 0.0:
+                break
+            if passive[j] and z[j] == 0.0 and trial[j] <= 0.0:
+                return None  # roundoff: j cannot enter, and the set would cycle
+            # step from z toward trial until the first weight reaches zero
+            neg = np.flatnonzero(passive & (trial <= 0.0))
+            ratio = z[neg] / (z[neg] - trial[neg])
+            k = int(np.argmin(ratio))
+            z += ratio[k] * (trial - z)
+            z[neg[k]] = 0.0
+            passive &= z > 0.0
+            if not passive.any():
+                return None
+        z = trial
+    return None
 
 
 def lp_feasible(

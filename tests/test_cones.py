@@ -148,8 +148,9 @@ def form_min_calls(monkeypatch):
 
 @pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
 def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
-    """A call the vertex and edge checks cannot refute enumerates the
-    simplex once; that enumeration decides the call, supplies any
+    """A call the vertex and edge checks cannot refute solves the simplex
+    minimum once (by the active set on a positive definite block, by one
+    enumeration otherwise); that solve decides the call, supplies any
     BoundaryZero, and its value is the reported minimum."""
     a = make(rng)
     v = is_copositive(a)

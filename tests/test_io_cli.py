@@ -93,6 +93,25 @@ class TestCliExitCodes:
         r = run_cli("check", "--cone", "psd", "missing.json")
         assert r.returncode == 65
 
+    @pytest.mark.parametrize("tail", ["7 8 9 junk", "7"])
+    def test_trailing_tokens_are_a_data_error(self, tmp_path, tail):
+        p = tmp_path / "m.txt"
+        p.write_text(f"2\n1 0\n0 2\n{tail}\n")
+        r = run_cli("check", "--cone", "psd", str(p))
+        assert r.returncode == 65
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("bounds", "w6.json", "--witness", "horn.json"), ("verify-orth", "w6.json", "horn.json")],
+        ids=["bounds", "verify-orth"],
+    )
+    def test_matrix_orders_differ_is_a_data_error(self, args):
+        r = run_cli(*args, cwd=FIXTURES)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "matrix orders differ: 6 and 5" in r.stderr
+
     def test_factorize_error_tag(self):
         r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
         assert r.returncode == 1

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sym
-from copcone import Tolerance, eig_sym, horn_matrix, lp_feasible, num_rank, psd_check
+from copcone import kernel
+from copcone import Answer, Tolerance, eig_sym, horn_matrix, is_copositive, lp_feasible, num_rank, psd_check
 from copcone.kernel import pivoted_cholesky, simplex_form_min, simplex_stationary_points
 
 
@@ -212,6 +213,105 @@ def test_simplex_form_min_never_beaten_by_random_points(n, seed):
     pts = rng.dirichlet(np.ones(n), size=200)
     sampled = np.einsum("ki,ij,kj->k", pts, a, pts).min()
     assert val <= sampled + 1e-9
+
+
+def enumerated_min(q):
+    """The first strict minimum of the enumeration's point stream."""
+    best_val, best_lam = np.inf, None
+    for val, lam in simplex_stationary_points(q):
+        if val < best_val:
+            best_val, best_lam = val, lam
+    return best_val, best_lam
+
+
+def positive_definite(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.05, 1.0, n))
+    if kind == "near_singular":
+        # smallest eigenvalue 1e-10 with the largest entry near 1
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.1, 1.0, n)
+        w[0] = 1e-10
+        q = (u * w) @ u.T
+        return 0.5 * (q + q.T)
+    g = rng.standard_normal((n, n))
+    q = g @ g.T / n
+    if kind != "tied" or n == 1:
+        return q + 0.1 * np.eye(n)
+    # Minimizer x on the first k indices, and (q x)_j equals its value c for
+    # every j: faces with and without the index j, or an index of tiny
+    # weight, tie up to roundoff.
+    k = int(rng.integers(1, n))
+    x = np.zeros(n)
+    x[:k] = rng.dirichlet(np.ones(k))
+    v = q @ x
+    c = v[:k].max() + 1.0
+    q[np.arange(k), np.arange(k)] += (c - v[:k]) / x[:k]
+    q[k:, :k] += (c - v[k:])[:, None]
+    q[:k, k:] = q[k:, :k].T
+    q[k:, k:] += (np.abs(q).sum() ** 2 + 1.0) * np.eye(n - k)  # positive definite
+    p = rng.permutation(n)
+    return q[np.ix_(p, p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["gram", "diagonal", "near_singular", "tied"]),
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+    st.floats(-6.0, 6.0),
+)
+def test_positive_definite_min_matches_the_enumeration(kind, n, seed, log_scale):
+    q = 10.0**log_scale * positive_definite(kind, n, seed)
+    np.linalg.cholesky(q)
+    val, lam = simplex_form_min(q)
+    want_val, want_lam = enumerated_min(q)
+    assert type(val) is float and val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [15.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])],
+    ids=["edge-zero", "rank1"],
+)
+def test_singular_psd_min_matches_the_enumeration(q):
+    # Cholesky may pass on these in roundoff; the active set then meets a
+    # singular system and leaves the answer to the enumeration.
+    val, lam = simplex_form_min(q)
+    want_val, want_lam = enumerated_min(q)
+    assert val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Orders of the matrices ``simplex_stationary_points`` is called on."""
+    inner = kernel.simplex_stationary_points
+    orders = []
+
+    def counting(q):
+        orders.append(np.shape(q)[0])
+        return inner(q)
+
+    monkeypatch.setattr(kernel, "simplex_stationary_points", counting)
+    return orders
+
+
+def test_positive_definite_block_needs_no_enumeration(enumerations, rng):
+    a = np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
+    np.linalg.cholesky(a)
+    assert a.min() < 0  # no row is deleted before the search
+    assert is_copositive(a).answer is Answer.IN
+    assert enumerations == []
+
+
+def test_indefinite_block_is_enumerated_once(enumerations):
+    a = np.eye(7)
+    a[:5, :5] = horn_matrix()
+    assert is_copositive(a).answer is Answer.IN
+    assert enumerations == [5]
 
 
 def test_lp_feasible_basic_cases():
