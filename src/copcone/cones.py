@@ -111,16 +111,14 @@ def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
     """Indices left after deleting, to a fixpoint, every index whose row is
     entrywise >= 0 on the indices still kept (and, with ``positive_diag``,
     whose diagonal entry is > 0)."""
-    keep = np.arange(a.shape[0])
-    while keep.size:
-        sub = a[np.ix_(keep, keep)]
-        drop = (sub >= 0).all(axis=1)
-        if positive_diag:
-            drop &= np.diag(sub) > 0
+    negative = a < 0
+    droppable = np.diag(a) > 0 if positive_diag else np.ones(a.shape[0], dtype=bool)
+    kept = np.ones(a.shape[0], dtype=bool)
+    while True:
+        drop = kept & droppable & ~negative[:, kept].any(axis=1)
         if not drop.any():
-            break
-        keep = keep[~drop]
-    return keep
+            return np.flatnonzero(kept)
+        kept &= ~drop
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
@@ -215,25 +213,24 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
         raise NotCopositiveError("matrix is not certified copositive")
     thr = tol.scaled(np.abs(a).max())
     keep = _kept_indices(a, positive_diag=True)
-    zeros = []
-    seen = set()
     if not keep.size:
-        return zeros
-    for val, kept_lam in kernel.simplex_stationary_points(a[np.ix_(keep, keep)]):
-        lam = np.zeros(a.shape[0])
-        lam[keep] = kept_lam
-        if abs(val) > thr:
-            continue
-        support = lam > thr
-        if np.abs((a @ lam)[support]).max(initial=0.0) > thr:
-            continue
-        key = tuple(np.round(lam, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        zeros.append(lam)
-    zeros.sort(key=lambda x: tuple(np.round(x, 12)))
-    return zeros
+        return []
+    values, kept_lams = zip(*kernel.simplex_stationary_points(a[np.ix_(keep, keep)]))
+    near = np.abs(values) <= thr
+    lams = np.zeros((np.count_nonzero(near), a.shape[0]))
+    lams[:, keep] = np.array(kept_lams)[near]
+    # [A x]_k for every point, one gemv each as for a single vector
+    grad = (a @ lams[:, :, None])[:, :, 0]
+    stationary = ~((lams > thr) & (np.abs(grad) > thr)).any(axis=1)
+    lams = lams[stationary]
+    # The first point of each rounded-to-9 key, ordered by the rounded-to-12
+    # key.  Python keys, not np.unique: few points are left here, and a
+    # numpy sort maps its sorting code into memory on first use.
+    first = {}
+    for i, key in enumerate(map(tuple, np.round(lams, 9).tolist())):
+        first.setdefault(key, i)
+    order = np.round(lams, 12).tolist()
+    return [lams[i] for i in sorted(first.values(), key=order.__getitem__)]
 
 
 def is_dnn(m, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:

@@ -156,12 +156,17 @@ def positive_dd_factorize(
     return factor, cert
 
 
+# Power iteration stops when no entry of the unit iterate moves by more than
+# this, a few dozen ulps of 1: the Perron vector is then converged to roundoff.
+_PERRON_STOP = 1e-14
+
+
 def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     """Unit Perron vector and eigenvalue of a nonnegative symmetric matrix.
 
-    Power iteration on a shifted matrix to 1e-14; requires the support graph
-    to be connected (irreducibility), else the Perron vector need not be
-    positive.
+    Power iteration on a shifted matrix to ``_PERRON_STOP``; requires the
+    support graph to be connected (irreducibility), else the Perron vector
+    need not be positive.
     """
     n = m.shape[0]
     thr = tol.scaled(np.abs(m).max())
@@ -184,7 +189,7 @@ def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     for _ in range(100000):
         nxt = shifted @ v
         nxt /= np.linalg.norm(nxt)
-        if np.abs(nxt - v).max() <= 1e-14:
+        if np.abs(nxt - v).max() <= _PERRON_STOP:
             v = nxt
             break
         v = nxt
@@ -367,6 +372,11 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
 # ---------------------------------------------------------------------------
 # Newton continuation of a positive square factor
 
+# Newton stops when the largest residual entry falls to this times max|Mhat|,
+# a few thousand ulps: roundoff in forming V V.T keeps it from falling much
+# further.
+_CONTINUATION_STOP = 1e-12
+
 
 @dataclass(frozen=True)
 class ContinuationResult:
@@ -403,7 +413,7 @@ def factor_continuation(
     scale = max(np.abs(mhat).max(), np.finfo(float).tiny)
     target = mhat - vtilde @ vtilde.T
     residuals = []
-    stop = 1e-12 * scale
+    stop = _CONTINUATION_STOP * scale
     for it in range(max_iter):
         r = target - vc @ vc.T
         rnorm = float(np.abs(r).max())
@@ -428,6 +438,14 @@ def factor_continuation(
 
 # ---------------------------------------------------------------------------
 # heuristic minimal factorization
+
+# A rotated root B Q counts as nonnegative when no entry is below
+# -_ROOT_FLOOR * max|M|, the roundoff of the product; its entries are then
+# clipped to 0 ...
+_ROOT_FLOOR = 1e-9
+# ... and the clipped factor is accepted when V V.T matches M within this
+# times max|M|, which leaves room for the error the clipping adds.
+_FACTOR_FIT = 1e-7
 
 
 def heuristic_min_factor(
@@ -462,9 +480,9 @@ def heuristic_min_factor(
         rot = qr[:, :rank].T  # r x p with orthonormal rows
         for _ in range(500):
             prod = b @ rot
-            if prod.min() >= -1e-9 * scale:
+            if prod.min() >= -_ROOT_FLOOR * scale:
                 v = NonnegFactor(np.clip(prod, 0.0, None), tol)
-                if np.abs(v.product() - m).max() <= 1e-7 * scale and v.p <= p_target:
+                if np.abs(v.product() - m).max() <= _FACTOR_FIT * scale and v.p <= p_target:
                     return v
                 break
             targ = np.clip(prod, 0.0, None)

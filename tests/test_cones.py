@@ -18,6 +18,7 @@ from copcone import (
 )
 from copcone.cones import BoundaryZero, ViolationVector
 from copcone.errors import NotCopositiveError
+from copcone.kernel import DEFAULT_TOL
 
 
 def test_horn_memberships():
@@ -283,6 +284,103 @@ def test_boundary_zeros_keep_a_nonnegative_row_with_zero_diagonal():
     zeros = copositive_boundary_zeros(np.array([[0.0, 1.0], [1.0, 1.0]]))
     assert len(zeros) == 1
     assert np.array_equal(zeros[0], [1.0, 0.0])
+
+
+def reference_boundary_zeros(a, tol=DEFAULT_TOL):
+    """The one-point-at-a-time filter that the array filter of
+    ``copositive_boundary_zeros`` must reproduce bit for bit: the same
+    reduction by ``np.ix_`` rounds, then a Python loop over the points."""
+    a = kernel.as_sym(a, tol)
+    assert is_copositive(a, tol).answer is Answer.IN
+    thr = tol.scaled(np.abs(a).max())
+    keep = np.arange(a.shape[0])
+    while keep.size:
+        sub = a[np.ix_(keep, keep)]
+        drop = (sub >= 0).all(axis=1) & (np.diag(sub) > 0)
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    zeros = []
+    seen = set()
+    if not keep.size:
+        return zeros
+    for val, kept_lam in kernel.simplex_stationary_points(a[np.ix_(keep, keep)]):
+        lam = np.zeros(a.shape[0])
+        lam[keep] = kept_lam
+        if abs(val) > thr:
+            continue
+        support = lam > thr
+        if np.abs((a @ lam)[support]).max(initial=0.0) > thr:
+            continue
+        key = tuple(np.round(lam, 9))
+        if key in seen:
+            continue
+        seen.add(key)
+        zeros.append(lam)
+    zeros.sort(key=lambda x: tuple(np.round(x, 12)))
+    return zeros
+
+
+def zero_family(kind, seed):
+    """Copositive matrices with zeros on the simplex, by family."""
+    rng = np.random.default_rng(seed)
+    h = horn_matrix()
+    if kind.startswith("horn-orbit-"):  # Horn + I_k, scaled and permuted
+        n = 5 + int(kind[-1])
+        a = np.eye(n)
+        a[:5, :5] = h
+        perm = rng.permutation(n)
+        return a[np.ix_(perm, perm)] * np.outer(*2 * [rng.uniform(0.5, 2.0, n)])
+    if kind == "horn-plus-identity-12":
+        a = np.eye(17)
+        a[:5, :5] = h
+        return a
+    if kind == "shifted-interior":  # x'Ax - min on the simplex, a zero at the minimizer
+        n = int(rng.integers(3, 10))
+        g = rng.standard_normal((n, n))
+        u = rng.uniform(0.1, 1.0, (n, n))
+        a = g @ g.T / n + 0.05 * (u + u.T)
+        return a - kernel.simplex_form_min(a)[0]
+    # "bordered": scaled Horn plus nonnegative rows with a zero diagonal
+    m = int(rng.integers(1, 4))
+    a = np.zeros((5 + m, 5 + m))
+    a[:5, :5] = h * np.outer(*2 * [rng.uniform(0.5, 2.0, 5)])
+    border = rng.uniform(0.0, 1.0, (m, 5 + m)) * (rng.random((m, 5 + m)) < 0.7)
+    a[5:] = border
+    a[:, 5:] = border.T
+    a[5:, 5:] = 0.5 * (border[:, 5:] + border[:, 5:].T)
+    np.fill_diagonal(a[5:, 5:], 0.0)
+    return a
+
+
+ZERO_FAMILIES = [f"horn-orbit-{k}" for k in range(5)] + [
+    "horn-plus-identity-12",
+    "shifted-interior",
+    "bordered",
+]
+
+
+def assert_same_zero_lists(a):
+    got = copositive_boundary_zeros(a)
+    want = reference_boundary_zeros(a)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+    return got
+
+
+@pytest.mark.parametrize("kind", ZERO_FAMILIES)
+def test_boundary_zeros_match_the_per_point_loop(kind):
+    for seed in range(4):
+        zeros = assert_same_zero_lists(zero_family(kind, seed))
+        # a scaled Horn block has a zero on each of its 5 edges
+        assert len(zeros) >= (1 if kind == "shifted-interior" else 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ZERO_FAMILIES), st.integers(0, 10_000))
+def test_boundary_zeros_match_the_per_point_loop_on_every_family(kind, seed):
+    assert_same_zero_lists(zero_family(kind, seed))
 
 
 def test_boundary_zeros_rejects_non_copositive():

@@ -258,6 +258,41 @@ def test_certificate_checker_rejects_corrupted(tmp_path, cone, corrupt):
     assert chk.returncode == 3, chk.stdout + chk.stderr
 
 
+def _perturb_entry(cert):
+    cert["factor"][0][0] += 1e-3  # V V' no longer matches M
+
+
+def _wrong_column(cert):
+    cert["positive_column_index"] = 1  # a column with zero entries
+
+
+def _negate_entry(cert):
+    # Column 1 has one nonzero entry, so V V' is unchanged and only the
+    # sign check can see the corruption.
+    cert["factor"][0][1] *= -1.0
+
+
+def test_certificate_checker_accepts_posdd_interior(tmp_path):
+    r = run_cli("factorize", "--method", "posdd", str(FIXTURES / "dd_example.json"))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["certificate"]["kind"] == "interior"
+    chk = check_certificate(tmp_path, r.stdout, FIXTURES / "dd_example.json")
+    assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_perturb_entry, _wrong_column, _negate_entry], ids=["perturbed", "wrong-column", "negated"]
+)
+def test_certificate_checker_rejects_corrupted_interior(tmp_path, corrupt):
+    r = run_cli("factorize", "--method", "posdd", str(FIXTURES / "dd_example.json"))
+    doc = json.loads(r.stdout)
+    cert = doc["result"]["certificate"]
+    assert cert["positive_column_index"] == 0 and cert["factor"][0][1] > 0
+    corrupt(cert)
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES / "dd_example.json")
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
 def write_matrix(path, a):
     path.write_text(json.dumps({"n": a.shape[0], "data": a.tolist()}))
     return path

@@ -184,6 +184,10 @@ def oracle_matrices():
     mats.append(h2)
     a = random_sym(rng, 11)
     mats += [np.round(2.0 * a), np.eye(11) + 0.05 * a]  # 2047 masks: two blocks
+    mats.append(random_sym(rng, 1))  # one mask, one support size
+    a = random_sym(rng, 10, scale=2.0)
+    mats += [a, np.round(a)]  # 1023 masks: one block holding every size
+    mats.append(random_sym(rng, 12))  # 4095 masks: four blocks
     return mats
 
 
@@ -195,6 +199,24 @@ def test_stationary_points_match_per_support_loop(a):
     for (v1, x1), (v2, x2) in zip(got, want):
         assert v1 == v2
         assert np.array_equal(x1, x2)
+
+
+def test_support_plan_holds_only_integer_indices():
+    """The cached plan at the largest order: integer arrays only, one block
+    position per mask and one index per member of each support, so its size
+    is (2**n - 1 + n * 2**(n - 1)) index entries, 4.7 MB at order 16."""
+    n = kernel.ENUMERATION_MAX_ORDER
+    plan = kernel._support_plan(n)
+    assert kernel._support_plan(n) is plan
+    arrays = [arr for _, sizes in plan for pair in sizes for arr in pair]
+    assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
+    bound = (2**n - 1 + n * 2 ** (n - 1)) * np.dtype(np.intp).itemsize
+    assert sum(arr.nbytes for arr in arrays) <= bound <= 5_000_000
+    assert len(plan) == -(-(2**n - 1) // kernel._BLOCK)
+    for count, sizes in plan:
+        rows = np.concatenate([rows for rows, _ in sizes])
+        assert np.array_equal(np.sort(rows), np.arange(count))
+        assert [idx.shape[1] for _, idx in sizes] == sorted({idx.shape[1] for _, idx in sizes})
 
 
 def test_stationary_points_order_limit():
