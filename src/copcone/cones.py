@@ -13,6 +13,7 @@ the decision and supplies the boundary certificate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,102 +89,124 @@ class ConeVerdict:
 
 def is_nonneg(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Membership in the cone of entrywise nonnegative symmetric matrices."""
-    a = kernel.as_sym(a, tol)
-    thr = tol.scaled(np.abs(a).max())
+    cert = _negative_entry(*kernel._validated(a, tol), tol)
+    return ConeVerdict("NONNEG", Answer.NOT_IN if cert else Answer.IN, cert)
+
+
+def _negative_entry(a, scale, tol) -> NegativeEntry | None:
+    """The most negative entry of a validated ``a``, if it is below -thr."""
     i, j = np.unravel_index(np.argmin(a), a.shape)
-    if a[i, j] < -thr:
-        return ConeVerdict("NONNEG", Answer.NOT_IN, NegativeEntry(int(i), int(j), float(a[i, j])))
-    return ConeVerdict("NONNEG", Answer.IN)
+    if a[i, j] < -tol.scaled(scale):
+        return NegativeEntry(int(i), int(j), float(a[i, j]))
+    return None
 
 
 def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Membership in the positive-semidefinite cone, with an eigenvector
     witness on failure."""
-    a = kernel.as_sym(a, tol)
+    cert = _psd_violation(kernel.as_sym(a, tol), tol)
+    return ConeVerdict("PSD", Answer.NOT_IN if cert else Answer.IN, cert)
+
+
+def _psd_violation(a, tol) -> ViolationVector | None:
+    """An eigenvector witness w with w.T a w < 0 for a validated ``a``, if
+    ``a`` is not PSD."""
     ok, witness = kernel.psd_check(a, tol)
     if ok:
-        return ConeVerdict("PSD", Answer.IN)
-    value = float(witness @ a @ witness)
-    return ConeVerdict("PSD", Answer.NOT_IN, ViolationVector(witness, value))
+        return None
+    return ViolationVector(witness, float(witness @ a @ witness))
 
 
 def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
     """Indices left after deleting, to a fixpoint, every index whose row is
     entrywise >= 0 on the indices still kept (and, with ``positive_diag``,
-    whose diagonal entry is > 0)."""
-    negative = a < 0
-    droppable = np.diag(a) > 0 if positive_diag else np.ones(a.shape[0], dtype=bool)
-    kept = np.ones(a.shape[0], dtype=bool)
-    while True:
-        drop = kept & droppable & ~negative[:, kept].any(axis=1)
-        if not drop.any():
-            return np.flatnonzero(kept)
-        kept &= ~drop
+    whose diagonal entry is > 0).
+
+    For a symmetric ``a`` the first round is the fixpoint: a row kept for
+    its a_ij < 0 keeps j too, whose row holds a_ji = a_ij.
+    """
+    kept = (a < 0).any(axis=1)
+    if positive_diag:
+        kept |= ~(a.diagonal() > 0)
+    return np.flatnonzero(kept)
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Exact copositivity test: vertex and edge checks, then one enumeration.
 
-    First every index whose row, restricted to the indices still kept, is
-    entrywise >= 0 is deleted, until none is left (Hadeler 1983, LAA 49;
-    Cottle-Habetler-Lemke 1970, LAA 3).  Such a row has a_ii >= 0 and cannot
-    lower a negative simplex minimum, so A is copositive iff the principal
-    submatrix B that remains is; the threshold still comes from the whole
-    matrix, and certificates are zero-padded back to order n.
+    The input is validated once, and the threshold comes from the scale
+    found by that pass.  Then every index whose row, restricted to the
+    indices still kept, is entrywise >= 0 is deleted, until none is left
+    (Hadeler 1983, LAA 49; Cottle-Habetler-Lemke 1970, LAA 3).  Such a row
+    has a_ii >= 0 and cannot lower a negative simplex minimum, so A is
+    copositive iff the principal submatrix B that remains is; the threshold
+    still comes from the whole matrix, and certificates are zero-padded
+    back to order n.
 
     On B, the most negative diagonal entry refutes at its vertex, and then
-    the lowest edge minimum over the pairs with b_ij < 0 (the exact 2x2
-    principal check) refutes at its minimizer.  Otherwise one call of
-    ``kernel.simplex_form_min`` finds the exact minimum of the form on the
-    simplex of B: by the active set with a strict KKT check when B is
-    positive definite, by one KKT support enumeration otherwise.  It refutes
-    with its minimizer, or decides IN and supplies the ``BoundaryZero`` when
-    the minimum vanishes.  ``minimum`` is the smaller of the smallest
-    diagonal entry of A and that exact minimum.  UNDECIDED means that B
-    exceeds order 16, the limit of the enumeration.
+    the lowest edge minimum over the negative pairs b_ij < 0, i < j (the
+    exact 2x2 principal check; the other pairs cannot refute) refutes at
+    its minimizer, the first such pair in row-major order winning a tie.
+    Otherwise one call of ``kernel.simplex_form_min`` finds the exact
+    minimum of the form on the simplex of B: by the active set with a
+    strict KKT check when B is positive definite, by one KKT support
+    enumeration otherwise.  It refutes with its minimizer, or decides IN
+    and supplies the ``BoundaryZero`` when the minimum vanishes.
+    ``minimum``, reported on IN answers only, is the smaller of the
+    smallest diagonal entry of A and that exact minimum.  UNDECIDED means
+    that B exceeds order 16, the limit of the enumeration.
     """
-    a = kernel.as_sym(a, tol)
+    a, scale = kernel._validated(a, tol)
     n = a.shape[0]
-    thr = tol.scaled(np.abs(a).max())
+    thr = tol.scaled(scale)
     keep = _kept_indices(a)
-    b = a[np.ix_(keep, keep)]
+    k = keep.size
+    b = a[keep[:, None], keep]
 
     def pad(x):
         out = np.zeros(n)
         out[keep] = x
         return out
 
-    def refute(x):
-        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(x @ b @ x)))
+    def refute(x, value):
+        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(value)))
 
-    minimum = float(np.diag(a).min())
     val = np.inf
-    if keep.size:
-        d = np.diag(b)
-        i = int(np.argmin(d))
+    if k:
+        d = b.diagonal()
+        i = int(d.argmin())
         if d[i] < -thr:
-            return refute(np.eye(keep.size)[i])
+            x = np.zeros(k)
+            x[i] = 1.0
+            return refute(x, d[i])  # x @ b @ x, exactly
         # Edge {i, j} minimum (b_ii b_jj - b_ij^2) / (b_ii + b_jj - 2 b_ij),
         # attained at x ~ (b_jj - b_ij, b_ii - b_ij) when both are >= 0.  A
         # pair with b_ij < 0 and a denominator <= 0 has all three entries in
         # [-thr, 0), so its form stays >= -thr and it can refute nothing.
-        den = d[:, None] + d[None, :] - 2.0 * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            edge = (np.outer(d, d) - b * b) / den
-        edge[~(np.triu(b < 0, 1) & (den > 0))] = np.inf
-        i, j = np.unravel_index(np.argmin(edge), edge.shape)
-        if np.isfinite(edge[i, j]):
-            x = np.zeros(keep.size)
-            x[[i, j]] = np.maximum([d[j] - b[i, j], d[i] - b[i, j]], 0.0)
-            x /= x.sum()
-            if x @ b @ x < -thr:
-                return refute(x)
-        if keep.size > kernel.ENUMERATION_MAX_ORDER:
+        rows, cols = np.nonzero(b < 0)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        bij = b[rows, cols]
+        di, dj = d[rows], d[cols]
+        den = di + dj - 2.0 * bij
+        edge = np.divide(di * dj - bij * bij, den, out=np.full(bij.size, np.inf), where=den > 0)
+        if edge.size:
+            p = int(edge.argmin())
+            if math.isfinite(edge[p]):
+                i, j, bij = rows[p], cols[p], bij[p]
+                x = np.zeros(k)
+                x[i] = max(d[j] - bij, 0.0)
+                x[j] = max(d[i] - bij, 0.0)
+                x /= x[i] + x[j]
+                value = x @ b @ x
+                if value < -thr:
+                    return refute(x, value)
+        if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         val, lam = kernel.simplex_form_min(b)
         if val < -thr:
-            return refute(lam)
-        minimum = min(minimum, float(val))
+            return refute(lam, lam @ b @ lam)
+    minimum = min(float(a.diagonal().min()), float(val))
     certificate = None
     if abs(val) <= thr:
         certificate = BoundaryZero(pad(lam), float(val))
@@ -207,11 +230,11 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     fixpoint, because at a zero x, [A x]_i = 0 on supp(x) while such a row
     gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
     """
-    a = kernel.as_sym(a, tol)
+    a, scale = kernel._validated(a, tol)
     verdict = is_copositive(a, tol)
     if verdict.answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
-    thr = tol.scaled(np.abs(a).max())
+    thr = tol.scaled(scale)
     keep = _kept_indices(a, positive_diag=True)
     if not keep.size:
         return []
@@ -234,17 +257,14 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
 
 
 def is_dnn(m, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
-    """Doubly nonnegative test: entrywise nonnegative and PSD.
+    """Doubly nonnegative test: entrywise nonnegative and PSD, both checked
+    on one validation of ``m``.
 
     A cheap necessary condition for complete positivity.
     """
-    nn = is_nonneg(m, tol)
-    if nn.answer is Answer.NOT_IN:
-        return ConeVerdict("DNN", Answer.NOT_IN, nn.certificate)
-    psd = is_psd(m, tol)
-    if psd.answer is Answer.NOT_IN:
-        return ConeVerdict("DNN", Answer.NOT_IN, psd.certificate)
-    return ConeVerdict("DNN", Answer.IN)
+    a, scale = kernel._validated(m, tol)
+    cert = _negative_entry(a, scale, tol) or _psd_violation(a, tol)
+    return ConeVerdict("DNN", Answer.NOT_IN if cert else Answer.IN, cert)
 
 
 def cp_interior_certificate(v, tol: Tolerance = DEFAULT_TOL) -> InteriorCertificate | None:

@@ -23,6 +23,7 @@ the one accuracy knob of the whole library.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # a NaN fails every threshold comparison, which would pass any test
+        if not all(math.isfinite(t) and t >= 0 for t in (self.abs, self.rel)):
+            raise ValueError("tolerances must be finite and nonnegative")
 
     def scaled(self, scale: float) -> float:
         return self.abs + self.rel * abs(scale)
@@ -67,17 +69,27 @@ def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Raises ``ValueError`` if the input is not square, not finite, or not
     symmetric within the tolerance.
     """
+    return _validated(a, tol)[0]
+
+
+def _validated(a, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """``as_sym(a, tol)`` and the largest entry magnitude of the result, the
+    scale that thresholds are taken from; one pass for both."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("order must be at least 1")
-    if not np.all(np.isfinite(arr)):
+    scale = float(np.abs(arr).max())
+    if not math.isfinite(scale):  # the max of a NaN or an inf is not finite
         raise ValueError("matrix entries must be finite")
-    scale = np.abs(arr).max()
-    if np.abs(arr - arr.T).max() > tol.scaled(scale):
+    skew = np.abs(arr - arr.T).max()
+    if skew > tol.scaled(scale):
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (arr + arr.T)
+    sym = 0.5 * (arr + arr.T)
+    if skew:  # else sym equals arr entry for entry
+        scale = float(np.abs(sym).max())
+    return sym, scale
 
 
 def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
@@ -296,6 +308,8 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
     or a near tie, goes to the KKT support enumeration, which resolves ties
     by enumeration order.  Both give the enumeration's answer bit for bit.
     """
+    q = np.asarray(q, dtype=float)
+    q = 0.5 * (q + q.T)
     found = _convex_form_min(q)
     if found is not None:
         return found
@@ -308,9 +322,9 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
 
 
 def _convex_form_min(q):
-    """``simplex_form_min`` of a positive definite ``q`` without enumerating,
-    or ``None`` when ``q`` is not positive definite or the answer is not
-    certain to be the enumeration's.
+    """``simplex_form_min`` of a symmetric positive definite ``q`` without
+    enumerating, or ``None`` when ``q`` is not positive definite or the
+    answer is not certain to be the enumeration's.
 
     The active set gives the support S of the minimizer; ``_face_points``
     then computes S's point exactly as the enumeration does.  It is kept
@@ -318,8 +332,6 @@ def _convex_form_min(q):
     index in S a positive subface gap, both with a margin: then no other
     face's point can match or undercut it.
     """
-    q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         return None

@@ -16,7 +16,7 @@ from copcone import (
     is_nonneg,
     is_psd,
 )
-from copcone.cones import BoundaryZero, ViolationVector
+from copcone.cones import BoundaryZero, ConeVerdict, NegativeEntry, ViolationVector
 from copcone.errors import NotCopositiveError
 from copcone.kernel import DEFAULT_TOL
 
@@ -381,6 +381,243 @@ def test_boundary_zeros_match_the_per_point_loop(kind):
 @given(st.sampled_from(ZERO_FAMILIES), st.integers(0, 10_000))
 def test_boundary_zeros_match_the_per_point_loop_on_every_family(kind, seed):
     assert_same_zero_lists(zero_family(kind, seed))
+
+
+def reference_as_sym(a, tol=DEFAULT_TOL):
+    """The validation that ``kernel.as_sym`` must keep: the same checks,
+    messages and order, and the same symmetrization."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise ValueError("order must be at least 1")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    scale = np.abs(arr).max()
+    if np.abs(arr - arr.T).max() > tol.scaled(scale):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return 0.5 * (arr + arr.T)
+
+
+def reference_is_copositive(a, tol=DEFAULT_TOL):
+    """The straightforward copositivity test that ``is_copositive`` must
+    reproduce bit for bit: the scale computed again for the threshold, the
+    reduction by ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full
+    k x k edge table and ``minimum`` computed on every path."""
+    a = reference_as_sym(a, tol)
+    n = a.shape[0]
+    thr = tol.scaled(np.abs(a).max())
+    keep = np.arange(n)
+    while keep.size:
+        drop = (a[np.ix_(keep, keep)] >= 0).all(axis=1)
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    b = a[np.ix_(keep, keep)]
+
+    def pad(x):
+        out = np.zeros(n)
+        out[keep] = x
+        return out
+
+    def refute(x):
+        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(x @ b @ x)))
+
+    minimum = float(np.diag(a).min())
+    val = np.inf
+    if keep.size:
+        d = np.diag(b)
+        i = int(np.argmin(d))
+        if d[i] < -thr:
+            return refute(np.eye(keep.size)[i])
+        den = d[:, None] + d[None, :] - 2.0 * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = (np.outer(d, d) - b * b) / den
+        edge[~(np.triu(b < 0, 1) & (den > 0))] = np.inf
+        i, j = np.unravel_index(np.argmin(edge), edge.shape)
+        if np.isfinite(edge[i, j]):
+            x = np.zeros(keep.size)
+            x[[i, j]] = np.maximum([d[j] - b[i, j], d[i] - b[i, j]], 0.0)
+            x /= x.sum()
+            if x @ b @ x < -thr:
+                return refute(x)
+        if keep.size > kernel.ENUMERATION_MAX_ORDER:
+            return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
+        val, lam = kernel.simplex_form_min(b)
+        if val < -thr:
+            return refute(lam)
+        minimum = min(minimum, float(val))
+    certificate = None
+    if abs(val) <= thr:
+        certificate = BoundaryZero(pad(lam), float(val))
+    elif abs(minimum) <= thr:
+        i = int(np.argmin(np.diag(a)))
+        certificate = BoundaryZero(np.eye(n)[i], float(a[i, i]))
+    return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum)
+
+
+def reference_is_dnn(m, tol=DEFAULT_TOL):
+    """``is_dnn`` as the nonnegativity test, then the PSD test, each on its
+    own validation of the input."""
+    a = reference_as_sym(m, tol)
+    i, j = np.unravel_index(np.argmin(a), a.shape)
+    if a[i, j] < -tol.scaled(np.abs(a).max()):
+        return ConeVerdict("DNN", Answer.NOT_IN, NegativeEntry(int(i), int(j), float(a[i, j])))
+    a = reference_as_sym(m, tol)
+    ok, w = kernel.psd_check(a, tol)
+    if not ok:
+        return ConeVerdict("DNN", Answer.NOT_IN, ViolationVector(w, float(w @ a @ w)))
+    return ConeVerdict("DNN", Answer.IN)
+
+
+def verdict_key(v):
+    """Everything a verdict reports, floats and arrays as their exact bits."""
+    cert = v.certificate
+    fields = () if cert is None else tuple(
+        (name, value.tobytes() if isinstance(value, np.ndarray) else repr(value))
+        for name, value in vars(cert).items()
+    )
+    return v.cone, v.answer, repr(v.minimum), type(cert).__name__, fields
+
+
+def _pushed_horn(rng, n, pair, delta):
+    """Horn + I_(n-5) with the pair (0, 1) (-1) or (0, 2) (+1) pushed down by
+    delta, scaled by d; d0 < 0.85 < 1.15 < d1 hides the (0, 1) violation
+    from the edge midpoint."""
+    a = np.eye(n)
+    a[:5, :5] = horn_matrix()
+    a[pair] = a[pair[::-1]] = a[pair] - delta
+    d = rng.uniform(0.9, 1.1, n)
+    if pair == (0, 1):
+        d[0], d[1] = rng.uniform(0.8, 0.85), rng.uniform(1.15, 1.2)
+    return a * np.outer(d, d)
+
+
+def verdict_family(kind, seed):
+    """Inputs that reach every path of ``is_copositive`` and ``is_dnn``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    if kind == "random":
+        return random_sym(rng, n)
+    if kind == "integer":  # exact ties and exactly singular faces
+        return np.round(random_sym(rng, n, 3.0))
+    if kind == "nonneg":  # deleted rows; a zero diagonal entry is a zero
+        u = rng.random((n, n))
+        a = u + u.T
+        a[np.diag_indices(n)] *= rng.random(n) < 0.7
+        return a
+    if kind == "gram-plus-nonneg":
+        g = rng.standard_normal((n, n))
+        u = rng.random((n, n))
+        return g @ g.T / n + 0.1 * (u + u.T) - 0.2 * rng.random() * np.eye(n)
+    if kind == "near-symmetric":  # asymmetric within the tolerance
+        return random_sym(rng, n) + 1e-12 * rng.standard_normal((n, n))
+    if kind == "scaled":
+        return random_sym(rng, n) * 10.0 ** rng.uniform(-6, 6)
+    if kind == "horn-push-plus":
+        return _pushed_horn(rng, 5 + n % 4, (0, 2), rng.uniform(4e-3, 8e-3))
+    if kind == "horn-push-minus":
+        return _pushed_horn(rng, 5 + n % 4, (0, 1), rng.uniform(4e-3, 8e-3))
+    if kind == "minus-identity-18":  # past the enumeration limit
+        return -np.eye(18)
+    if kind == "undecided-17":  # no vertex or edge refutes; order 17 is left
+        return (1.0 + 0.01 * rng.random()) * np.eye(17) - 0.01
+    return zero_family(kind, seed)  # Horn orbits and Horn + I_12
+
+
+VERDICT_FAMILIES = [
+    "random",
+    "integer",
+    "nonneg",
+    "gram-plus-nonneg",
+    "near-symmetric",
+    "scaled",
+    "horn-push-plus",
+    "horn-push-minus",
+    "minus-identity-18",
+    "undecided-17",
+]
+
+MALFORMED = [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+    [[1.0, 2.0], [0.0, np.nan]],  # asymmetric and not finite
+    [[1.0, 2.0], [0.0, 1.0]],
+    np.ones((2, 3)),
+    np.zeros((0, 0)),
+    np.ones(3),
+    np.ones((2, 2, 2)),
+]
+
+
+def assert_same_verdicts(a):
+    assert verdict_key(is_copositive(a)) == verdict_key(reference_is_copositive(a))
+    assert verdict_key(is_dnn(a)) == verdict_key(reference_is_dnn(a))
+
+
+@pytest.mark.parametrize("kind", VERDICT_FAMILIES + ZERO_FAMILIES)
+def test_verdicts_match_the_reference_bit_for_bit(kind):
+    for seed in range(6):
+        assert_same_verdicts(verdict_family(kind, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VERDICT_FAMILIES + ZERO_FAMILIES), st.integers(0, 10_000))
+def test_verdicts_match_the_reference_on_every_family(kind, seed):
+    assert_same_verdicts(verdict_family(kind, seed))
+
+
+@pytest.mark.parametrize("a", MALFORMED, ids=range(len(MALFORMED)))
+@pytest.mark.parametrize("test", [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros])
+def test_malformed_input_errors_match_the_reference(a, test):
+    with pytest.raises(ValueError) as want:
+        reference_as_sym(a)
+    with pytest.raises(ValueError) as got:
+        test(a)
+    assert str(got.value) == str(want.value)
+
+
+def test_threshold_is_taken_from_the_symmetrized_matrix():
+    # The input's largest entry is 2 + 1e-10, the symmetrization's is 2.
+    # a_00 lies between the two thresholds they give, so only the latter
+    # refutes at the vertex.
+    v = 3e-9 + 5e-20
+    a = np.array([[-v, 2.0 + 1e-10], [2.0 - 1e-10, 1.0]])
+    assert DEFAULT_TOL.scaled(2.0) < v < DEFAULT_TOL.scaled(np.abs(a).max())
+    assert is_copositive(a).answer is Answer.NOT_IN
+    assert_same_verdicts(a)
+
+
+def test_an_edge_tie_goes_to_the_first_pair_in_row_major_order():
+    # The edges {0, 3} and {1, 2} have the same minimum, -0.5.
+    a = np.full((4, 4), 0.5)
+    np.fill_diagonal(a, 1.0)
+    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = -2.0
+    v = is_copositive(a)
+    assert np.array_equal(v.certificate.x, [0.5, 0.0, 0.0, 0.5])
+    assert_same_verdicts(a)
+
+
+def test_boundary_zeros_drop_a_point_whose_gradient_is_not_zero(monkeypatch):
+    """The support-gradient filter, on crafted points: both have |value| <=
+    thr, but only e_0 has [A x]_k = 0 on its support; [A e_1]_1 = 1."""
+    # Row 0 is nonnegative: is_copositive decides the positive definite
+    # block {1, 2}, with its one negative pair, by the active set.  a_00 = 0
+    # keeps row 0 in the enumeration of copositive_boundary_zeros.
+    a = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, -0.5], [1.0, -0.5, 1.0]])
+    blocks = []
+
+    def crafted(q):
+        blocks.append(np.array(q))
+        yield 0.0, np.array([0.0, 1.0, 0.0])
+        yield 0.0, np.array([1.0, 0.0, 0.0])
+
+    monkeypatch.setattr(kernel, "simplex_stationary_points", crafted)
+    zeros = copositive_boundary_zeros(a)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], a)
+    assert len(zeros) == 1 and np.array_equal(zeros[0], [1.0, 0.0, 0.0])
+    assert_same_zero_lists(a)
 
 
 def test_boundary_zeros_rejects_non_copositive():

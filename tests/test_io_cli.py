@@ -166,6 +166,25 @@ class TestCliFlags:
         )
         assert json.loads(r.stdout)["tolerance"]["abs"] == 1e-5
 
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--tol", "nan"], None),
+            (["--tol", "inf"], None),
+            (["--tol=-1e-9"], None),
+            ([], {"COPCONE_TOL": "nan"}),
+        ],
+        ids=["tol-nan", "tol-inf", "tol-negative", "env-nan"],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, flags, env):
+        # With a NaN threshold this matrix, whose edge minimum is -2, was IN.
+        p = tmp_path / "m.json"
+        p.write_text('{"n": 2, "data": [[1, -5], [-5, 1]]}')
+        r = run_cli("check", "--cone", "copositive", str(p), *flags, env=env)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "tolerances must be finite and nonnegative" in r.stderr
+
     def test_bounds_table_mode(self):
         r = run_cli("bounds", "--n", "6")
         res = json.loads(r.stdout)["result"]

@@ -363,3 +363,11 @@ def test_tolerance_scaling():
     tol = Tolerance(abs=1e-9, rel=1e-6)
     assert tol.scaled(0.0) == 1e-9
     assert abs(tol.scaled(100.0) - (1e-9 + 1e-4)) <= 1e-18
+
+
+@pytest.mark.parametrize("field", ["abs", "rel"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_tolerance_rejects_non_finite_and_negative_values(field, value):
+    # a NaN threshold fails every comparison, so no test could refute
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Tolerance(**{field: value})
