@@ -82,9 +82,5 @@ class SingularError(CopconeError):
     tag = "SINGULAR"
 
 
-class SimplexCyclingError(CopconeError):
-    tag = "SIMPLEX_CYCLING"
-
-
 class DataError(CopconeError):
     tag = "DATA_ERROR"

@@ -156,17 +156,13 @@ def positive_dd_factorize(
     return factor, cert
 
 
-# Power iteration stops when no entry of the unit iterate moves by more than
-# this, a few dozen ulps of 1: the Perron vector is then converged to roundoff.
-_PERRON_STOP = 1e-14
-
-
 def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     """Unit Perron vector and eigenvalue of a nonnegative symmetric matrix.
 
-    Power iteration on a shifted matrix to ``_PERRON_STOP``; requires the
-    support graph to be connected (irreducibility), else the Perron vector
-    need not be positive.
+    The support graph must be connected (irreducibility), which makes the
+    Perron root simple and its eigenvector positive.  That vector is the
+    leading eigenvector of LAPACK ``eigh``, whose sign rule makes its
+    largest entry, and so every entry, positive.
     """
     n = m.shape[0]
     thr = tol.scaled(np.abs(m).max())
@@ -183,20 +179,7 @@ def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
                 frontier.append(int(j))
     if not reached.all():
         raise PerronNotPositiveError("support graph is not connected")
-    shift = np.abs(m).max()
-    shifted = m + shift * np.eye(n)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(100000):
-        nxt = shifted @ v
-        nxt /= np.linalg.norm(nxt)
-        if np.abs(nxt - v).max() <= _PERRON_STOP:
-            v = nxt
-            break
-        v = nxt
-    else:
-        # tiny spectral gap: take the leading eigenvector from LAPACK eigh,
-        # whose sign rule makes its largest entry positive
-        v = kernel.eig_sym(shifted)[1][:, 0]
+    v = kernel.eig_sym(m)[1][:, 0]
     lam = float(v @ m @ v)
     if v.min() <= tol.scaled(np.abs(v).max()):
         raise PerronNotPositiveError("Perron vector has a vanishing coordinate")
@@ -343,19 +326,14 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
         col = v.column(j)
         col_thr = tol.scaled(col.max(initial=0.0))
         support = set(np.nonzero(col[:5] > col_thr)[0])
-        coeffs = None
         for i in range(5):
-            if not support <= {i, (i + 1) % 5, (i + 2) % 5}:
-                continue
-            gens = w[:, [i, (i + 1) % 5, 5]]
-            c = kernel.lp_feasible(a_eq=gens, b_eq=col)
-            if c is None or np.abs(gens @ c - col).max() > max(col_thr, thr):
-                continue
-            coeffs = (i, c)
-            break
-        if coeffs is None:
+            if support <= {i, (i + 1) % 5, (i + 2) % 5}:
+                c = kernel.lp_feasible(w[:, [i, (i + 1) % 5, 5]], col, tol)
+                if c is not None:
+                    groups.setdefault(i, []).append(c)
+                    break
+        else:
             raise ColumnOutsideConesError(f"column {j} lies outside the generator cones")
-        groups.setdefault(coeffs[0], []).append(coeffs[1])
     out_cols = []
     for i in sorted(groups):
         c = np.column_stack(groups[i])  # 3 x p_i coefficient block

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kernel import Tolerance
+from .kernel import MAX_ENTRY, Tolerance
 
 __all__ = ["MatrixFile", "load_matrix", "load_factor", "canonical_json", "to_jsonable"]
 
@@ -78,6 +78,8 @@ def load_matrix(path: str) -> MatrixFile:
     if n < 1 or data.shape != (n, n):
         raise DataError("matrix must be square of order n >= 1")
     scale = np.abs(data).max(initial=0.0)
+    if scale > MAX_ENTRY:  # data + data.T would overflow
+        raise DataError("matrix entries must be at most half the largest float in magnitude")
     if np.abs(data - data.T).max(initial=0.0) > _SYM_TOL.scaled(scale):
         raise DataError("matrix is not symmetric (1e-12 relative)")
     if factor is not None and factor.size and factor.min() < 0:

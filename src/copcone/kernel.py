@@ -1,18 +1,20 @@
 """Dense numerical kernel for small symmetric matrices.
 
 Eigendecomposition (LAPACK ``eigh``), pivoted Cholesky, numerical rank,
-exact quadratic-form minimization over the standard simplex, and a dense
-two-phase simplex LP.  Orders are small (n <= ~12), so robustness and high
-relative accuracy come first.  Speed matters in one place, the exact
-simplex minimization.  A positive definite form is convex there: an active
-set finds its optimal support, whose face point is kept after a strict KKT
-check.  Any other form, or a near tie, enumerates all 2**n - 1 supports and
-solves their KKT systems in stacked LAPACK calls, one per support size
-within each block of 1024 bitmasks, which bounds the KKT stacks held to one
-block's systems.  The integer layout of that walk (per block and support
-size, the masks' positions and member indices) is built once per order and
-cached: 0.9 kB at order 5, 0.23 MB at order 12, 4.7 MB at order 16.  The
-enumeration yields its points in increasing mask order, with the values a
+exact quadratic-form minimization over the standard simplex, and a
+feasibility test for ``A x = b, x >= 0``.  Orders are small (n <= ~12), so
+robustness and high relative accuracy come first.  One Lawson-Hanson active
+set serves the last two: the feasibility test is its nonnegative least
+squares.  Speed matters in one place, the exact simplex minimization.  A
+positive definite form is convex there: the active set finds its optimal
+support, whose face point is kept after a strict KKT check.  Any other
+form, or a near tie, enumerates all 2**n - 1 supports and solves their KKT
+systems in stacked LAPACK calls, one per support size within each block of
+1024 bitmasks, which bounds the KKT stacks held to one block's systems.
+The integer layout of that walk (per block and support size, the masks'
+positions and member indices) is built once per order and cached: 0.9 kB
+at order 5, 0.23 MB at order 12, 4.7 MB at order 16.  The enumeration
+yields its points in increasing mask order, with the values a
 one-support-at-a-time loop gives, bit for bit; the active set returns the
 enumeration's minimum, bit for bit.
 
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SimplexCyclingError
 
 __all__ = [
     "Tolerance",
@@ -62,12 +62,17 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# Largest entry magnitude a matrix may have: a_ij + a_ji, the sum that
+# symmetrizes it, overflows to inf beyond this.
+MAX_ENTRY = np.finfo(float).max / 2
+
 
 def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate a square symmetric array and return its exact symmetrization.
 
-    Raises ``ValueError`` if the input is not square, not finite, or not
-    symmetric within the tolerance.
+    Raises ``ValueError`` if the input is not square, not finite, has an
+    entry above ``MAX_ENTRY`` in magnitude, or is not symmetric within the
+    tolerance.
     """
     return _validated(a, tol)[0]
 
@@ -83,6 +88,8 @@ def _validated(a, tol: Tolerance) -> tuple[np.ndarray, float]:
     scale = float(np.abs(arr).max())
     if not math.isfinite(scale):  # the max of a NaN or an inf is not finite
         raise ValueError("matrix entries must be finite")
+    if scale > MAX_ENTRY:
+        raise ValueError("matrix entries must be at most half the largest float in magnitude")
     skew = np.abs(arr - arr.T).max()
     if skew > tol.scaled(scale):
         raise ValueError("matrix is not symmetric within tolerance")
@@ -337,9 +344,10 @@ def _convex_form_min(q):
         return None
     try:
         np.linalg.cholesky(q)
-        support = _nnls_support(q)
-        if support is None:
+        z = _nnls(q, np.ones(n))
+        if z is None:
             return None
+        support = np.flatnonzero(z > 0.0)
         inv_diag = np.diag(np.linalg.inv(q[np.ix_(support, support)]))
     except np.linalg.LinAlgError:  # not positive definite, or singular in roundoff
         return None
@@ -358,27 +366,28 @@ def _convex_form_min(q):
     return None
 
 
-def _nnls_support(q):
-    """Support of the minimizer of ``z @ q @ z - 2 * z.sum()`` over z >= 0,
-    for a positive definite ``q``, by the Lawson-Hanson active set (Lawson &
-    Hanson 1974, ch. 23) on the normal equations; its direction z / sum(z)
-    minimizes the form on the simplex.  ``None`` if it does not settle
+def _nnls(q, c, stop=0.0):
+    """Minimizer of ``z @ q @ z - 2 * c @ z`` over z >= 0 by the
+    Lawson-Hanson active set (Lawson & Hanson 1974, ch. 23) on the normal
+    equations.  ``q`` is positive definite, or a Gram matrix A.T @ A with
+    dependent columns, whose passive columns the method keeps independent
+    while ``stop`` exceeds the roundoff in the gradient.  An index j enters the passive set only while ``(c - q @ z)_j``, minus
+    half the gradient, exceeds ``stop``.  ``None`` if it does not settle
     within 3n additions (roundoff cycling)."""
     n = q.shape[0]
-    ones = np.ones(n)
     passive = np.zeros(n, dtype=bool)
     z = np.zeros(n)
     for _ in range(3 * n):
-        w = ones - q @ z  # minus half the gradient
+        w = c - q @ z  # minus half the gradient
         w[passive] = -np.inf
         j = int(np.argmax(w))
-        if w[j] <= 0.0:
-            return np.flatnonzero(passive)
+        if w[j] <= stop:
+            return z
         passive[j] = True
         while True:
             idx = np.flatnonzero(passive)
             trial = np.zeros(n)
-            trial[idx] = np.linalg.solve(q[np.ix_(idx, idx)], ones[idx])
+            trial[idx] = np.linalg.solve(q[np.ix_(idx, idx)], c[idx])
             if trial[idx].min() > 0.0:
                 break
             if passive[j] and z[j] == 0.0 and trial[j] <= 0.0:
@@ -396,100 +405,27 @@ def _nnls_support(q):
     return None
 
 
-def lp_feasible(
-    a_eq=None,
-    b_eq=None,
-    a_ub=None,
-    b_ub=None,
-    *,
-    pivot_tol: float = 1e-10,
-    feas_tol: float = 1e-9,
-    max_iter: int = 5000,
-) -> np.ndarray | None:
-    """Find ``x >= 0`` with ``a_eq @ x == b_eq`` and ``a_ub @ x <= b_ub``.
+def lp_feasible(a_eq, b_eq, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """Find ``x >= 0`` with ``a_eq @ x == b_eq``, each row within
+    ``tol.scaled(max|b_eq|)``.
 
-    Dense two-phase simplex (phase 1 drives out artificial variables; there
-    is no objective, so phase 2 is vacuous).  Dantzig pricing with a Bland's
-    rule fallback to guard against cycling.  Returns a feasible point, or
-    ``None`` if the system is infeasible.
+    Solves the nonnegative least-squares problem by the active set of
+    :func:`_nnls` on the normal equations and returns its solution if the
+    residual is within the threshold.  ``None`` means the system is
+    infeasible, or the active set did not settle (it cycled in roundoff or
+    met an exactly singular passive set).
     """
-    rows = []
-    rhs = []
-    n = None
-    for a, b in ((a_eq, b_eq), (a_ub, b_ub)):
-        if a is None:
-            continue
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("constraint matrix/rhs shape mismatch")
-        if n is None:
-            n = a.shape[1]
-        elif a.shape[1] != n:
-            raise ValueError("inconsistent variable counts")
-    if n is None:
-        raise ValueError("no constraints given")
-    if n > 64:
-        raise ValueError("lp_feasible is limited to 64 variables")
-
-    n_ub = 0 if a_ub is None else np.atleast_2d(a_ub).shape[0]
-    n_eq = 0 if a_eq is None else np.atleast_2d(a_eq).shape[0]
-    m = n_eq + n_ub
-    width = n + n_ub  # structural + slack variables
-    body = np.zeros((m, width))
-    rhs = np.zeros(m)
-    if a_eq is not None:
-        body[:n_eq, :n] = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        rhs[:n_eq] = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    if a_ub is not None:
-        body[n_eq:, :n] = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        body[n_eq:, n:] = np.eye(n_ub)
-        rhs[n_eq:] = np.atleast_1d(np.asarray(b_ub, dtype=float))
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs[neg] *= -1.0
-
-    # Tableau [body | artificials | rhs], artificial basis, phase-1 cost row.
-    tab = np.hstack([body, np.eye(m), rhs[:, None]])
-    basis = [width + i for i in range(m)]
-    obj = np.zeros(width + m + 1)
-    obj[width : width + m] = 1.0
-    obj -= tab.sum(axis=0)
-
-    scale = 1.0 + (np.abs(rhs).max() if m else 0.0)
-    for it in range(max_iter):
-        reduced = obj[:-1]
-        if it < max_iter // 2:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -pivot_tol:
-                break
-        else:  # Bland's rule: first improving index
-            candidates = np.nonzero(reduced < -pivot_tol)[0]
-            if candidates.size == 0:
-                break
-            col = int(candidates[0])
-        ratios = np.full(m, np.inf)
-        pos = tab[:, col] > pivot_tol
-        ratios[pos] = tab[pos, -1] / tab[pos, col]
-        if not np.isfinite(ratios).any():
-            raise SimplexCyclingError("phase-1 column unbounded")
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best * (1 + 1e-12) + 1e-300)[0]
-        row = int(min(ties, key=lambda i: basis[i]))
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        for i in range(m):
-            if i != row and tab[i, col] != 0.0:
-                tab[i] -= tab[i, col] * tab[row]
-        obj -= obj[col] * tab[row]
-        basis[row] = col
-    else:
-        raise SimplexCyclingError("simplex iteration cap exceeded")
-
-    if -obj[-1] > feas_tol * scale:
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    if a.ndim != 2 or b.shape != a.shape[:1]:
+        raise ValueError("constraint matrix/rhs shape mismatch")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("constraint entries must be finite")
+    thr = tol.scaled(np.abs(b).max(initial=0.0))
+    try:
+        x = _nnls(a.T @ a, a.T @ b, thr)
+    except np.linalg.LinAlgError:
         return None
-    x = np.zeros(width)
-    for i, bi in enumerate(basis):
-        if bi < width:
-            x[bi] = tab[i, -1]
-    return np.clip(x[:n], 0.0, None)
+    if x is None or np.abs(a @ x - b).max(initial=0.0) > thr:
+        return None
+    return x

@@ -18,7 +18,7 @@ from copcone import (
 )
 from copcone.cones import BoundaryZero, ConeVerdict, NegativeEntry, ViolationVector
 from copcone.errors import NotCopositiveError
-from copcone.kernel import DEFAULT_TOL
+from copcone.kernel import DEFAULT_TOL, MAX_ENTRY
 
 
 def test_horn_memberships():
@@ -538,6 +538,8 @@ VERDICT_FAMILIES = [
     "undecided-17",
 ]
 
+PUBLIC_TESTS = [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros]
+
 MALFORMED = [
     [[1.0, np.nan], [np.nan, 1.0]],
     [[np.inf, 0.0], [0.0, 1.0]],
@@ -569,13 +571,35 @@ def test_verdicts_match_the_reference_on_every_family(kind, seed):
 
 
 @pytest.mark.parametrize("a", MALFORMED, ids=range(len(MALFORMED)))
-@pytest.mark.parametrize("test", [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros])
+@pytest.mark.parametrize("test", PUBLIC_TESTS)
 def test_malformed_input_errors_match_the_reference(a, test):
     with pytest.raises(ValueError) as want:
         reference_as_sym(a)
     with pytest.raises(ValueError) as got:
         test(a)
     assert str(got.value) == str(want.value)
+
+
+# Each has an entry for which a_ij + a_ji, the sum that symmetrizes it,
+# overflows to inf.
+TOO_LARGE = [
+    1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+    [[1e308, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.nextafter(MAX_ENTRY, np.inf)]],
+]
+
+
+@pytest.mark.parametrize("a", TOO_LARGE, ids=range(len(TOO_LARGE)))
+@pytest.mark.parametrize("test", PUBLIC_TESTS)
+def test_entries_whose_symmetrization_overflows_are_rejected(a, test):
+    with pytest.raises(ValueError, match="matrix entries must be at most half the largest float"):
+        test(a)
+
+
+@pytest.mark.parametrize("test", PUBLIC_TESTS)
+def test_the_largest_allowed_entry_is_accepted(test):
+    got = test([[MAX_ENTRY, 0.0], [0.0, 1.0]])
+    assert got == [] if test is copositive_boundary_zeros else got.answer is Answer.IN
 
 
 def test_threshold_is_taken_from_the_symmetrized_matrix():

@@ -7,6 +7,7 @@ from conftest import random_admissible_factor, random_dd_nonneg, random_positive
 from copcone import (
     DEFAULT_TOL,
     NonnegFactor,
+    Tolerance,
     cp3_factorize,
     dd_factorize,
     factor_continuation,
@@ -19,6 +20,7 @@ from copcone import (
     truncate_factor,
 )
 from copcone.errors import (
+    ColumnOutsideConesError,
     NewtonDivergedError,
     NotDiagonallyDominantError,
     NotDnnError,
@@ -26,8 +28,9 @@ from copcone.errors import (
     NotOrthogonalToHornError,
     NotPositiveError,
     OrderTooSmallError,
+    PerronNotPositiveError,
 )
-from copcone.factor import horn_orthogonal_factorize
+from copcone.factor import _perron_vector, horn_orthogonal_factorize
 
 
 def indep_cols_rank(v, tol=1e-9):
@@ -123,6 +126,31 @@ class TestPerturbPositify:
             assert indep_cols_rank(bump) <= 1
 
 
+    # (d1**2, d2**2) for the path 0 - 1 - 2 below.  A shifted power
+    # iteration needs more than 1e5 steps on the first; on the second, one
+    # stopped when no entry moves by 1e-14 ends 4e-6 off the Perron vector.
+    @pytest.mark.parametrize("d1sq, d2sq", [(3e-11, 7e-11), (5e-11, 5.0001e-11)])
+    def test_tiny_spectral_gap(self, d1sq, d2sq):
+        # Two unit vertices joined through a middle one with zero diagonal:
+        # the eigenvalues near 1 are 1 + O(d**4) and 1 + d1**2 + d2**2, a
+        # relative gap of 1e-10.
+        d1, d2 = np.sqrt(d1sq), np.sqrt(d2sq)
+        m = np.array([[1.0, d1, 0.0], [d1, 0.0, d2], [0.0, d2, 1.0]])
+        v, lam = _perron_vector(m, DEFAULT_TOL)
+        w = np.linalg.eigvalsh(m)
+        assert (w[-1] - w[-2]) / w[-1] == pytest.approx(1e-10, rel=1e-4)
+        assert v.min() > 0
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert abs(lam - w[-1]) <= 1e-15
+        assert np.linalg.norm(m @ v - lam * v) <= 1e-15
+
+    def test_disconnected_support_is_rejected(self):
+        with pytest.raises(PerronNotPositiveError, match="support graph is not connected"):
+            _perron_vector(np.eye(2), DEFAULT_TOL)
+        with pytest.raises(PerronNotPositiveError, match="support graph is not connected"):
+            perturb_positify(NonnegFactor(np.eye(2)), 0.5)
+
+
 class TestSupportSplitTruncate:
     def test_support_split(self, rng):
         v = NonnegFactor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
@@ -208,6 +236,16 @@ class TestHorn6:
     def test_wrong_order(self):
         with pytest.raises(ValueError):
             horn_orthogonal_factorize(NonnegFactor(np.ones((5, 1))))
+
+    def test_cone_fit_uses_the_given_tolerance(self):
+        # e1 + e2 plus 1e-7 e3: orthogonal to the Horn block up to 1e-14,
+        # but 6e-8 off every generator cone in the least-squares fit
+        v0 = NonnegFactor(np.array([[1.0], [1.0], [1e-7], [0.0], [0.0], [0.0]]))
+        with pytest.raises(ColumnOutsideConesError):
+            horn_orthogonal_factorize(v0)
+        v = horn_orthogonal_factorize(v0, Tolerance(abs=1e-6, rel=0.0))
+        assert v.p == 1
+        assert np.abs(v.product() - v0.product()).max() <= 1e-6
 
 
 class TestContinuation:

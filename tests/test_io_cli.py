@@ -112,6 +112,19 @@ class TestCliExitCodes:
         assert r.stdout == ""
         assert "matrix orders differ: 6 and 5" in r.stderr
 
+    @pytest.mark.parametrize("cone", ["copositive", "psd", "dnn", "nonneg"])
+    @pytest.mark.parametrize(
+        "data", ["[[1e308, -1e308], [-1e308, 1e308]]", "[[1e308, 0], [0, 1]]"], ids=["ones", "diagonal"]
+    )
+    def test_entries_whose_symmetrization_overflows_are_a_data_error(self, tmp_path, cone, data):
+        p = tmp_path / "m.json"
+        p.write_text(f'{{"n": 2, "data": {data}}}')
+        r = run_cli("check", "--cone", cone, str(p))
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "matrix entries must be at most half the largest float in magnitude" in r.stderr
+        assert "overflow" not in r.stderr
+
     def test_factorize_error_tag(self):
         r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
         assert r.returncode == 1

@@ -5,7 +5,18 @@ from hypothesis import strategies as st
 
 from conftest import random_sym
 from copcone import kernel
-from copcone import Answer, Tolerance, eig_sym, horn_matrix, is_copositive, lp_feasible, num_rank, psd_check
+from copcone import (
+    DEFAULT_TOL,
+    Answer,
+    Tolerance,
+    eig_sym,
+    horn_generators,
+    horn_matrix,
+    is_copositive,
+    lp_feasible,
+    num_rank,
+    psd_check,
+)
 from copcone.kernel import pivoted_cholesky, simplex_form_min, simplex_stationary_points
 
 
@@ -337,17 +348,22 @@ def test_indefinite_block_is_enumerated_once(enumerations):
 
 
 def test_lp_feasible_basic_cases():
-    # x1 + x2 = 1, x >= 0
+    # x1 + x2 = 1, x >= 0: the normal equations are singular
     x = lp_feasible(a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
     assert x is not None and x.min() >= 0 and abs(x.sum() - 1) <= 1e-9
     # infeasible: x1 + x2 = -1 with x >= 0
     assert lp_feasible(a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([-1.0])) is None
-    # inequality only
-    x = lp_feasible(
-        a_ub=np.array([[1.0, 2.0], [-1.0, 0.0]]),
-        b_ub=np.array([4.0, 0.0]),
-    )
-    assert x is not None and (np.array([[1.0, 2.0], [-1.0, 0.0]]) @ x <= 4 + 1e-9).all()
+
+
+def test_lp_feasible_dependent_columns_do_not_raise():
+    a = np.array([[9.0, 9.0], [6.0, 6.0], [9.0, 9.0]])
+    b = a @ np.array([0.6, 0.0])
+    x = lp_feasible(a, b)
+    assert x is not None and np.abs(a @ x - b).max() <= DEFAULT_TOL.scaled(5.4)
+    # With no tolerance a roundoff gradient lets the dependent column enter,
+    # and the passive block is exactly singular: no answer, but no error.
+    x = lp_feasible(a, b, Tolerance(abs=0.0, rel=0.0))
+    assert x is None or np.array_equal(a @ x, b)
 
 
 def test_lp_feasible_cone_membership(rng):
@@ -357,6 +373,48 @@ def test_lp_feasible_cone_membership(rng):
     x = lp_feasible(a_eq=gens, b_eq=target)
     assert x is not None
     assert np.abs(gens @ x - target).max() <= 1e-9
+
+
+def generator_cone(i):
+    """The generators (e_i + e_{i+1}, e_{i+1} + e_{i+2}, e6) of the i-th
+    cone of order-6 Horn-orthogonal factor columns."""
+    return horn_generators()[:, [i, (i + 1) % 5, 5]]
+
+
+COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.lists(COEFF, min_size=3, max_size=3))
+def test_lp_feasible_finds_every_nonnegative_combination(i, coeffs):
+    gens = generator_cone(i)
+    b = gens @ np.array(coeffs)
+    x = lp_feasible(gens, b)
+    assert x is not None and x.min() >= 0.0
+    assert np.abs(gens @ x - b).max() <= DEFAULT_TOL.scaled(np.abs(b).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.lists(COEFF, min_size=3, max_size=3), st.integers(0, 2), st.floats(1e-3, 1e3))
+def test_lp_feasible_rejects_a_negative_coefficient(i, coeffs, k, neg):
+    gens = generator_cone(i)
+    coeffs[k] = -neg
+    assert lp_feasible(gens, gens @ np.array(coeffs)) is None
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_lp_feasible_zero_right_hand_side_gives_zero(i):
+    x = lp_feasible(generator_cone(i), np.zeros(6))
+    assert np.array_equal(x, np.zeros(3))
+
+
+def test_lp_feasible_takes_its_threshold_from_the_tolerance():
+    gens = generator_cone(0)
+    b = gens @ np.array([1.0, 2.0, 3.0])
+    b[3] = 1e-7  # off the cone's span, within the looser tolerance only
+    assert lp_feasible(gens, b) is None
+    x = lp_feasible(gens, b, Tolerance(abs=1e-6, rel=0.0))
+    assert x is not None and np.abs(gens @ x - b).max() <= 1e-6
 
 
 def test_tolerance_scaling():
