@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .cones import Answer, is_copositive, is_dnn, is_nonneg
+from .cones import Answer, _negative_entry, is_copositive, is_dnn
 from .errors import (
     InconsistentBoundsError,
     NotCopositiveWitnessError,
     NotDnnError,
 )
-from .extremal import _require_orthogonal, horn_orbit_recognize, zero_diag_reduce
+from .extremal import _horn_block_orbit, _require_orthogonal
 from .kernel import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -103,36 +103,35 @@ def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:
     witness reduces to a Horn-orbit block.  The bound is conditional on M
     being completely positive, which is the caller's assertion.
     """
-    m = kernel.as_sym(m, tol)
-    a = kernel.as_sym(a, tol)
+    m, _ = kernel.as_sym(m, tol)
+    a, scale = kernel.as_sym(a, tol)
     n = m.shape[0]
     _require_orthogonal(m, a, tol)
     if is_copositive(a, tol).answer is not Answer.IN:
         raise NotCopositiveWitnessError("witness is not certified copositive")
-    thr = tol.scaled(np.abs(a).max())
+    thr = tol.scaled(scale)
     entries = []
     k = int(np.count_nonzero(np.diag(a) > thr))
     bn = babe(n)
     if k >= 2:
         entries.append(BoundEntry(bn - k + 1, BN_K1, f"witness has {k} positive diagonal entries"))
-    if n >= 5 and is_nonneg(a, tol).answer is Answer.NOT_IN:
+    if n >= 5 and _negative_entry(a, scale, tol) is not None:
         entries.append(BoundEntry(bn - 4, BN_4, "witness has a negative entry"))
-    if n == 6:
-        red = zero_diag_reduce(a, tol)
-        if red.structure_ok and red.s.shape[0] == 5 and horn_orbit_recognize(red.s, tol):
-            entries.append(BoundEntry(15, HORN15, "witness is a Horn-orbit block plus zeros"))
+    if n == 6 and _horn_block_orbit(a, thr, tol) is not None:
+        entries.append(BoundEntry(15, HORN15, "witness is a Horn-orbit block plus zeros"))
     return entries
 
 
 def zero_entry_bound(m, tol: Tolerance = DEFAULT_TOL) -> BoundEntry | None:
     """Upper bound 2 U(n-1) when M has a zero entry, U being the best known
     upper bound one order down.  Not emitted for entrywise positive M."""
-    m = kernel.as_sym(m, tol)
+    return _zero_entry(*kernel.as_sym(m, tol), tol)
+
+
+def _zero_entry(m: np.ndarray, scale: float, tol: Tolerance) -> BoundEntry | None:
+    """:func:`zero_entry_bound` of a validated ``m`` of scale ``scale``."""
     n = m.shape[0]
-    if n < 2:
-        return None
-    thr = tol.scaled(np.abs(m).max())
-    if np.abs(m).min() > thr:
+    if n < 2 or np.abs(m).min() > tol.scaled(scale):
         return None
     upper = 2 * known_pn_interval(n - 1)[1]
     return BoundEntry(upper, ZERO_ENTRY, "matrix has a zero entry")
@@ -146,7 +145,7 @@ def cp_rank_interval(
 ) -> BoundReport:
     """Assemble the best-known cp-rank interval for a doubly nonnegative
     matrix from every applicable rule, each tagged with its provenance."""
-    m = kernel.as_sym(m, tol)
+    m, scale = kernel.as_sym(m, tol)
     if is_dnn(m, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
     n = m.shape[0]
@@ -155,12 +154,12 @@ def cp_rank_interval(
     uppers = [BoundEntry(known_pn_interval(n)[1], KNOWN_PN, f"order-{n} bracket")]
     if rank >= 1:
         uppers.append(BoundEntry(babe(rank), BABE, f"rank {rank}"))
-    ze = zero_entry_bound(m, tol)
+    ze = _zero_entry(m, scale, tol)
     if ze is not None:
         uppers.append(ze)
     if v is not None:
         resid = float(np.abs(v.product() - m).max())
-        if resid > tol.scaled(np.abs(m).max()):
+        if resid > tol.scaled(scale):
             raise InconsistentBoundsError("supplied factor does not reproduce the matrix")
         uppers.append(BoundEntry(v.p, FACTOR, f"exhibited factor with {v.p} columns"))
     for a in witnesses or ():

@@ -89,7 +89,7 @@ class ConeVerdict:
 
 def is_nonneg(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Membership in the cone of entrywise nonnegative symmetric matrices."""
-    cert = _negative_entry(*kernel._validated(a, tol), tol)
+    cert = _negative_entry(*kernel.as_sym(a, tol), tol)
     return ConeVerdict("NONNEG", Answer.NOT_IN if cert else Answer.IN, cert)
 
 
@@ -104,16 +104,17 @@ def _negative_entry(a, scale, tol) -> NegativeEntry | None:
 def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Membership in the positive-semidefinite cone, with an eigenvector
     witness on failure."""
-    cert = _psd_violation(kernel.as_sym(a, tol), tol)
+    cert = _psd_violation(*kernel.as_sym(a, tol), tol)
     return ConeVerdict("PSD", Answer.NOT_IN if cert else Answer.IN, cert)
 
 
-def _psd_violation(a, tol) -> ViolationVector | None:
+def _psd_violation(a, scale, tol) -> ViolationVector | None:
     """An eigenvector witness w with w.T a w < 0 for a validated ``a``, if
-    ``a`` is not PSD."""
-    ok, witness = kernel.psd_check(a, tol)
-    if ok:
+    its least eigenvalue is below -thr."""
+    w, q = kernel.eig_sym(a)
+    if w[-1] >= -tol.scaled(scale):
         return None
+    witness = q[:, -1]
     return ViolationVector(witness, float(witness @ a @ witness))
 
 
@@ -156,7 +157,7 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     smallest diagonal entry of A and that exact minimum.  UNDECIDED means
     that B exceeds order 16, the limit of the enumeration.
     """
-    a, scale = kernel._validated(a, tol)
+    a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(scale)
     keep = _kept_indices(a)
@@ -230,7 +231,7 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     fixpoint, because at a zero x, [A x]_i = 0 on supp(x) while such a row
     gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
     """
-    a, scale = kernel._validated(a, tol)
+    a, scale = kernel.as_sym(a, tol)
     verdict = is_copositive(a, tol)
     if verdict.answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
@@ -262,8 +263,8 @@ def is_dnn(m, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
 
     A cheap necessary condition for complete positivity.
     """
-    a, scale = kernel._validated(m, tol)
-    cert = _negative_entry(a, scale, tol) or _psd_violation(a, tol)
+    a, scale = kernel.as_sym(m, tol)
+    cert = _negative_entry(a, scale, tol) or _psd_violation(a, scale, tol)
     return ConeVerdict("DNN", Answer.NOT_IN if cert else Answer.IN, cert)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, special
-from .cones import Answer, is_copositive, is_nonneg
+from .cones import Answer, _negative_entry, is_copositive
 from .errors import (
     NotCopositiveError,
     NotNonnegativeError,
@@ -77,7 +77,6 @@ class ZeroDiagReduction:
     s: np.ndarray
     zero_indices: tuple[int, ...]
     structure_ok: bool
-    violation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ def orth_column_check(m, a, tol: Tolerance = DEFAULT_TOL) -> OrthColumnResult:
     """Column orthogonality of an orthogonal pair: for a completely positive
     M orthogonal to a copositive A, matching columns of M and A are
     orthogonal.  Returns the maximum diagonal defect max_i |(M A)_ii|."""
-    m = kernel.as_sym(m, tol)
-    a = kernel.as_sym(a, tol)
+    m, _ = kernel.as_sym(m, tol)
+    a, _ = kernel.as_sym(a, tol)
     _require_orthogonal(m, a, tol)
     defect = float(np.abs(np.diag(m @ a)).max())
     gauge = np.linalg.norm(m) * np.linalg.norm(a)
@@ -122,15 +121,14 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
 
     Returns PASS/FAIL when the support hypothesis holds, SKIP otherwise.
     """
-    m = kernel.as_sym(m, tol)
-    a = kernel.as_sym(a, tol)
+    m, mscale = kernel.as_sym(m, tol)
+    a, ascale = kernel.as_sym(a, tol)
     _require_orthogonal(m, a, tol)
     cols = v.v
     thr = tol.scaled(cols.max(initial=0.0))
     if cols.shape[1] == 0 or not np.all(cols[i, :] > thr):
         return SKIP
-    gauge = np.abs(m).max() * np.abs(a).max()
-    if np.abs(m @ a[:, i]).max() <= tol.scaled(gauge):
+    if np.abs(m @ a[:, i]).max() <= tol.scaled(mscale * ascale):
         return PASS
     return FAIL
 
@@ -143,10 +141,10 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     row, that the diagonal entry does not exceed the off-diagonal absolute
     row sum.
     """
-    m = kernel.as_sym(m, tol)
-    a = kernel.as_sym(a, tol)
+    m, scale = kernel.as_sym(m, tol)
+    a, _ = kernel.as_sym(a, tol)
     diag = np.diag(m)
-    if diag.min() <= tol.scaled(np.abs(m).max()):
+    if diag.min() <= tol.scaled(scale):
         raise ZeroRowError("completely positive side has a vanishing diagonal entry")
     _require_orthogonal(m, a, tol)
     s = np.sqrt(diag)
@@ -159,29 +157,31 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     return AntiDdResult(scaled, tuple(rows))
 
 
-def zero_diag_reduce(
-    a, tol: Tolerance = DEFAULT_TOL, claimed_extreme: bool = False
-) -> ZeroDiagReduction:
+def zero_diag_reduce(a, tol: Tolerance = DEFAULT_TOL) -> ZeroDiagReduction:
     """Strip the zero-diagonal indices of a copositive matrix.
 
     For an extreme copositive matrix with a negative entry, the rows and
-    columns through its zero diagonal entries must vanish entirely; when the
-    caller claims extremality and that structure fails, the reduction is
-    flagged VIOLATES_ZEROEXT (the claim must be wrong).
+    columns through its zero diagonal entries must vanish entirely;
+    ``structure_ok`` tells whether they do.
     """
-    a = kernel.as_sym(a, tol)
-    thr = tol.scaled(np.abs(a).max())
-    zero = np.diag(a) <= thr
+    a, scale = kernel.as_sym(a, tol)
+    zero, structure_ok = _zero_diag(a, tol.scaled(scale))
     z_idx = tuple(int(i) for i in np.nonzero(zero)[0])
-    keep = ~zero
-    structure_ok = True
-    if z_idx:
-        structure_ok = bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
-    s = a[np.ix_(keep, keep)]
-    violation = None
-    if claimed_extreme and not structure_ok and is_nonneg(a, tol).answer is Answer.NOT_IN:
-        violation = "VIOLATES_ZEROEXT"
-    return ZeroDiagReduction(s, z_idx, structure_ok, violation)
+    return ZeroDiagReduction(a[np.ix_(~zero, ~zero)], z_idx, structure_ok)
+
+
+def _zero_diag(a: np.ndarray, thr: float) -> tuple[np.ndarray, bool]:
+    """Mask of the diagonal entries <= thr of ``a``; do their rows vanish?"""
+    zero = np.diag(a) <= thr
+    return zero, bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
+
+
+def _horn_block_orbit(a: np.ndarray, thr: float, tol: Tolerance) -> OrbitWitness | None:
+    """Horn-orbit witness of ``a`` less its zero-diagonal rows, which must vanish."""
+    zero, structure_ok = _zero_diag(a, thr)
+    if not structure_ok or np.count_nonzero(~zero) != 5:
+        return None
+    return horn_orbit_recognize(a[np.ix_(~zero, ~zero)], tol)
 
 
 def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None:
@@ -191,10 +191,10 @@ def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None
     d_i = sqrt(A_ii); all 120 permutations are swept and the first exact
     match (within tolerance) is returned, or ``None``.
     """
-    a = kernel.as_sym(a, tol)
+    a, scale = kernel.as_sym(a, tol)
     if a.shape[0] != 5:
         raise ValueError("Horn-orbit recognition is defined for order 5")
-    thr = tol.scaled(np.abs(a).max())
+    thr = tol.scaled(scale)
     diag = np.diag(a)
     if diag.min() <= thr:
         return None
@@ -208,11 +208,10 @@ def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None
     return None
 
 
-def _e12_recognize(a: np.ndarray, tol: Tolerance) -> OrbitWitness | None:
+def _e12_recognize(a: np.ndarray, thr: float) -> OrbitWitness | None:
     """Recognize a matrix with exactly one positive symmetric off-diagonal
     pair and zeros elsewhere (the E12 orbit within symmetric matrices)."""
     n = a.shape[0]
-    thr = tol.scaled(np.abs(a).max())
     pos = np.argwhere(np.triu(a, 1) > thr)
     if len(pos) != 1:
         return None
@@ -240,29 +239,24 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     surviving block has order 5, and UNKNOWN_EXTREME_CLASS is the honest
     answer otherwise.
     """
-    a = kernel.as_sym(a, tol)
+    a, scale = kernel.as_sym(a, tol)
     verdict = is_copositive(a, tol)
     if verdict.answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
-    rank = kernel.num_rank(a, tol)
+    thr = tol.scaled(scale)
+    w, q = kernel.eig_sym(a)
+    rank = kernel._rank(w, tol)
     if rank <= 1:
-        w, q = kernel.eig_sym(a)
         return ExtremeClass("PSD_RANK1", vector=np.sqrt(max(w[0], 0.0)) * q[:, 0])
     if rank == 2:
-        witness = _e12_recognize(a, tol)
+        witness = _e12_recognize(a, thr)
         if witness is not None:
             return ExtremeClass("E12_ORBIT", witness=witness)
         return ExtremeClass("UNKNOWN_EXTREME_CLASS")
-    block = a
-    if a.shape[0] > 5:
-        red = zero_diag_reduce(a, tol, claimed_extreme=True)
-        if red.structure_ok and red.s.shape[0] == 5:
-            block = red.s
-    if block.shape[0] == 5:
-        witness = horn_orbit_recognize(block, tol)
-        if witness is not None:
-            return ExtremeClass("HORN_ORBIT", witness=witness)
-    if is_nonneg(a, tol).answer is Answer.IN and nonneg_extreme_check(a, tol):
+    witness = _horn_block_orbit(a, thr, tol)
+    if witness is not None:
+        return ExtremeClass("HORN_ORBIT", witness=witness)
+    if _negative_entry(a, scale, tol) is None and _one_positive_entry(a, thr):
         return ExtremeClass("NONNEG_EXTREME")
     return ExtremeClass("UNKNOWN_EXTREME_CLASS")
 
@@ -271,21 +265,24 @@ def nonneg_extreme_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check the extreme pattern for nonnegative matrices: at most one
     positive entry on or above the diagonal (a squared basis vector, or an
     E12-orbit matrix)."""
-    a = kernel.as_sym(a, tol)
-    if is_nonneg(a, tol).answer is not Answer.IN:
+    a, scale = kernel.as_sym(a, tol)
+    if _negative_entry(a, scale, tol) is not None:
         raise NotNonnegativeError("matrix is not nonnegative")
-    thr = tol.scaled(np.abs(a).max())
-    upper = a[np.triu_indices(a.shape[0])]
-    return int(np.count_nonzero(upper > thr)) == 1
+    return _one_positive_entry(a, tol.scaled(scale))
+
+
+def _one_positive_entry(a: np.ndarray, thr: float) -> bool:
+    """Whether exactly one entry on or above the diagonal exceeds ``thr``."""
+    return int(np.count_nonzero(a[np.triu_indices(a.shape[0])] > thr)) == 1
 
 
 def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Consequence check for an extreme copositive matrix orthogonal to a
     positive nonsingular boundary matrix: rank at least 3 and no 2x2
     principal submatrix in the E12 orbit."""
-    m = kernel.as_sym(m, tol)
-    a = kernel.as_sym(a, tol)
-    if m.min() <= tol.scaled(np.abs(m).max()):
+    m, mscale = kernel.as_sym(m, tol)
+    a, ascale = kernel.as_sym(a, tol)
+    if m.min() <= tol.scaled(mscale):
         raise NotPositiveError("boundary matrix must be entrywise positive")
     n = m.shape[0]
     if kernel.num_rank(m, tol) != n:
@@ -293,7 +290,7 @@ def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     _require_orthogonal(m, a, tol)
     if kernel.num_rank(a, tol) < 3:
         return False
-    thr = tol.scaled(np.abs(a).max())
+    thr = tol.scaled(ascale)
     diag = np.diag(a)
     for i in range(n):
         for j in range(i + 1, n):

@@ -86,12 +86,6 @@ class NonnegFactor:
         return f"NonnegFactor(n={self.n}, p={self.p})"
 
 
-def _check_nonneg(m: np.ndarray, thr: float) -> np.ndarray:
-    if m.min() < -thr:
-        raise NotNonnegativeError("matrix has a negative entry")
-    return np.clip(m, 0.0, None)
-
-
 def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     """Factorize a nonnegative diagonally dominant matrix.
 
@@ -99,10 +93,16 @@ def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     entry plus sqrt(M_ii - sum_j M_ij) e_i for each positive diagonal
     residual.  Exact up to roundoff; at most n(n+1)/2 columns.
     """
-    m = kernel.as_sym(m, tol)
+    m, scale = kernel.as_sym(m, tol)
+    return NonnegFactor(_dd_columns(m, tol.scaled(scale)), tol)
+
+
+def _dd_columns(m: np.ndarray, thr: float) -> np.ndarray:
+    """The columns of :func:`dd_factorize` of a validated ``m``, n x p."""
     n = m.shape[0]
-    thr = tol.scaled(np.abs(m).max())
-    m = _check_nonneg(m, thr)
+    if m.min() < -thr:
+        raise NotNonnegativeError("matrix has a negative entry")
+    m = np.clip(m, 0.0, None)
     off_sums = m.sum(axis=1) - np.diag(m)
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
@@ -119,8 +119,8 @@ def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
             c[i] = np.sqrt(resid)
             cols.append(c)
     if not cols:
-        return NonnegFactor(np.zeros((n, 0)), tol)
-    return NonnegFactor(np.column_stack(cols), tol)
+        return np.zeros((n, 0))
+    return np.column_stack(cols)
 
 
 def positive_dd_factorize(
@@ -136,20 +136,21 @@ def positive_dd_factorize(
     rejected: there, positive diagonally dominant matrices can sit on the
     boundary.
     """
-    m = kernel.as_sym(m, tol)
+    m, scale = kernel.as_sym(m, tol)
     n = m.shape[0]
     if n <= 2:
         raise OrderTooSmallError("interior construction needs order >= 3")
-    thr = tol.scaled(np.abs(m).max())
+    thr = tol.scaled(scale)
     mu = m.min()
     if mu <= thr:
         raise NotPositiveError("matrix must be entrywise positive")
     off_sums = m.sum(axis=1) - np.diag(m)
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
-    rest = dd_factorize(m - mu * special.all_ones(n), tol)
+    # thr, from M, is at least the remainder's own threshold
+    rest = _dd_columns(m - mu * special.all_ones(n), thr)
     first = np.full((n, 1), np.sqrt(mu))
-    factor = NonnegFactor(np.hstack([first, rest.v]), tol)
+    factor = NonnegFactor(np.hstack([first, rest]), tol)
     cert = cp_interior_certificate(factor, tol)
     if cert is None:  # strict dominance guarantees rank n; only roundoff can break this
         raise NotPositiveError("interior certificate unexpectedly failed")
@@ -271,17 +272,22 @@ def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     clipped, which moves the product by at most the tolerance; a root that
     is already nonnegative within that bound is returned as is.
     """
-    y = kernel.as_sym(y, tol)
-    n = y.shape[0]
-    if n > 3:
+    y, scale = kernel.as_sym(y, tol)
+    if y.shape[0] > 3:
         raise ValueError("cp3_factorize handles orders up to 3")
     if is_dnn(y, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
+    return _cp3_factor(y, scale, tol)
+
+
+def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:
+    """:func:`cp3_factorize` of a validated DNN ``y`` with largest entry ``scale``."""
+    n = y.shape[0]
     l = kernel.pivoted_cholesky(y, tol)
     r = l.shape[1]
     if r == 0:
         return NonnegFactor(np.zeros((n, 0)), tol)
-    clip = tol.scaled(np.abs(y).max()) / np.abs(l).max()
+    clip = tol.scaled(scale) / np.abs(l).max()
     if l.min() >= -clip:
         v = l
     elif r == 1:
@@ -337,8 +343,8 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
     out_cols = []
     for i in sorted(groups):
         c = np.column_stack(groups[i])  # 3 x p_i coefficient block
-        y = c @ c.T
-        z = cp3_factorize(y, tol)
+        y = c @ c.T  # doubly nonnegative: lp_feasible returns c >= 0
+        z = _cp3_factor(y, np.abs(y).max(), tol)
         gens = w[:, [i, (i + 1) % 5, 5]]
         if z.p:
             out_cols.append(gens @ z.v)
@@ -355,6 +361,10 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
 # further.
 _CONTINUATION_STOP = 1e-12
 
+# Newton steps before the run is given up: inside the continuation radius
+# Newton converges quadratically, in a handful of steps.
+_CONTINUATION_MAX_STEPS = 30
+
 
 @dataclass(frozen=True)
 class ContinuationResult:
@@ -364,11 +374,7 @@ class ContinuationResult:
 
 
 def factor_continuation(
-    vbar,
-    vtilde,
-    mhat,
-    tol: Tolerance = DEFAULT_TOL,
-    max_iter: int = 30,
+    vbar, vtilde, mhat, tol: Tolerance = DEFAULT_TOL
 ) -> ContinuationResult:
     """Adjust a positive square factor so the combined factor matches a
     nearby target matrix, keeping the column count.
@@ -384,15 +390,15 @@ def factor_continuation(
     if vc.shape != (n, n):
         raise ValueError("square positive factor required")
     vtilde = np.asarray(vtilde, dtype=float).reshape(n, -1)
-    mhat = kernel.as_sym(mhat, tol)
+    mhat, scale = kernel.as_sym(mhat, tol)
     thr = tol.scaled(np.abs(vc).max())
     if vc.min() <= thr:
         raise NotPositiveError("square factor must be entrywise positive")
-    scale = max(np.abs(mhat).max(), np.finfo(float).tiny)
+    scale = max(scale, np.finfo(float).tiny)
     target = mhat - vtilde @ vtilde.T
     residuals = []
     stop = _CONTINUATION_STOP * scale
-    for it in range(max_iter):
+    for _ in range(_CONTINUATION_MAX_STEPS):
         r = target - vc @ vc.T
         rnorm = float(np.abs(r).max())
         residuals.append(rnorm)
@@ -441,16 +447,16 @@ def heuristic_min_factor(
     dropped by :class:`NonnegFactor`, so fewer may come back.  ``None``
     means the search failed, which is not a proof of impossibility.
     """
-    m = kernel.as_sym(m, tol)
+    m, scale = kernel.as_sym(m, tol)
     if is_dnn(m, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
-    rank = kernel.num_rank(m, tol)
+    w, q = kernel.eig_sym(m)
+    rank = kernel._rank(w, tol)
     if p_target < rank:
         return None  # cp-rank is bounded below by rank
-    w, q = kernel.eig_sym(m)
     w = np.clip(w[:rank], 0.0, None)
     b = q[:, :rank] * np.sqrt(w)[None, :]  # n x r root of m
-    scale = max(np.abs(m).max(), np.finfo(float).tiny)
+    scale = max(scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
     for _ in range(max(1, restarts)):
         g = rng.standard_normal((rank, p_target))

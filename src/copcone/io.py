@@ -78,8 +78,8 @@ def load_matrix(path: str) -> MatrixFile:
     if n < 1 or data.shape != (n, n):
         raise DataError("matrix must be square of order n >= 1")
     scale = np.abs(data).max(initial=0.0)
-    if scale > MAX_ENTRY:  # data + data.T would overflow
-        raise DataError("matrix entries must be at most half the largest float in magnitude")
+    if scale > MAX_ENTRY:
+        raise DataError("matrix entries must be at most 2**500 in magnitude")
     if np.abs(data - data.T).max(initial=0.0) > _SYM_TOL.scaled(scale):
         raise DataError("matrix is not symmetric (1e-12 relative)")
     if factor is not None and factor.size and factor.min() < 0:

@@ -19,7 +19,8 @@ one-support-at-a-time loop gives, bit for bit; the active set returns the
 enumeration's minimum, bit for bit.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
-the one accuracy knob of the whole library.
+the one accuracy knob of the whole library.  :func:`as_sym` is the one
+validator; it also returns the scale that the thresholds are taken from.
 """
 
 from __future__ import annotations
@@ -62,24 +63,19 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# Largest entry magnitude a matrix may have: a_ij + a_ji, the sum that
-# symmetrizes it, overflows to inf beyond this.
-MAX_ENTRY = np.finfo(float).max / 2
+# Largest entry magnitude a matrix may have: products of two entries, as in
+# the edge check d_i d_j - b_ij**2 and the stacked KKT solves, stay finite.
+MAX_ENTRY = 2.0**500
 
 
-def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate a square symmetric array and return its exact symmetrization.
+def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Validate a square symmetric array; return its exact symmetrization
+    and that matrix's largest entry magnitude, the scale of thresholds.
 
     Raises ``ValueError`` if the input is not square, not finite, has an
     entry above ``MAX_ENTRY`` in magnitude, or is not symmetric within the
     tolerance.
     """
-    return _validated(a, tol)[0]
-
-
-def _validated(a, tol: Tolerance) -> tuple[np.ndarray, float]:
-    """``as_sym(a, tol)`` and the largest entry magnitude of the result, the
-    scale that thresholds are taken from; one pass for both."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -89,7 +85,7 @@ def _validated(a, tol: Tolerance) -> tuple[np.ndarray, float]:
     if not math.isfinite(scale):  # the max of a NaN or an inf is not finite
         raise ValueError("matrix entries must be finite")
     if scale > MAX_ENTRY:
-        raise ValueError("matrix entries must be at most half the largest float in magnitude")
+        raise ValueError("matrix entries must be at most 2**500 in magnitude")
     skew = np.abs(arr - arr.T).max()
     if skew > tol.scaled(scale):
         raise ValueError("matrix is not symmetric within tolerance")
@@ -116,11 +112,12 @@ def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
 
 def num_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: eigenvalues of magnitude above the scaled threshold."""
-    w, _ = eig_sym(np.asarray(a, dtype=float))
-    scale = np.abs(w).max() if w.size else 0.0
-    if scale == 0.0:
-        return 0
-    return int(np.count_nonzero(np.abs(w) > tol.scaled(scale)))
+    return _rank(eig_sym(np.asarray(a, dtype=float))[0], tol)
+
+
+def _rank(w, tol: Tolerance) -> int:
+    """Count of the eigenvalues ``w`` above ``tol.scaled(max|w|)`` in size."""
+    return int(np.count_nonzero(np.abs(w) > tol.scaled(np.abs(w).max())))
 
 
 def psd_check(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:

@@ -290,7 +290,7 @@ def reference_boundary_zeros(a, tol=DEFAULT_TOL):
     """The one-point-at-a-time filter that the array filter of
     ``copositive_boundary_zeros`` must reproduce bit for bit: the same
     reduction by ``np.ix_`` rounds, then a Python loop over the points."""
-    a = kernel.as_sym(a, tol)
+    a, _ = kernel.as_sym(a, tol)
     assert is_copositive(a, tol).answer is Answer.IN
     thr = tol.scaled(np.abs(a).max())
     keep = np.arange(a.shape[0])
@@ -580,19 +580,22 @@ def test_malformed_input_errors_match_the_reference(a, test):
     assert str(got.value) == str(want.value)
 
 
-# Each has an entry for which a_ij + a_ji, the sum that symmetrizes it,
-# overflows to inf.
+# Each has an entry above MAX_ENTRY.  In the first two, a_ij + a_ji, the sum
+# that symmetrizes it, overflows to inf; in the last two, the products of the
+# edge check d_i d_j - b_ij**2 overflow.
 TOO_LARGE = [
     1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
     [[1e308, 0.0], [0.0, 1.0]],
     [[1.0, 0.0], [0.0, np.nextafter(MAX_ENTRY, np.inf)]],
+    1e200 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+    np.finfo(float).max / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
 ]
 
 
 @pytest.mark.parametrize("a", TOO_LARGE, ids=range(len(TOO_LARGE)))
 @pytest.mark.parametrize("test", PUBLIC_TESTS)
 def test_entries_whose_symmetrization_overflows_are_rejected(a, test):
-    with pytest.raises(ValueError, match="matrix entries must be at most half the largest float"):
+    with pytest.raises(ValueError, match=r"matrix entries must be at most 2\*\*500 in magnitude"):
         test(a)
 
 

@@ -114,7 +114,14 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("cone", ["copositive", "psd", "dnn", "nonneg"])
     @pytest.mark.parametrize(
-        "data", ["[[1e308, -1e308], [-1e308, 1e308]]", "[[1e308, 0], [0, 1]]"], ids=["ones", "diagonal"]
+        "data",
+        [
+            "[[1e308, -1e308], [-1e308, 1e308]]",
+            "[[1e308, 0], [0, 1]]",
+            "[[1e200, -1e200], [-1e200, 1e200]]",
+            "[[8.988465674311579e307, -8.988465674311579e307], [-8.988465674311579e307, 8.988465674311579e307]]",
+        ],
+        ids=["ones", "diagonal", "ones-1e200", "ones-half-max"],
     )
     def test_entries_whose_symmetrization_overflows_are_a_data_error(self, tmp_path, cone, data):
         p = tmp_path / "m.json"
@@ -122,7 +129,7 @@ class TestCliExitCodes:
         r = run_cli("check", "--cone", cone, str(p))
         assert r.returncode == 65
         assert r.stdout == ""
-        assert "matrix entries must be at most half the largest float in magnitude" in r.stderr
+        assert "matrix entries must be at most 2**500 in magnitude" in r.stderr
         assert "overflow" not in r.stderr
 
     def test_factorize_error_tag(self):
