@@ -19,7 +19,7 @@ from .errors import (
     NotCopositiveWitnessError,
     NotDnnError,
 )
-from .extremal import _horn_block_orbit, _require_orthogonal
+from .extremal import _horn_block_orbit, _orthogonal_pair
 from .kernel import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -103,10 +103,8 @@ def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:
     witness reduces to a Horn-orbit block.  The bound is conditional on M
     being completely positive, which is the caller's assertion.
     """
-    m, _ = kernel.as_sym(m, tol)
-    a, scale = kernel.as_sym(a, tol)
+    m, _, a, scale, _ = _orthogonal_pair(m, a, tol)
     n = m.shape[0]
-    _require_orthogonal(m, a, tol)
     if is_copositive(a, tol).answer is not Answer.IN:
         raise NotCopositiveWitnessError("witness is not certified copositive")
     thr = tol.scaled(scale)

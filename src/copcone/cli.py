@@ -10,7 +10,6 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -31,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-def _tolerance(args) -> Tolerance:
-    value = getattr(args, "tol", None)
-    if value is None:
-        env = os.environ.get("COPCONE_TOL")
-        value = float(env) if env else None
-    if value is None:
-        return Tolerance()
-    return Tolerance(abs=value, rel=value)
 
 
 class _Inputs:
@@ -122,7 +111,7 @@ def cmd_factorize(args, tol, inputs) -> tuple[dict, int]:
     else:  # heuristic
         if args.target is None:
             raise DataError("heuristic factorization needs --target")
-        v = factor.heuristic_min_factor(mf.data, args.target, restarts=args.restarts, tol=tol)
+        v = factor.heuristic_min_factor(mf.data, args.target, tol=tol)
         if v is None:
             result["status"] = "FAILED"
             return result, 1
@@ -207,7 +196,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--method", required=True, choices=["dd", "posdd", "horn6", "cp3", "heuristic"])
     p.add_argument("--target", type=int, default=None, help="column count for --method heuristic")
-    p.add_argument("--restarts", type=int, default=20)
     p.add_argument("path")
     p.set_defaults(func=cmd_factorize)
 
@@ -238,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        tol = _tolerance(args)
+        tol = Tolerance() if args.tol is None else Tolerance(abs=args.tol, rel=args.tol)
         inputs = _Inputs(tol)
         result, code = args.func(args, tol, inputs)
     except (DataError, ValueError) as exc:

@@ -274,13 +274,11 @@ def cp_interior_certificate(v, tol: Tolerance = DEFAULT_TOL) -> InteriorCertific
     Succeeds iff the factor has full row rank n and some column is entrywise
     positive; returns ``None`` (not proven) otherwise.
     """
-    cols = np.asarray(v.v, dtype=float)
-    n = cols.shape[0]
-    thr = tol.scaled(cols.max(initial=0.0))
-    rank = kernel.num_rank(cols @ cols.T, tol)
-    if rank != n:
+    thr = tol.scaled(v.scale)
+    rank = kernel.num_rank(v.product(), tol)
+    if rank != v.n:
         return None
-    for j in range(cols.shape[1]):
-        if cols[:, j].min() > thr:
+    for j in range(v.p):
+        if v.v[:, j].min() > thr:
             return InteriorCertificate(v, j, rank)
     return None

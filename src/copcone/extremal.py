@@ -95,23 +95,25 @@ class AntiDdResult:
         return all(self.rows)
 
 
-def _require_orthogonal(m: np.ndarray, a: np.ndarray, tol: Tolerance):
+def _orthogonal_pair(m, a, tol: Tolerance):
+    """Validate M and A, of one order with |<M, A>| within the tolerance of
+    the gauge ||M|| ||A||; return ``(m, mscale, a, ascale, gauge)``."""
+    m, mscale = kernel.as_sym(m, tol)
+    a, ascale = kernel.as_sym(a, tol)
     if m.shape != a.shape:
         raise ValueError(f"matrix orders differ: {m.shape[0]} and {a.shape[0]}")
     gauge = np.linalg.norm(m) * np.linalg.norm(a)
     if abs(float(np.sum(m * a))) > tol.scaled(gauge):
         raise NotOrthogonalError("matrices are not orthogonal within tolerance")
+    return m, mscale, a, ascale, gauge
 
 
 def orth_column_check(m, a, tol: Tolerance = DEFAULT_TOL) -> OrthColumnResult:
     """Column orthogonality of an orthogonal pair: for a completely positive
     M orthogonal to a copositive A, matching columns of M and A are
     orthogonal.  Returns the maximum diagonal defect max_i |(M A)_ii|."""
-    m, _ = kernel.as_sym(m, tol)
-    a, _ = kernel.as_sym(a, tol)
-    _require_orthogonal(m, a, tol)
+    m, _, a, _, gauge = _orthogonal_pair(m, a, tol)
     defect = float(np.abs(np.diag(m @ a)).max())
-    gauge = np.linalg.norm(m) * np.linalg.norm(a)
     return OrthColumnResult(defect, defect <= tol.scaled(gauge))
 
 
@@ -121,12 +123,8 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
 
     Returns PASS/FAIL when the support hypothesis holds, SKIP otherwise.
     """
-    m, mscale = kernel.as_sym(m, tol)
-    a, ascale = kernel.as_sym(a, tol)
-    _require_orthogonal(m, a, tol)
-    cols = v.v
-    thr = tol.scaled(cols.max(initial=0.0))
-    if cols.shape[1] == 0 or not np.all(cols[i, :] > thr):
+    m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
+    if v.p == 0 or not np.all(v.v[i, :] > tol.scaled(v.scale)):
         return SKIP
     if np.abs(m @ a[:, i]).max() <= tol.scaled(mscale * ascale):
         return PASS
@@ -141,12 +139,10 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     row, that the diagonal entry does not exceed the off-diagonal absolute
     row sum.
     """
-    m, scale = kernel.as_sym(m, tol)
-    a, _ = kernel.as_sym(a, tol)
+    m, scale, a, _, _ = _orthogonal_pair(m, a, tol)
     diag = np.diag(m)
     if diag.min() <= tol.scaled(scale):
         raise ZeroRowError("completely positive side has a vanishing diagonal entry")
-    _require_orthogonal(m, a, tol)
     s = np.sqrt(diag)
     scaled = a * np.outer(s, s)
     thr = tol.scaled(np.abs(scaled).max(initial=0.0))
@@ -280,14 +276,12 @@ def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Consequence check for an extreme copositive matrix orthogonal to a
     positive nonsingular boundary matrix: rank at least 3 and no 2x2
     principal submatrix in the E12 orbit."""
-    m, mscale = kernel.as_sym(m, tol)
-    a, ascale = kernel.as_sym(a, tol)
+    m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
     if m.min() <= tol.scaled(mscale):
         raise NotPositiveError("boundary matrix must be entrywise positive")
     n = m.shape[0]
     if kernel.num_rank(m, tol) != n:
         raise SingularError("boundary matrix must be nonsingular")
-    _require_orthogonal(m, a, tol)
     if kernel.num_rank(a, tol) < 3:
         return False
     thr = tol.scaled(ascale)

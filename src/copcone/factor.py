@@ -10,6 +10,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,23 +51,21 @@ class NonnegFactor:
     """Entrywise nonnegative n x p factor V; M = V @ V.T is the product.
 
     Zero columns are dropped on construction and entries within tolerance of
-    zero are clamped; a genuinely negative entry raises.
+    zero are clamped; a genuinely negative entry raises.  ``scale`` is the
+    largest entry, the scale of thresholds on the factor.
     """
 
     def __init__(self, columns, tol: Tolerance = DEFAULT_TOL):
         v = np.asarray(columns, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if v.ndim != 2:
-            raise ValueError("factor must be a 2-d array of columns")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("factor entries must be finite")
-        scale = np.abs(v).max(initial=0.0)
-        if v.size and v.min(initial=0.0) < -tol.scaled(scale):
+        thr = tol.scaled(_factor_scale(v))
+        if v.min(initial=0.0) < -thr:
             raise NotNonnegativeError("factor has a negative entry beyond tolerance")
         v = np.clip(v, 0.0, None)
-        keep = v.max(axis=0, initial=0.0) > 0.0 if v.shape[1] else np.zeros(0, dtype=bool)
-        self.v = np.array(v[:, keep]) if v.shape[1] else v
+        col_max = v.max(axis=0, initial=0.0)
+        self.v = v[:, col_max > 0.0]
+        self.scale = float(col_max.max(initial=0.0))
 
     @property
     def n(self) -> int:
@@ -84,6 +83,21 @@ class NonnegFactor:
 
     def __repr__(self):
         return f"NonnegFactor(n={self.n}, p={self.p})"
+
+
+def _factor_scale(v: np.ndarray) -> float:
+    """Largest entry magnitude of a 2-d factor whose entries are finite and
+    whose product V V.T has no entry, that is no row sum of squares, above
+    ``kernel.MAX_ENTRY``; raises ``ValueError`` otherwise."""
+    if v.ndim != 2:
+        raise ValueError("factor must be a 2-d array of columns")
+    scale = float(np.abs(v).max(initial=0.0))
+    if not math.isfinite(scale):  # the max of a NaN or an inf is not finite
+        raise ValueError("factor entries must be finite")
+    # an entry of at most 2**250 squares to at most MAX_ENTRY: no row sum overflows
+    if scale > 2.0**250 or np.square(v).sum(axis=1).max(initial=0.0) > kernel.MAX_ENTRY:
+        raise ValueError("factor product entries must be at most 2**500 in magnitude")
+    return scale
 
 
 def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
@@ -220,8 +234,7 @@ def support_split(
     """
     if not 0 <= index < v.n:
         raise KOutOfRangeError("index out of range")
-    thr = tol.scaled(v.v.max(initial=0.0))
-    mask = v.v[index, :] > thr
+    mask = v.v[index, :] > tol.scaled(v.scale)
     return NonnegFactor(v.v[:, mask], tol), NonnegFactor(v.v[:, ~mask], tol)
 
 
@@ -391,9 +404,9 @@ def factor_continuation(
         raise ValueError("square positive factor required")
     vtilde = np.asarray(vtilde, dtype=float).reshape(n, -1)
     mhat, scale = kernel.as_sym(mhat, tol)
-    thr = tol.scaled(np.abs(vc).max())
-    if vc.min() <= thr:
+    if vc.min() <= tol.scaled(_factor_scale(vc)):
         raise NotPositiveError("square factor must be entrywise positive")
+    vtilde = NonnegFactor(vtilde, tol).v
     scale = max(scale, np.finfo(float).tiny)
     target = mhat - vtilde @ vtilde.T
     residuals = []
@@ -430,12 +443,13 @@ _ROOT_FLOOR = 1e-9
 # ... and the clipped factor is accepted when V V.T matches M within this
 # times max|M|, which leaves room for the error the clipping adds.
 _FACTOR_FIT = 1e-7
+# Random starting rotations the search tries before it gives up.
+_RESTARTS = 20
 
 
 def heuristic_min_factor(
     m,
     p_target: int,
-    restarts: int = 20,
     tol: Tolerance = DEFAULT_TOL,
 ) -> NonnegFactor | None:
     """Search a nonnegative factor with at most ``p_target`` columns.
@@ -458,7 +472,7 @@ def heuristic_min_factor(
     b = q[:, :rank] * np.sqrt(w)[None, :]  # n x r root of m
     scale = max(scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         g = rng.standard_normal((rank, p_target))
         qr, _ = np.linalg.qr(g.T)
         rot = qr[:, :rank].T  # r x p with orthonormal rows

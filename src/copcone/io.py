@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kernel import MAX_ENTRY, Tolerance
+from .kernel import Tolerance, as_sym
 
 __all__ = ["MatrixFile", "load_matrix", "load_factor", "canonical_json", "to_jsonable"]
 
@@ -43,14 +43,20 @@ def _as_matrix(raw, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def load_matrix(path: str) -> MatrixFile:
-    """Load a matrix file, rejecting asymmetric data (1e-12 relative)."""
+def _read(path: str) -> tuple[bytes, str]:
+    """The bytes of a file and their sha256 digest."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(blob).hexdigest()
+    return blob, hashlib.sha256(blob).hexdigest()
+
+
+def load_matrix(path: str) -> MatrixFile:
+    """Load a matrix file; its data must pass :func:`kernel.as_sym` with a
+    1e-12 relative symmetry tolerance."""
+    blob, digest = _read(path)
     text = blob.decode("utf-8", errors="strict") if blob else ""
     stripped = text.lstrip()
     try:
@@ -75,24 +81,20 @@ def load_matrix(path: str) -> MatrixFile:
         raise
     except Exception as exc:
         raise DataError(f"malformed matrix file {path}: {exc}") from exc
-    if n < 1 or data.shape != (n, n):
-        raise DataError("matrix must be square of order n >= 1")
-    scale = np.abs(data).max(initial=0.0)
-    if scale > MAX_ENTRY:
-        raise DataError("matrix entries must be at most 2**500 in magnitude")
-    if np.abs(data - data.T).max(initial=0.0) > _SYM_TOL.scaled(scale):
-        raise DataError("matrix is not symmetric (1e-12 relative)")
-    if factor is not None and factor.size and factor.min() < 0:
+    try:
+        data, _ = as_sym(data, _SYM_TOL)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    if factor is not None and factor.min(initial=0.0) < 0:
         raise DataError("factor entries must be nonnegative")
-    return MatrixFile(n, 0.5 * (data + data.T), factor, digest)
+    return MatrixFile(n, data, factor, digest)
 
 
 def load_factor(path: str) -> tuple[np.ndarray, str]:
     """Load an n x p nonnegative factor from a JSON file ("factor" or "data"
     field); returns it with the sha256 digest of the file bytes."""
+    blob, digest = _read(path)
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
         doc = json.loads(blob.decode("utf-8"))
         n = int(doc["n"])
         factor = _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
@@ -102,7 +104,7 @@ def load_factor(path: str) -> tuple[np.ndarray, str]:
         raise DataError(f"malformed factor file {path}: {exc}") from exc
     if factor.min(initial=0.0) < 0:
         raise DataError("factor entries must be nonnegative")
-    return factor, hashlib.sha256(blob).hexdigest()
+    return factor, digest
 
 
 def to_jsonable(obj):

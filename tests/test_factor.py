@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from copcone import (
     DEFAULT_TOL,
     NonnegFactor,
     Tolerance,
+    cp_interior_certificate,
     cp3_factorize,
     dd_factorize,
     factor_continuation,
@@ -51,6 +54,7 @@ class TestNonnegFactor:
         v = NonnegFactor(np.array([[1.0, 0.0, -1e-15], [2.0, 0.0, 0.0]]))
         assert v.p == 1
         assert v.v.min() >= 0
+        assert v.scale == 2.0
 
     def test_rejects_negative(self):
         with pytest.raises(NotNonnegativeError):
@@ -60,6 +64,31 @@ class TestNonnegFactor:
         raw = rng.random((3, 5))
         v = NonnegFactor(raw)
         assert np.abs(v.product() - raw @ raw.T).max() <= 1e-12
+
+    def test_product_entries_are_bounded(self):
+        assert NonnegFactor([[2.0**250]]).product()[0, 0] == 2.0**500  # largest allowed
+        # one entry above 2**250; five entries whose squares sum past 2**500
+        for cols in ([[np.nextafter(2.0**250, np.inf)]], [[2.0**249] * 5]):
+            with pytest.raises(ValueError, match=r"at most 2\*\*500"):
+                NonnegFactor(cols)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NonnegFactor([[1.0, bad]])
+
+    @pytest.mark.parametrize("scale", [1e100, 1e130, 1e160])
+    @pytest.mark.parametrize(
+        "op",
+        [horn_orthogonal_factorize, cp_interior_certificate, lambda v: perturb_positify(v, 0.1)],
+        ids=["horn6", "interior", "positify"],
+    )
+    def test_factor_whose_product_leaves_the_entry_bound_is_rejected(self, op, scale):
+        v = random_admissible_factor(np.random.default_rng(7), 15).v * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 2\*\*500"):
+                op(NonnegFactor(v))
 
 
 class TestDd:
@@ -278,6 +307,29 @@ class TestContinuation:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(NotPositiveError):
             factor_continuation(np.eye(3), np.zeros((3, 0)), np.eye(3))
+
+    def test_rejects_non_finite_factors(self, rng):
+        vbar, vtilde, m0 = self.interior_point(rng, 3, 1)
+        bad = vbar.copy()
+        bad[0, 1] = np.nan  # fails no positivity comparison
+        with pytest.raises(ValueError, match="finite"):
+            factor_continuation(bad, vtilde, m0)
+        with pytest.raises(ValueError, match="finite"):
+            factor_continuation(vbar, np.full((3, 1), np.inf), m0)
+
+    def test_rejects_factors_beyond_the_entry_bound(self, rng):
+        vbar, vtilde, m0 = self.interior_point(rng, 3, 1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*500"):
+            factor_continuation(1e200 * vbar, vtilde, m0)
+        with pytest.raises(ValueError, match=r"at most 2\*\*500"):
+            factor_continuation(vbar, 1e200 * vtilde, m0)
+
+    def test_rejects_negative_vtilde_before_newton(self, rng):
+        # target = M - Vtilde Vtilde.T is far from Vbar Vbar.T: Newton would
+        # diverge, so only a check made before it gives this error
+        vbar, _, _ = self.interior_point(rng, 3, 0)
+        with pytest.raises(NotNonnegativeError):
+            factor_continuation(vbar, np.full((3, 1), -10.0), vbar @ vbar.T)
 
 
 class TestHeuristic:

@@ -41,6 +41,13 @@ CASES = {
     for name, argv in COMMANDS.items()
     for fixture in FIXTURES
 }
+# the only commands that read a factor file and an orthogonal pair
+CASES["verify-orth-w6-hornplus0"] = [
+    "verify-orth", "fixtures/w6.json", "fixtures/hornplus0.json", "--factor", "fixtures/w6.json",
+]
+CASES["bounds-witness-w6-hornplus0"] = [
+    "bounds", "fixtures/w6.json", "--witness", "fixtures/hornplus0.json", "--factor", "fixtures/w6.json",
+]
 
 
 def run_case(argv):
@@ -57,15 +64,13 @@ def run_case(argv):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, monkeypatch):
-    monkeypatch.delenv("COPCONE_TOL", raising=False)
+def test_report_matches_golden(case):
     stdout, code = run_case(CASES[case])
     assert code == json.loads(EXIT_CODES.read_text())[case]
     assert stdout == (GOLDEN / f"{case}.json").read_text()
 
 
 if __name__ == "__main__":
-    os.environ.pop("COPCONE_TOL", None)
     codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
     for case in sys.argv[1:] or sorted(CASES):
         stdout, codes[case] = run_case(CASES[case])

@@ -132,6 +132,20 @@ class TestCliExitCodes:
         assert "matrix entries must be at most 2**500 in magnitude" in r.stderr
         assert "overflow" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [("factorize", "--method", "horn6", "big.json"), ("bounds", "big.json", "--factor", "big.json")],
+        ids=["horn6", "bounds"],
+    )
+    def test_factor_beyond_the_entry_bound_is_a_data_error(self, tmp_path, args):
+        doc = json.loads((FIXTURES / "w6.json").read_text())
+        doc["factor"] = (1e160 * np.array(doc["factor"])).tolist()
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        r = run_cli(*args, cwd=tmp_path, env={"PYTHONWARNINGS": "error"})
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "factor product entries must be at most 2**500 in magnitude" in r.stderr
+
     def test_factorize_error_tag(self):
         r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
         assert r.returncode == 1
@@ -164,43 +178,18 @@ class TestCliDeterminism:
 
 
 class TestCliFlags:
-    def test_env_tolerance(self):
-        r = run_cli(
-            "check",
-            "--cone",
-            "nonneg",
-            str(FIXTURES / "j2.json"),
-            env={"COPCONE_TOL": "1e-6"},
-        )
-        assert json.loads(r.stdout)["tolerance"]["abs"] == 1e-6
-
-    def test_tol_flag_beats_env(self):
-        r = run_cli(
-            "check",
-            "--cone",
-            "nonneg",
-            str(FIXTURES / "j2.json"),
-            "--tol",
-            "1e-5",
-            env={"COPCONE_TOL": "1e-6"},
-        )
+    def test_tol_flag(self):
+        r = run_cli("check", "--cone", "nonneg", str(FIXTURES / "j2.json"), "--tol", "1e-5")
         assert json.loads(r.stdout)["tolerance"]["abs"] == 1e-5
 
     @pytest.mark.parametrize(
-        "flags, env",
-        [
-            (["--tol", "nan"], None),
-            (["--tol", "inf"], None),
-            (["--tol=-1e-9"], None),
-            ([], {"COPCONE_TOL": "nan"}),
-        ],
-        ids=["tol-nan", "tol-inf", "tol-negative", "env-nan"],
+        "flag", ["--tol=nan", "--tol=inf", "--tol=-1e-9"], ids=["tol-nan", "tol-inf", "tol-negative"]
     )
-    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, flags, env):
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, flag):
         # With a NaN threshold this matrix, whose edge minimum is -2, was IN.
         p = tmp_path / "m.json"
         p.write_text('{"n": 2, "data": [[1, -5], [-5, 1]]}')
-        r = run_cli("check", "--cone", "copositive", str(p), *flags, env=env)
+        r = run_cli("check", "--cone", "copositive", str(p), flag)
         assert r.returncode == 65
         assert r.stdout == ""
         assert "tolerances must be finite and nonnegative" in r.stderr

@@ -9,13 +9,17 @@ import pytest
 
 from conftest import random_admissible_factor, random_positive_dd
 from copcone import (
+    anti_dd_check,
     classify_rank12,
     cp_rank_interval,
     heuristic_min_factor,
     horn_block6,
     horn_orthogonal_factorize,
     kernel,
+    orth_column_check,
+    orth_nullspace_check,
     positive_dd_factorize,
+    witness_bound,
 )
 
 
@@ -61,6 +65,26 @@ def _heuristic():
     heuristic_min_factor(v @ v.T, 5)
 
 
+def _orth_column():
+    _, m, a = _horn_pair()
+    orth_column_check(m, a)
+
+
+def _anti_dd():
+    _, m, a = _horn_pair()
+    anti_dd_check(m, a)
+
+
+def _orth_nullspace():
+    v, m, a = _horn_pair()
+    orth_nullspace_check(m, a, v, 5)
+
+
+def _witness():
+    _, m, a = _horn_pair()
+    witness_bound(m, a)
+
+
 # (operation, validations, eigendecompositions)
 EXPECTED = [
     (_classify, 3, 1),
@@ -68,6 +92,10 @@ EXPECTED = [
     (_posdd, 1, 1),
     (_horn6, 0, 0),
     (_heuristic, 2, 2),
+    (_orth_column, 2, 0),
+    (_anti_dd, 2, 0),
+    (_orth_nullspace, 2, 0),
+    (_witness, 4, 0),
 ]
 
 
