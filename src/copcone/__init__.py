@@ -1,106 +1,90 @@
 """Computations in the copositive and completely positive matrix cones:
 certified membership tests, constructive cp factorizations, cp-rank bounds,
-and extreme-ray orbit tooling."""
+and extreme-ray orbit tooling.
 
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    babe,
-    cp_rank_interval,
-    djl_lower,
-    known_pn_interval,
-    witness_bound,
-    zero_entry_bound,
-)
-from .cones import (
-    Answer,
-    ConeVerdict,
-    InteriorCertificate,
-    copositive_boundary_zeros,
-    cp_interior_certificate,
-    is_copositive,
-    is_dnn,
-    is_nonneg,
-    is_psd,
-)
-from .extremal import (
-    ExtremeClass,
-    OrbitWitness,
-    anti_dd_check,
-    classify_rank12,
-    horn_orbit_recognize,
-    nonneg_extreme_check,
-    orth_column_check,
-    orth_nullspace_check,
-    rank3_witness_check,
-    zero_diag_reduce,
-)
-from .factor import (
-    ContinuationResult,
-    NonnegFactor,
-    cp3_factorize,
-    dd_factorize,
-    factor_continuation,
-    heuristic_min_factor,
-    horn_orthogonal_factorize,
-    perturb_positify,
-    positive_dd_factorize,
-    support_split,
-    truncate_factor,
-)
-from .kernel import DEFAULT_TOL, Tolerance, eig_sym, lp_feasible, num_rank, psd_check
-from .special import all_ones, e12, horn_block6, horn_generators, horn_matrix
+``import copcone`` loads none of the layer modules.  A public name, or a
+layer module such as ``copcone.cones``, is imported on first access
+(PEP 562) and the name is then bound here, so a process that only tests
+copositivity never loads ``bounds``, ``extremal``, ``factor`` or ``special``.
+"""
+
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Answer",
-    "BoundEntry",
-    "BoundReport",
-    "ConeVerdict",
-    "ContinuationResult",
-    "DEFAULT_TOL",
-    "ExtremeClass",
-    "InteriorCertificate",
-    "NonnegFactor",
-    "OrbitWitness",
-    "Tolerance",
-    "all_ones",
-    "anti_dd_check",
-    "babe",
-    "classify_rank12",
-    "copositive_boundary_zeros",
-    "cp3_factorize",
-    "cp_interior_certificate",
-    "cp_rank_interval",
-    "dd_factorize",
-    "djl_lower",
-    "e12",
-    "eig_sym",
-    "factor_continuation",
-    "heuristic_min_factor",
-    "horn_block6",
-    "horn_generators",
-    "horn_matrix",
-    "horn_orbit_recognize",
-    "horn_orthogonal_factorize",
-    "is_copositive",
-    "is_dnn",
-    "is_nonneg",
-    "is_psd",
-    "known_pn_interval",
-    "lp_feasible",
-    "nonneg_extreme_check",
-    "num_rank",
-    "orth_column_check",
-    "orth_nullspace_check",
-    "perturb_positify",
-    "positive_dd_factorize",
-    "psd_check",
-    "rank3_witness_check",
-    "support_split",
-    "truncate_factor",
-    "witness_bound",
-    "zero_diag_reduce",
-    "zero_entry_bound",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "bounds": (
+        "BoundEntry",
+        "BoundReport",
+        "babe",
+        "cp_rank_interval",
+        "djl_lower",
+        "known_pn_interval",
+        "witness_bound",
+        "zero_entry_bound",
+    ),
+    "cones": (
+        "Answer",
+        "ConeVerdict",
+        "InteriorCertificate",
+        "copositive_boundary_zeros",
+        "cp_interior_certificate",
+        "is_copositive",
+        "is_dnn",
+        "is_nonneg",
+        "is_psd",
+    ),
+    "extremal": (
+        "ExtremeClass",
+        "OrbitWitness",
+        "anti_dd_check",
+        "classify_rank12",
+        "horn_orbit_recognize",
+        "nonneg_extreme_check",
+        "orth_column_check",
+        "orth_nullspace_check",
+        "rank3_witness_check",
+        "zero_diag_reduce",
+    ),
+    "factor": (
+        "ContinuationResult",
+        "NonnegFactor",
+        "cp3_factorize",
+        "dd_factorize",
+        "factor_continuation",
+        "heuristic_min_factor",
+        "horn_orthogonal_factorize",
+        "perturb_positify",
+        "positive_dd_factorize",
+        "support_split",
+        "truncate_factor",
+    ),
+    "kernel": ("DEFAULT_TOL", "Tolerance", "eig_sym", "lp_feasible", "num_rank", "psd_check"),
+    "special": ("all_ones", "e12", "horn_block6", "horn_generators", "horn_matrix"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules reachable as attributes without an explicit import.
+_MODULES = frozenset(_EXPORTS) | {"errors"}
+
+__all__ = sorted(_HOME)
+
+
+def _load(module: str):
+    # __import__, unlike importlib.import_module, shows up in -X importtime
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return _load(name)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_load(_HOME[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -156,6 +156,8 @@ def cp_rank_interval(
     if ze is not None:
         uppers.append(ze)
     if v is not None:
+        if v.n != n:
+            raise ValueError(f"factor order {v.n} differs from matrix order {n}")
         resid = float(np.abs(v.product() - m).max())
         if resid > tol.scaled(scale):
             raise InconsistentBoundsError("supplied factor does not reproduce the matrix")

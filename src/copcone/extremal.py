@@ -121,9 +121,15 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
     """Nullspace condition of an orthogonal pair: if coordinate i is in the
     support of every factor column, column i of A lies in the nullspace of M.
 
-    Returns PASS/FAIL when the support hypothesis holds, SKIP otherwise.
+    Returns PASS/FAIL when the support hypothesis holds, SKIP otherwise.  A
+    factor of another order than M, or an i outside [0, n), is a ValueError.
     """
     m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
+    n = m.shape[0]
+    if v.n != n:
+        raise ValueError(f"factor order {v.n} differs from matrix order {n}")
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} is outside [0, {n})")
     if v.p == 0 or not np.all(v.v[i, :] > tol.scaled(v.scale)):
         return SKIP
     if np.abs(m @ a[:, i]).max() <= tol.scaled(mscale * ascale):
@@ -199,7 +205,7 @@ def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None
     gram = np.outer(d, d)
     for perm in itertools.permutations(range(5)):
         p = np.array(perm)
-        if np.abs(a - gram * h[np.ix_(p, p)]).max() <= thr:
+        if np.abs(a - gram * h[p[:, None], p]).max() <= thr:
             return OrbitWitness(d, p)
     return None
 

@@ -345,7 +345,7 @@ def _convex_form_min(q):
         if z is None:
             return None
         support = np.flatnonzero(z > 0.0)
-        inv_diag = np.diag(np.linalg.inv(q[np.ix_(support, support)]))
+        inv_diag = np.diag(np.linalg.inv(q[support[:, None], support]))
     except np.linalg.LinAlgError:  # not positive definite, or singular in roundoff
         return None
     scale = np.abs(q).max()
@@ -384,7 +384,7 @@ def _nnls(q, c, stop=0.0):
         while True:
             idx = np.flatnonzero(passive)
             trial = np.zeros(n)
-            trial[idx] = np.linalg.solve(q[np.ix_(idx, idx)], c[idx])
+            trial[idx] = np.linalg.solve(q[idx[:, None], idx], c[idx])
             if trial[idx].min() > 0.0:
                 break
             if passive[j] and z[j] == 0.0 and trial[j] <= 0.0:

@@ -89,6 +89,12 @@ def test_cp_rank_interval_rejects_non_dnn():
         cp_rank_interval(horn_matrix())
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_factor_must_have_the_matrix_order(rows):
+    with pytest.raises(ValueError, match=f"factor order {rows} differs from matrix order 3"):
+        cp_rank_interval(np.eye(3), v=NonnegFactor(np.eye(rows)))
+
+
 def test_factor_must_reproduce_matrix():
     from copcone.errors import InconsistentBoundsError
 

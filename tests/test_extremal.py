@@ -102,6 +102,19 @@ class TestOrthChecks:
     def test_nullspace_skip_otherwise(self):
         assert orth_nullspace_check(self.m, self.a, self.v, 0) in (SKIP, PASS)
 
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_nullspace_rejects_a_factor_of_another_order(self, rows):
+        # too few rows to index, or enough rows to pass on the wrong ones
+        v = NonnegFactor(np.ones((rows, 2)))
+        with pytest.raises(ValueError, match=f"factor order {rows} differs from matrix order 6"):
+            orth_nullspace_check(self.m, self.a, v, 0)
+
+    @pytest.mark.parametrize("i", [-1, 6])
+    def test_nullspace_rejects_an_index_outside_the_order(self, i):
+        # a negative i would index from the end
+        with pytest.raises(ValueError, match=rf"index {i} is outside \[0, 6\)"):
+            orth_nullspace_check(self.m, self.a, self.v, i)
+
     def test_anti_dd_all_rows(self):
         res = anti_dd_check(self.m, self.a)
         assert res.all_pass

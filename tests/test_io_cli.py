@@ -112,6 +112,21 @@ class TestCliExitCodes:
         assert r.stdout == ""
         assert "matrix orders differ: 6 and 5" in r.stderr
 
+    @pytest.mark.parametrize("rows", [5, 7])
+    @pytest.mark.parametrize(
+        "args",
+        [("verify-orth", "w6.json", "hornplus0.json", "--factor"), ("bounds", "w6.json", "--factor")],
+        ids=["verify-orth", "bounds"],
+    )
+    def test_factor_of_another_order_is_a_data_error(self, tmp_path, args, rows):
+        # too few rows to index, or enough rows to pass on the wrong ones
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"n": rows, "factor": np.ones((rows, 2)).tolist()}))
+        r = run_cli(*args, str(f), cwd=FIXTURES)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert f"factor order {rows} differs from matrix order 6" in r.stderr
+
     @pytest.mark.parametrize("cone", ["copositive", "psd", "dnn", "nonneg"])
     @pytest.mark.parametrize(
         "data",
