@@ -12,13 +12,13 @@ import numpy as np
 
 TOL = 1e-8
 
-# The certificate kinds each answer may carry: a failure needs a witness,
-# membership carries a zero or a factor or nothing, UNDECIDED nothing.  A
-# factorize report has no answer; it must carry the interior certificate
-# of `--method posdd`.
+# The certificate kinds each answer may carry, as `check` emits them: a
+# failure needs a witness, membership carries a zero or nothing, UNDECIDED
+# nothing.  A factorize report has no answer; it must carry the interior
+# certificate of `--method posdd`.
 KINDS = {
     "NOT_IN": {"negative_entry", "violation_vector"},
-    "IN": {None, "boundary_zero", "factor", "interior"},
+    "IN": {None, "boundary_zero"},
     "UNDECIDED": {None},
     "factorize": {"interior"},
 }
@@ -49,14 +49,13 @@ elif kind == "violation_vector":
 elif kind == "boundary_zero":
     x = np.asarray(cert["x"], dtype=float)
     ok = x.min() >= -TOL and abs(x.sum() - 1.0) <= TOL and abs(float(x @ m @ x)) <= TOL * scale
-else:  # factor or interior
+else:  # interior
+    # a nonnegative factor of M with an entrywise positive column and full
+    # rank n puts M in the interior of the completely positive cone
     v = np.asarray(cert["factor"], dtype=float).reshape(n, -1)
     ok = v.min() >= -TOL and np.abs(v @ v.T - m).max() <= TOL * scale
-    if kind == "interior":
-        # an entrywise positive column and full rank n put V V' in the
-        # interior of the completely positive cone
-        j = cert["positive_column_index"]
-        ok = ok and 0 <= j < v.shape[1] and v[:, j].min() > 0
-        ok = ok and cert["rank"] == n == np.linalg.matrix_rank(v)
+    j = cert["positive_column_index"]
+    ok = ok and 0 <= j < v.shape[1] and v[:, j].min() > 0
+    ok = ok and cert["rank"] == n == np.linalg.matrix_rank(v)
 print("certificate OK" if ok else "certificate FAILED")
 sys.exit(0 if ok else 3)

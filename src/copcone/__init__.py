@@ -60,8 +60,8 @@ _EXPORTS = {
         "support_split",
         "truncate_factor",
     ),
-    "kernel": ("DEFAULT_TOL", "Tolerance", "eig_sym", "lp_feasible", "num_rank", "psd_check"),
-    "special": ("all_ones", "e12", "horn_block6", "horn_generators", "horn_matrix"),
+    "kernel": ("DEFAULT_TOL", "Tolerance", "eig_sym", "lp_feasible", "num_rank"),
+    "special": ("e12", "horn_block6", "horn_generators", "horn_matrix"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # Submodules reachable as attributes without an explicit import.

@@ -116,12 +116,13 @@ def cmd_factorize(args, tol, inputs) -> tuple[dict, int]:
             result["status"] = "FAILED"
             return result, 1
     scale = max(np.abs(target).max(), np.finfo(float).tiny)
+    residual = np.abs(v.product() - target).max()
     result.update(
         {
             "factor": v.v,
             "p": v.p,
-            "residual": float(np.abs(v.product() - target).max()),
-            "relative_residual": float(np.abs(v.product() - target).max() / scale),
+            "residual": float(residual),
+            "relative_residual": float(residual / scale),
         }
     )
     return result, 0
@@ -182,38 +183,32 @@ def cmd_verify_orth(args, tol, inputs) -> tuple[dict, int]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="copcone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance")
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance")
-
-    p = sub.add_parser("check", help="cone membership test")
-    common(p)
+    p = sub.add_parser("check", help="cone membership test", parents=[common])
     p.add_argument("--cone", required=True, choices=["nonneg", "psd", "copositive", "dnn"])
     p.add_argument("path")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("factorize", help="constructive cp factorization")
-    common(p)
+    p = sub.add_parser("factorize", help="constructive cp factorization", parents=[common])
     p.add_argument("--method", required=True, choices=["dd", "posdd", "horn6", "cp3", "heuristic"])
     p.add_argument("--target", type=int, default=None, help="column count for --method heuristic")
     p.add_argument("path")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("bounds", help="cp-rank bound interval")
-    common(p)
+    p = sub.add_parser("bounds", help="cp-rank bound interval", parents=[common])
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None, help="table mode: known bracket for this order")
     p.add_argument("--witness", action="append", default=None, help="orthogonal copositive witness file")
     p.add_argument("--factor", default=None, help="factor file providing a column-count upper bound")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("orbit", help="extreme-ray classification / orbit recognition")
-    common(p)
+    p = sub.add_parser("orbit", help="extreme-ray classification / orbit recognition", parents=[common])
     p.add_argument("path")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("verify-orth", help="orthogonal-pair structure checks")
-    common(p)
+    p = sub.add_parser("verify-orth", help="orthogonal-pair structure checks", parents=[common])
     p.add_argument("path_m")
     p.add_argument("path_a")
     p.add_argument("--factor", default=None)

@@ -162,7 +162,7 @@ def positive_dd_factorize(
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
     # thr, from M, is at least the remainder's own threshold
-    rest = _dd_columns(m - mu * special.all_ones(n), thr)
+    rest = _dd_columns(m - mu, thr)
     first = np.full((n, 1), np.sqrt(mu))
     factor = NonnegFactor(np.hstack([first, rest]), tol)
     cert = cp_interior_certificate(factor, tol)

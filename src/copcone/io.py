@@ -2,8 +2,9 @@
 
 Files are JSON objects {"n": ..., "data": ..., "factor": ...} or a
 whitespace-separated text fallback (first token n, then n^2 values).
-Reports serialize with sorted keys and floats canonicalized through %.17g,
-so identical runs are byte-identical.
+Reports serialize with sorted keys and each float as Python's shortest
+round-trip repr (``0.1``, not ``0.10000000000000001``), so identical runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DataError
 from .kernel import Tolerance, as_sym
 
-__all__ = ["MatrixFile", "load_matrix", "load_factor", "canonical_json", "to_jsonable"]
+__all__ = ["MatrixFile", "load_matrix", "load_factor", "canonical_json"]
 
 _SYM_TOL = Tolerance(abs=0.0, rel=1e-12)
 
@@ -107,22 +108,12 @@ def load_factor(path: str) -> tuple[np.ndarray, str]:
     return factor, digest
 
 
-def to_jsonable(obj):
-    """Recursively convert report payloads to canonical JSON-ready values."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(format(float(obj), ".17g"))
-    return obj
+def _plain(obj):
+    """numpy arrays and scalars as the Python lists and numbers json writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"

@@ -37,7 +37,6 @@ __all__ = [
     "as_sym",
     "eig_sym",
     "num_rank",
-    "psd_check",
     "pivoted_cholesky",
     "simplex_stationary_points",
     "simplex_form_min",
@@ -118,21 +117,6 @@ def num_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 def _rank(w, tol: Tolerance) -> int:
     """Count of the eigenvalues ``w`` above ``tol.scaled(max|w|)`` in size."""
     return int(np.count_nonzero(np.abs(w) > tol.scaled(np.abs(w).max())))
-
-
-def psd_check(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
-    """Positive-semidefiniteness test.
-
-    Returns ``(True, None)`` if the minimum eigenvalue is above the scaled
-    ``-tol`` threshold, else ``(False, w)`` with a unit witness vector
-    satisfying ``w.T @ a @ w < 0``.
-    """
-    a = np.asarray(a, dtype=float)
-    w, q = eig_sym(a)
-    scale = np.abs(a).max()
-    if w[-1] >= -tol.scaled(scale):
-        return True, None
-    return False, q[:, -1]
 
 
 def pivoted_cholesky(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Named matrices used throughout: the Horn matrix, E12, all-ones, and the
-order-6 generator family for matrices orthogonal to the Horn block."""
+"""Named matrices used throughout: the Horn matrix, E12 and the order-6
+generator family for matrices orthogonal to the Horn block."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["horn_matrix", "horn_block6", "e12", "all_ones", "horn_generators"]
+__all__ = ["horn_matrix", "horn_block6", "e12", "horn_generators"]
 
 
 def horn_matrix() -> np.ndarray:
@@ -37,11 +37,6 @@ def e12(n: int = 2) -> np.ndarray:
     a = np.zeros((n, n))
     a[0, 1] = a[1, 0] = 1.0
     return a
-
-
-def all_ones(n: int) -> np.ndarray:
-    """The all-ones matrix J_n."""
-    return np.ones((n, n))
 
 
 def horn_generators() -> np.ndarray:

@@ -6,6 +6,7 @@ from copcone import (
     NonnegFactor,
     anti_dd_check,
     classify_rank12,
+    e12,
     horn_block6,
     horn_matrix,
     horn_orbit_recognize,
@@ -17,6 +18,20 @@ from copcone import (
 )
 from copcone.errors import NotOrthogonalError, ZeroRowError
 from copcone.extremal import FAIL, PASS, SKIP
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_e12_pattern(n):
+    a = e12(n)
+    expected = np.zeros((n, n))
+    expected[0, 1] = expected[1, 0] = 1.0
+    assert a.shape == (n, n)
+    assert np.array_equal(a, expected)
+
+
+def test_e12_rejects_order_below_two():
+    with pytest.raises(ValueError, match="order >= 2"):
+        e12(1)
 
 
 def random_orbit_of_horn(rng):

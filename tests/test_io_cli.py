@@ -9,7 +9,7 @@ import pytest
 from conftest import run_cli
 from copcone import horn_matrix
 from copcone.errors import DataError
-from copcone.io import canonical_json, load_matrix, to_jsonable
+from copcone.io import canonical_json, load_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -33,6 +33,27 @@ class TestLoadMatrix:
         mf = load_matrix(str(FIXTURES / "w6.json"))
         assert mf.factor is not None
         assert np.abs(mf.factor @ mf.factor.T - mf.data).max() == 0.0
+
+    def test_flat_row_major_lists(self, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text('{"n": 2, "data": [[2, 1], [1, 3]], "factor": [[1, 0, 1], [0, 1, 1]]}')
+        flat = tmp_path / "flat.json"
+        flat.write_text('{"n": 2, "data": [2, 1, 1, 3], "factor": [1, 0, 1, 0, 1, 1]}')
+        a, b = load_matrix(str(nested)), load_matrix(str(flat))
+        assert np.array_equal(a.data, b.data)
+        assert b.factor.shape == (2, 3)
+        assert np.array_equal(a.factor, b.factor)
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"n": 2, "data": [2, 1, 1]}', '{"n": 2, "data": [2, 1, 1, 3], "factor": [1, 0, 1]}'],
+        ids=["data", "factor"],
+    )
+    def test_flat_length_not_a_multiple_of_n(self, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(doc)
+        with pytest.raises(DataError, match="not a multiple of n"):
+            load_matrix(str(p))
 
     def test_rejects_asymmetric(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -58,20 +79,27 @@ class TestCanonicalJson:
         assert out.endswith("\n")
 
     def test_numpy_scalars(self):
-        out = to_jsonable(
-            {
-                "f": np.float64(0.5),
-                "i": np.int64(3),
-                "b": np.bool_(True),
-                "arr": np.arange(3.0),
-            }
+        out = json.loads(
+            canonical_json(
+                {
+                    "f": np.float64(0.5),
+                    "i": np.int64(3),
+                    "b": np.bool_(True),
+                    "arr": np.arange(3.0),
+                }
+            )
         )
         assert out == {"f": 0.5, "i": 3, "b": True, "arr": [0.0, 1.0, 2.0]}
         assert isinstance(out["b"], bool)
 
-    def test_float_canonicalization_is_stable(self):
+    def test_float_is_stable(self):
         x = 0.1 + 0.2
-        assert to_jsonable(x) == to_jsonable(np.float64(x))
+        assert canonical_json(x) == canonical_json(np.float64(x)) == repr(x) + "\n"
+        assert json.loads(canonical_json(np.float64(x))) == x
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(TypeError):
+            canonical_json({"x": object()})
 
 
 class TestCliExitCodes:
@@ -333,6 +361,19 @@ def test_certificate_checker_rejects_corrupted_interior(tmp_path, corrupt):
     assert cert["positive_column_index"] == 0 and cert["factor"][0][1] > 0
     corrupt(cert)
     chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES / "dd_example.json")
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize("kind", ["factor", "interior"])
+def test_certificate_checker_rejects_factor_kinds_under_in(tmp_path, kind):
+    """`check` answers IN with a zero or nothing; a valid posdd factor
+    relabelled into a check report is still not a certificate it emits."""
+    matrix = FIXTURES / "dd_example.json"
+    doc = json.loads(run_cli("check", "--cone", "copositive", str(matrix)).stdout)
+    assert doc["result"]["answer"] == "IN"
+    posdd = json.loads(run_cli("factorize", "--method", "posdd", str(matrix)).stdout)
+    doc["result"]["certificate"] = dict(posdd["result"]["certificate"], kind=kind)
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
     assert chk.returncode == 3, chk.stdout + chk.stderr
 
 
