@@ -58,9 +58,8 @@ _EXPORTS = {
         "perturb_positify",
         "positive_dd_factorize",
         "support_split",
-        "truncate_factor",
     ),
-    "kernel": ("DEFAULT_TOL", "Tolerance", "eig_sym", "lp_feasible", "num_rank"),
+    "kernel": ("DEFAULT_TOL", "Tolerance"),
     "special": ("e12", "horn_block6", "horn_generators", "horn_matrix"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -41,7 +41,6 @@ __all__ = [
     "support_split",
     "horn_orthogonal_factorize",
     "cp3_factorize",
-    "truncate_factor",
     "factor_continuation",
     "heuristic_min_factor",
 ]
@@ -236,14 +235,6 @@ def support_split(
         raise KOutOfRangeError("index out of range")
     mask = v.v[index, :] > tol.scaled(v.scale)
     return NonnegFactor(v.v[:, mask], tol), NonnegFactor(v.v[:, ~mask], tol)
-
-
-def truncate_factor(v: NonnegFactor, k: int) -> NonnegFactor:
-    """Keep the first k columns.  For a minimal factor the product of the
-    truncation has cp-rank exactly k."""
-    if not 1 <= k <= v.p:
-        raise KOutOfRangeError(f"k must be in 1..{v.p}")
-    return NonnegFactor(v.v[:, :k])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_01_horn_fixture_suite():
     ok = cc.is_copositive(h).answer is cc.Answer.IN
     ok &= cc.is_psd(h).answer is cc.Answer.NOT_IN
     ok &= cc.is_nonneg(h).answer is cc.Answer.NOT_IN
-    ok &= cc.num_rank(h) == 5
+    ok &= cc.kernel.num_rank(h) == 5
     zeros = cc.copositive_boundary_zeros(h)
     for i in range(5):
         x = np.zeros(5)

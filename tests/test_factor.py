@@ -20,7 +20,6 @@ from copcone import (
     perturb_positify,
     positive_dd_factorize,
     support_split,
-    truncate_factor,
 )
 from copcone.errors import (
     ColumnOutsideConesError,
@@ -180,26 +179,13 @@ class TestPerturbPositify:
             perturb_positify(NonnegFactor(np.eye(2)), 0.5)
 
 
-class TestSupportSplitTruncate:
+class TestSupportSplit:
     def test_support_split(self, rng):
         v = NonnegFactor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
         with_i, without_i = support_split(v, 0)
         assert with_i.p == 2 and without_i.p == 1
         total = with_i.product() + without_i.product()
         assert np.abs(total - v.product()).max() <= 1e-12
-
-    def test_truncate_keeps_leading_columns(self):
-        v = NonnegFactor(np.array([[3.0, 1.0, 2.0]]))
-        t = truncate_factor(v, 2)
-        assert t.p == 2
-        assert list(t.v[0]) == [3.0, 1.0]
-
-    def test_truncate_out_of_range(self):
-        v = NonnegFactor(np.ones((2, 2)))
-        from copcone.errors import KOutOfRangeError
-
-        with pytest.raises(KOutOfRangeError):
-            truncate_factor(v, 3)
 
 
 class TestCp3:

@@ -316,17 +316,67 @@ def _claim_in(res):
     ],
 )
 def test_certificate_checker_rejects_corrupted(tmp_path, cone, corrupt):
-    fixture = "horn.json" if cone == "psd" else "negdiag.txt"
-    doc = json.loads(run_cli("check", "--cone", cone, str(FIXTURES / fixture)).stdout)
+    matrix = FIXTURES / ("horn.json" if cone == "psd" else "negdiag.txt")
+    doc = json.loads(run_cli("check", "--cone", cone, str(matrix)).stdout)
     assert doc["result"]["certificate"]["kind"] == "violation_vector"
-    matrix = FIXTURES / "horn.json"
-    if cone == "copositive":
-        matrix = tmp_path / "negdiag.json"  # the checker reads JSON matrices only
-        matrix.write_text('{"n": 2, "data": [[-1, 0], [0, 1]]}')
     assert check_certificate(tmp_path, json.dumps(doc), matrix).returncode == 0
     corrupt(doc["result"])
     chk = check_certificate(tmp_path, json.dumps(doc), matrix)
     assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize(
+    "cone, fixture",
+    [("psd", "horn.json"), ("nonneg", "horn.json"), ("dnn", "horn.json"), ("copositive", "negdiag.txt")],
+)
+def test_certificate_checker_rejects_a_forged_in(tmp_path, cone, fixture):
+    """An IN without a certificate is re-checked from the matrix: by its
+    entries, its spectrum, or for COPOSITIVE by its diagonal."""
+    doc = json.loads((GOLDEN / f"check-{cone}-{Path(fixture).stem}.json").read_text())
+    assert doc["result"]["answer"] == "NOT_IN"
+    doc["result"].update(answer="IN", certificate=None)
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES / fixture)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def test_certificate_checker_rejects_a_file_the_report_did_not_read(tmp_path):
+    # dd_example is copositive too, so only the input digest tells them apart
+    report = (GOLDEN / "check-copositive-identity6.json").read_text()
+    assert check_certificate(tmp_path, report, FIXTURES / "identity6.json").returncode == 0
+    chk = check_certificate(tmp_path, report, FIXTURES / "dd_example.json")
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (5, 0)])
+def test_certificate_checker_rejects_an_entry_outside_the_matrix(tmp_path, i, j):
+    # horn[4, 0] is -1, so only the range check rejects the index -1
+    doc = json.loads((GOLDEN / "check-nonneg-horn.json").read_text())
+    doc["result"]["certificate"].update(i=i, j=j)
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES / "horn.json")
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def test_certificate_checker_symmetrizes_like_the_library(tmp_path):
+    # an asymmetry within 1e-12 relative is averaged away on both sides
+    matrix = tmp_path / "near-symmetric.json"
+    matrix.write_text('{"n": 2, "data": [[1, -1], [-1.0000000000001, 1]]}')
+    r = run_cli("check", "--cone", "nonneg", str(matrix))
+    assert json.loads(r.stdout)["result"]["certificate"]["value"] == -1.00000000000005
+    chk = check_certificate(tmp_path, r.stdout, matrix)
+    assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in [*GOLDEN.glob("check-*.json"), *GOLDEN.glob("factorize-posdd-*.json")])
+)
+def test_certificate_checker_on_golden_report(tmp_path, name):
+    """Every golden answer and interior certificate re-verifies against the
+    file the report names; a posdd error report carries no certificate."""
+    report = (GOLDEN / name).read_text()
+    doc = json.loads(report)
+    (matrix,) = doc["inputs"]
+    chk = check_certificate(tmp_path, report, FIXTURES.parent / matrix)
+    assert chk.returncode == (3 if "error" in doc["result"] else 0), chk.stdout + chk.stderr
 
 
 def _perturb_entry(cert):

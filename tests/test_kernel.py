@@ -9,16 +9,20 @@ from copcone import (
     DEFAULT_TOL,
     Answer,
     Tolerance,
-    eig_sym,
     horn_generators,
     horn_matrix,
     is_copositive,
     is_psd,
-    lp_feasible,
-    num_rank,
 )
 from copcone.cones import ViolationVector
-from copcone.kernel import pivoted_cholesky, simplex_form_min, simplex_stationary_points
+from copcone.kernel import (
+    eig_sym,
+    lp_feasible,
+    num_rank,
+    pivoted_cholesky,
+    simplex_form_min,
+    simplex_stationary_points,
+)
 
 
 def gauss_rank(a, tol=1e-9):
