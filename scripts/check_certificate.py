@@ -4,8 +4,11 @@ report with plain numpy, through the predicates of `copbench/checks.py`.
 
 Usage: check_certificate.py REPORT.json MATRIX
 MATRIX is the input file the report names, as JSON or as plain text.
-Exits 0 if the certificate holds, 3 if it does not.
+Exits 0 if the certificate holds; 3 if it does not, if the report is
+malformed (a field missing or of the wrong type), or if it carries no
+factor; 4 if the claim has no checkable certificate (copositive membership).
 """
+import argparse
 import hashlib
 import json
 import sys
@@ -18,39 +21,76 @@ import checks  # noqa: E402  numpy only; it never imports copcone
 
 # The certificate kinds each answer may carry, as `check` emits them: a
 # failure needs a witness, membership carries a zero or nothing, UNDECIDED
-# nothing.  A factorize report has no answer; it must carry the interior
-# certificate of `--method posdd`.
+# nothing.  A factorize report is keyed by its method: posdd carries the
+# interior certificate, the other methods none.
 KINDS = {
     "NOT_IN": {"negative_entry", "violation_vector"},
     "IN": {None, "boundary_zero"},
     "UNDECIDED": {None},
-    "factorize": {"interior"},
+    "posdd": {"interior"},
+    "dd": {None},
+    "cp3": {None},
+    "horn6": {None},
+    "heuristic": {None},
 }
 
-report = json.load(open(sys.argv[1]))
-blob = open(sys.argv[2], "rb").read()
-text = blob.decode()
-if text.lstrip().startswith("{"):
-    doc = json.loads(text)
-    n, data = int(doc["n"]), doc["data"]
-else:  # the plain-text format: n, then the n^2 entries
-    n, *data = text.split()
-    n = int(n)
-m = np.asarray(data, dtype=float).reshape(n, n)
-m = 0.5 * (m + m.T)  # copcone symmetrizes what it reads the same way
-digest = hashlib.sha256(blob).hexdigest()
-result = report["result"]
-role = "factorize" if report.get("command", [None])[0] == "factorize" else result.get("answer")
-cert = result.get("certificate") or {}
-kind = cert.get("kind")
-# checks.py indexes the way numpy does, which reads -1 as the last row or
-# column, so each index a certificate names is range-checked here first.
-try:
-    checks.require(digest in report["inputs"].values(), f"{sys.argv[2]} is not an input of the report")
+# Relative residual `heuristic_min_factor` accepts (the library's _FACTOR_FIT).
+HEURISTIC_FIT = 1e-7
+
+# Reads the --target of a command line as copcone's argparse does: as
+# `--target P`, `--target=P` or an unambiguous prefix.
+TARGET = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+TARGET.add_argument("--target", type=int)
+
+
+class NotVerifiable(Exception):
+    """The report holds as far as it can be checked, but its claim has no
+    certificate to check."""
+
+
+def index(value, size: int, what: str) -> int:
+    """An integer index into ``range(size)``.  checks.py indexes the way
+    numpy does, which reads -1 as the last row or column."""
+    checks.require(type(value) is int and 0 <= value < size, f"{what}: no index {value!r}")
+    return value
+
+
+def load(path: str):
+    """The matrix a file holds, symmetrized as copcone symmetrizes it, the
+    file's `factor` field (None in the plain-text format) and its sha256."""
+    blob = open(path, "rb").read()
+    text = blob.decode()
+    if text.lstrip().startswith("{"):
+        doc = json.loads(text)
+        n, data, factor = int(doc["n"]), doc["data"], doc.get("factor")
+    else:  # the plain-text format: n, then the n^2 entries
+        n, *data = text.split()
+        n, factor = int(n), None
+    m = np.asarray(data, dtype=float).reshape(n, n)
+    if factor is not None:
+        factor = np.asarray(factor, dtype=float).reshape(n, -1)
+    return 0.5 * (m + m.T), factor, hashlib.sha256(blob).hexdigest()
+
+
+def verify(report: dict, path: str) -> None:
+    """Raise CheckError unless the report's certificate holds for the file
+    at ``path``; raise NotVerifiable for a claim without a certificate."""
+    m, file_factor, digest = load(path)
+    n = m.shape[0]
+    checks.require(digest in report["inputs"].values(), f"{path} is not an input of the report")
+    result = report["result"]
+    factorize = report["command"][0] == "factorize"
+    if factorize:
+        role = result["method"]
+        # an error or FAILED report carries no factor
+        checks.require("factor" in result, f"factorize --method {role}: no factor in the report")
+    else:
+        role = result["answer"]
+    cert = result.get("certificate") or {}
+    kind = cert.get("kind")
     checks.require(kind in KINDS.get(role, ()), f"certificate kind {kind} does not fit {role}")
     if kind == "negative_entry":
-        i, j = cert["i"], cert["j"]
-        checks.require(0 <= i < n and 0 <= j < n, f"negative entry: no entry ({i}, {j})")
+        i, j = index(cert["i"], n, "negative entry"), index(cert["j"], n, "negative entry")
         checks.negative_entry(m, i, j, cert["value"])
     elif kind == "violation_vector":
         witness = checks.violation if result["cone"] == "COPOSITIVE" else checks.psd_violation
@@ -59,12 +99,21 @@ try:
         checks.boundary_zero(m, cert["x"], cert["value"])
     elif kind == "interior":
         v = np.asarray(cert["factor"], dtype=float).reshape(n, -1)
-        j = cert["positive_column_index"]
-        checks.require(0 <= j < v.shape[1], f"interior certificate: no column {j}")
+        j = index(cert["positive_column_index"], v.shape[1], "interior certificate")
         checks.interior_certificate(m, v, j, cert["rank"])
+    if factorize:
+        v = np.asarray(result["factor"], dtype=float).reshape(n, -1)
+        checks.require(result["p"] == v.shape[1], f"factor: p is {result['p']!r}, not {v.shape[1]}")
+        # the most columns each method returns at order n
+        target, max_cols, rel = m, {"dd": n * (n + 1) // 2, "cp3": 3, "horn6": 15}.get(role), checks.REL
+        if role == "horn6":  # it factors the product of the file's factor
+            target = file_factor @ file_factor.T
+        elif role == "heuristic":  # at most --target columns
+            max_cols, rel = TARGET.parse_known_args(report["command"])[0].target, HEURISTIC_FIT
+            checks.require(max_cols is not None, "heuristic: no --target in the command")
+        checks.factor(target, v, max_cols, rel)
     if role == "IN":
-        # Membership itself, re-checked from the matrix.  Copositive
-        # membership has no checkable certificate yet: only its diagonal is.
+        # Membership itself, re-checked from the matrix.
         cone, thr = result["cone"], checks.threshold(m)
         if cone in ("NONNEG", "DNN"):
             checks.require(m.min() >= -thr, f"IN: entry {m.min():.3g} is negative")
@@ -74,7 +123,24 @@ try:
         if cone == "COPOSITIVE":
             d = np.diag(m).min()
             checks.require(d >= -thr, f"IN: diagonal entry {d:.3g} is negative")
-except checks.CheckError as exc:
-    print(f"certificate FAILED: {exc}")
-    sys.exit(3)
-print("certificate OK")
+            raise NotVerifiable("copositive membership has no checkable certificate")
+
+
+def main(argv) -> int:
+    report_path, matrix_path = argv
+    try:
+        verify(json.load(open(report_path)), matrix_path)
+    except (checks.CheckError, LookupError, TypeError, ValueError, AttributeError, argparse.ArgumentError) as exc:
+        # a missing or mistyped field fails the report like a false claim
+        reason = exc if isinstance(exc, checks.CheckError) else f"malformed report: {exc!r}"
+        print(f"certificate FAILED: {reason}")
+        return 3
+    except NotVerifiable as exc:
+        print(f"certificate not verifiable: {exc}")
+        return 4
+    print("certificate OK")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

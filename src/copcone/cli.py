@@ -10,6 +10,7 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -49,21 +50,22 @@ class _Inputs:
         return factor.NonnegFactor(arr, self.tol)
 
 
+# The report kind of each certificate type; the report then holds its fields.
+_KINDS = {
+    cones.NegativeEntry: "negative_entry",
+    cones.ViolationVector: "violation_vector",
+    cones.BoundaryZero: "boundary_zero",
+    cones.InteriorCertificate: "interior",
+}
+
+
 def _certificate_dict(cert):
     if cert is None:
         return None
-    if isinstance(cert, cones.NegativeEntry):
-        return {"kind": "negative_entry", "i": cert.i, "j": cert.j, "value": cert.value}
-    if isinstance(cert, cones.ViolationVector):
-        return {"kind": "violation_vector", "x": cert.x, "value": cert.value}
-    if isinstance(cert, cones.BoundaryZero):
-        return {"kind": "boundary_zero", "x": cert.x, "value": cert.value}
-    return {
-        "kind": "interior",
-        "factor": cert.factor.v,
-        "positive_column_index": cert.positive_column_index,
-        "rank": cert.rank,
-    }
+    out = {"kind": _KINDS[type(cert)], **vars(cert)}
+    if isinstance(cert, cones.InteriorCertificate):
+        out["factor"] = cert.factor.v
+    return out
 
 
 def _verdict_dict(verdict: cones.ConeVerdict):
@@ -82,13 +84,8 @@ def _verdict_dict(verdict: cones.ConeVerdict):
 
 def cmd_check(args, tol, inputs) -> tuple[dict, int]:
     mf = inputs.matrix(args.path)
-    test = {
-        "nonneg": cones.is_nonneg,
-        "psd": cones.is_psd,
-        "copositive": cones.is_copositive,
-        "dnn": cones.is_dnn,
-    }[args.cone]
-    verdict = test(mf.data, tol)
+    # looked up per call: the --cone choices are the one list of cones
+    verdict = getattr(cones, f"is_{args.cone}")(mf.data, tol)
     return _verdict_dict(verdict), {"IN": 0, "NOT_IN": 1, "UNDECIDED": 2}[verdict.answer.value]
 
 
@@ -143,19 +140,14 @@ def cmd_bounds(args, tol, inputs) -> tuple[dict, int]:
     witnesses = [inputs.matrix(wpath).data for wpath in args.witness or ()]
     v = inputs.nonneg_factor(args.factor) if args.factor else None
     rep = bounds_mod.cp_rank_interval(mf.data, v=v, witnesses=witnesses, tol=tol)
-    return {
-        "n": rep.n,
-        "lower": {"value": rep.lower.value, "rule": rep.lower.rule, "note": rep.lower.note},
-        "uppers": [{"value": e.value, "rule": e.rule, "note": e.note} for e in rep.uppers],
-        "best_interval": list(rep.best_interval),
-    }, 0
+    return dataclasses.asdict(rep), 0
 
 
 def cmd_orbit(args, tol, inputs) -> tuple[dict, int]:
     cls = extremal.classify_rank12(inputs.matrix(args.path).data, tol)
     result: dict = {"class": cls.tag}
     if cls.witness is not None:
-        result["witness"] = {"d": cls.witness.d, "perm": cls.witness.perm}
+        result["witness"] = vars(cls.witness)
     if cls.vector is not None:
         result["vector"] = cls.vector
     return result, 0

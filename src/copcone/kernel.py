@@ -21,6 +21,8 @@ enumeration's minimum, bit for bit.
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
 validator; it also returns the scale that the thresholds are taken from.
+The eigen, rank and simplex entry points take the symmetric float matrix
+it returns (or a principal block of one) and do not symmetrize it again.
 """
 
 from __future__ import annotations
@@ -100,18 +102,18 @@ def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, q)`` with eigenvalues ``w`` in descending order and
     orthonormal eigenvector columns ``q``, so that ``a = q @ diag(w) @ q.T``.
     Each column's sign is fixed so that its largest-magnitude entry (the
-    first one, on ties) is positive.
+    first one, on ties) is positive.  ``a`` is exactly symmetric, as
+    :func:`as_sym` returns it or as ``NonnegFactor.product()`` computes it.
     """
-    a = np.asarray(a, dtype=float)
-    w, q = np.linalg.eigh(0.5 * (a + a.T))
+    w, q = np.linalg.eigh(a)
     w, q = w[::-1], q[:, ::-1]
     lead = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
     return w, q * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def num_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: eigenvalues of magnitude above the scaled threshold."""
-    return _rank(eig_sym(np.asarray(a, dtype=float))[0], tol)
+    """Numerical rank of a symmetric matrix: eigenvalues above the scaled threshold in size."""
+    return _rank(eig_sym(a)[0], tol)
 
 
 def _rank(w, tol: Tolerance) -> int:
@@ -189,10 +191,9 @@ def simplex_stationary_points(q):
     systems of each support size are solved in one stacked call, with the
     index arrays of the cached :func:`_support_plan`.  Each system sees the
     same LAPACK/BLAS calls as a one-support-at-a-time solve, so the yielded
-    values are bit-identical to it.
+    values are bit-identical to it.  ``q`` is a symmetric float matrix as
+    :func:`as_sym` returns it, or a principal block of one.
     """
-    q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         raise ValueError(f"support enumeration is limited to order {ENUMERATION_MAX_ORDER}")
@@ -295,9 +296,8 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
     face point is kept if it passes a strict KKT check.  Any other ``q``,
     or a near tie, goes to the KKT support enumeration, which resolves ties
     by enumeration order.  Both give the enumeration's answer bit for bit.
+    ``q`` is symmetric, as for :func:`simplex_stationary_points`.
     """
-    q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
     found = _convex_form_min(q)
     if found is not None:
         return found

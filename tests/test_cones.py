@@ -676,3 +676,10 @@ def test_cp_interior_certificate(rng):
     # rank-deficient product is never interior
     flat = NonnegFactor(np.ones((4, 2)))
     assert cp_interior_certificate(flat) is None
+
+
+def test_cp_interior_certificate_needs_a_positive_column():
+    # full rank, but every column of the identity has zero entries
+    v = NonnegFactor(np.eye(4))
+    assert kernel.num_rank(v.product()) == 4
+    assert cp_interior_certificate(v) is None

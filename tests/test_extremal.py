@@ -130,6 +130,17 @@ class TestOrthChecks:
         with pytest.raises(ValueError, match=rf"index {i} is outside \[0, 6\)"):
             orth_nullspace_check(self.m, self.a, self.v, i)
 
+    def test_nullspace_fail_when_a_factor_is_not_m_s(self):
+        """W6 = W W' with W the 5-cycle factor plus e6, orthogonal to Horn
+        plus a zero row.  A column of ones has coordinate 0 in its support,
+        but (W6 A)[:, 0] = (0, 0, 2, 2, 0, 0), so the condition fails; under
+        W itself, whose row 0 has zeros, it is skipped."""
+        w = np.eye(6)
+        w[[1, 2, 3, 4, 0], [0, 1, 2, 3, 4]] = 1.0
+        m, a = w @ w.T, horn_block6()
+        assert orth_nullspace_check(m, a, NonnegFactor(np.ones((6, 1))), 0) == FAIL
+        assert orth_nullspace_check(m, a, NonnegFactor(w), 0) == SKIP
+
     def test_anti_dd_all_rows(self):
         res = anti_dd_check(self.m, self.a)
         assert res.all_pass

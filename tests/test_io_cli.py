@@ -189,6 +189,22 @@ class TestCliExitCodes:
         assert r.stdout == ""
         assert "factor product entries must be at most 2**500 in magnitude" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [("factorize", "--method", "horn6", "neg.json"), ("bounds", "w6.json", "--factor", "neg.json")],
+        ids=["factor-field", "factor-file"],
+    )
+    def test_negative_factor_entry_is_a_data_error(self, tmp_path, args):
+        # a matrix file's factor field, or a --factor file
+        doc = json.loads((FIXTURES / "w6.json").read_text())
+        (tmp_path / "w6.json").write_text(json.dumps(doc))
+        doc["factor"][0][0] = -1
+        (tmp_path / "neg.json").write_text(json.dumps(doc))
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert "factor entries must be nonnegative" in r.stderr
+
     def test_factorize_error_tag(self):
         r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
         assert r.returncode == 1
@@ -274,9 +290,18 @@ def check_certificate(tmp_path, report_text, matrix):
 
 
 def test_certificate_checker_script(tmp_path):
-    r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
+    r = run_cli("check", "--cone", "psd", str(FIXTURES / "horn.json"))
     chk = check_certificate(tmp_path, r.stdout, FIXTURES / "horn.json")
     assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
+def test_certificate_checker_cannot_verify_copositive_membership(tmp_path):
+    """The boundary zero of a copositive IN is checked, but membership has
+    no certificate yet: exit 4, "not verifiable"."""
+    r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
+    chk = check_certificate(tmp_path, r.stdout, FIXTURES / "horn.json")
+    assert chk.returncode == 4, chk.stdout + chk.stderr
+    assert "not verifiable" in chk.stdout
 
 
 def _negate_value(res):
@@ -342,7 +367,7 @@ def test_certificate_checker_rejects_a_forged_in(tmp_path, cone, fixture):
 def test_certificate_checker_rejects_a_file_the_report_did_not_read(tmp_path):
     # dd_example is copositive too, so only the input digest tells them apart
     report = (GOLDEN / "check-copositive-identity6.json").read_text()
-    assert check_certificate(tmp_path, report, FIXTURES / "identity6.json").returncode == 0
+    assert check_certificate(tmp_path, report, FIXTURES / "identity6.json").returncode == 4
     chk = check_certificate(tmp_path, report, FIXTURES / "dd_example.json")
     assert chk.returncode == 3, chk.stdout + chk.stderr
 
@@ -366,17 +391,116 @@ def test_certificate_checker_symmetrizes_like_the_library(tmp_path):
     assert chk.returncode == 0, chk.stdout + chk.stderr
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.name for p in [*GOLDEN.glob("check-*.json"), *GOLDEN.glob("factorize-posdd-*.json")])
-)
+def golden_reports(pattern):
+    """Golden reports of the pattern; a data error (exit 65) left none."""
+    return sorted(p.name for p in GOLDEN.glob(pattern) if p.stat().st_size)
+
+
+def checker_code(result):
+    """The checker's exit code on a golden report: 3 for an error or FAILED
+    report, which has no factor, 4 for an uncertified copositive IN."""
+    if "error" in result or result.get("status") == "FAILED":
+        return 3
+    return 4 if (result.get("cone"), result.get("answer")) == ("COPOSITIVE", "IN") else 0
+
+
+@pytest.mark.parametrize("name", golden_reports("check-*.json") + golden_reports("factorize-*.json"))
 def test_certificate_checker_on_golden_report(tmp_path, name):
-    """Every golden answer and interior certificate re-verifies against the
-    file the report names; a posdd error report carries no certificate."""
+    """Every golden answer, factor and interior certificate re-verifies
+    against the file the report names."""
     report = (GOLDEN / name).read_text()
     doc = json.loads(report)
     (matrix,) = doc["inputs"]
     chk = check_certificate(tmp_path, report, FIXTURES.parent / matrix)
-    assert chk.returncode == (3 if "error" in doc["result"] else 0), chk.stdout + chk.stderr
+    assert chk.returncode == checker_code(doc["result"]), chk.stdout + chk.stderr
+
+
+def test_certificate_checker_exit_codes_over_the_goldens():
+    """25 check reports hold and 7 copositive IN are not verifiable; of the
+    30 factorize reports 11 carry a factor and 19 an error or FAILED."""
+    codes = [checker_code(json.loads((GOLDEN / name).read_text())["result"])
+             for name in golden_reports("check-*.json")]
+    assert (codes.count(0), codes.count(4)) == (25, 7)
+    codes = [checker_code(json.loads((GOLDEN / name).read_text())["result"])
+             for name in golden_reports("factorize-*.json")]
+    assert (codes.count(0), codes.count(3)) == (11, 19)
+
+
+def _drop_inputs(doc):
+    del doc["inputs"]
+
+
+def _drop_x(doc):
+    del doc["result"]["certificate"]["x"]
+
+
+def _fractional_column(doc):
+    doc["result"]["certificate"]["positive_column_index"] = 1.5
+
+
+@pytest.mark.parametrize(
+    "golden, corrupt",
+    [
+        ("check-psd-horn", _drop_inputs),
+        ("check-psd-horn", _drop_x),
+        ("factorize-posdd-dd_example", _fractional_column),
+    ],
+    ids=["no-inputs", "no-x", "fractional-column"],
+)
+def test_certificate_checker_rejects_a_malformed_report(tmp_path, golden, corrupt):
+    """A missing or mistyped field exits 3 with a message, not a traceback."""
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())
+    (matrix,) = doc["inputs"]
+    corrupt(doc)
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES.parent / matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+    assert chk.stdout.startswith("certificate FAILED") and not chk.stderr
+
+
+def _perturb_factor(doc):
+    doc["result"]["factor"][0][0] += 1e-3
+
+
+def _miscount(doc):
+    doc["result"]["p"] += 1
+
+
+def _lower_target(doc):
+    command = doc["command"]
+    command[command.index("--target") + 1] = "1"  # the factor has more columns
+
+
+@pytest.mark.parametrize(
+    "golden, corrupt",
+    [
+        ("factorize-dd-dd_example", _perturb_factor),
+        ("factorize-posdd-dd_example", _perturb_factor),
+        ("factorize-cp3-dd_example", _perturb_factor),
+        ("factorize-heuristic-dd_example", _perturb_factor),
+        ("factorize-horn6-w6", _perturb_factor),
+        ("factorize-dd-w6", _miscount),
+        ("factorize-heuristic-dd_example", _lower_target),
+    ],
+    ids=["dd", "posdd", "cp3", "heuristic", "horn6", "p-miscounted", "over-target"],
+)
+def test_certificate_checker_rejects_a_perturbed_factor(tmp_path, golden, corrupt):
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text())
+    (matrix,) = doc["inputs"]
+    assert check_certificate(tmp_path, json.dumps(doc), FIXTURES.parent / matrix).returncode == 0
+    corrupt(doc)
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES.parent / matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize("target, code", [("6", 0), ("1", 3)])
+def test_certificate_checker_reads_an_inline_target(tmp_path, target, code):
+    """`--target=P` is the command line `--target P`, as copcone reads it."""
+    doc = json.loads((GOLDEN / "factorize-heuristic-dd_example.json").read_text())
+    command = doc["command"]
+    k = command.index("--target")
+    command[k : k + 2] = [f"--target={target}"]
+    chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES / "dd_example.json")
+    assert chk.returncode == code, chk.stdout + chk.stderr
 
 
 def _perturb_entry(cert):
@@ -441,7 +565,7 @@ def test_certificate_checker_scales_boundary_zero(tmp_path):
     doc = json.loads(r.stdout)
     assert doc["result"]["certificate"]["kind"] == "boundary_zero"
     chk = check_certificate(tmp_path, r.stdout, matrix)
-    assert chk.returncode == 0, chk.stdout + chk.stderr
+    assert chk.returncode == 4, chk.stdout + chk.stderr  # the zero holds
     x = doc["result"]["certificate"]["x"]
     i, j = np.flatnonzero(x)[:2]
     x[i] += 1e-3  # still on the simplex, but off the zero
@@ -460,7 +584,7 @@ def test_check_copositive_beyond_enumeration_order(tmp_path):
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["result"]["certificate"]["kind"] == "boundary_zero"
     chk = check_certificate(tmp_path, r.stdout, matrix)
-    assert chk.returncode == 0, chk.stdout + chk.stderr
+    assert chk.returncode == 4, chk.stdout + chk.stderr  # the zero holds
 
 
 def test_check_copositive_undecided_beyond_enumeration_order(tmp_path):

@@ -8,6 +8,7 @@ from copcone import kernel
 from copcone import (
     DEFAULT_TOL,
     Answer,
+    NonnegFactor,
     Tolerance,
     horn_generators,
     horn_matrix,
@@ -135,6 +136,20 @@ def test_pivoted_cholesky_reconstructs_low_rank(rng):
         assert np.abs(l @ l.T - a).max() <= 1e-9 * max(np.abs(a).max(), 1.0)
 
 
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 5), (5, 3), (8, 40), (13, 13)])
+def test_kernel_inputs_are_exactly_symmetric(rng, n, p):
+    """The eigen, rank and simplex entry points do not symmetrize: their
+    callers hand them ``as_sym``'s matrix or a factor's product, and both
+    are symmetric bit for bit."""
+    a = random_sym(rng, n)
+    a[0, -1] += 1e-13  # asymmetric within the tolerance
+    sym, _ = kernel.as_sym(a)
+    assert np.array_equal(sym, sym.T)
+    for columns in (rng.random((n, p)), np.asfortranarray(rng.random((n, p))), rng.random((p, n)).T):
+        prod = NonnegFactor(columns).product()
+        assert np.array_equal(prod, prod.T)
+
+
 def test_simplex_form_min_quadratic_oracle():
     # min over the simplex of x'Ix = 1/n at the barycenter
     for n in range(1, 6):
@@ -149,8 +164,7 @@ def test_simplex_form_min_quadratic_oracle():
 def reference_stationary_points(q):
     """One KKT solve per support, in mask order: the loop the batched
     enumeration must reproduce bit for bit."""
-    q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
+    assert np.array_equal(q, q.T)  # the kernel's precondition
     n = q.shape[0]
     scale = max(1.0, np.abs(q).max())
     for mask in range(1, 1 << n):
