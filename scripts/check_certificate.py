@@ -6,7 +6,9 @@ Usage: check_certificate.py REPORT.json MATRIX
 MATRIX is the input file the report names, as JSON or as plain text.
 Exits 0 if the certificate holds; 3 if it does not, if the report is
 malformed (a field missing or of the wrong type), or if it carries no
-factor; 4 if the claim has no checkable certificate (copositive membership).
+factor; 4 if the claim has no checkable certificate (copositive membership),
+or if the report was made at another tolerance than checks.py's and a check
+fails at checks.py's thresholds.
 """
 import argparse
 import hashlib
@@ -74,7 +76,9 @@ def load(path: str):
 
 def verify(report: dict, path: str) -> None:
     """Raise CheckError unless the report's certificate holds for the file
-    at ``path``; raise NotVerifiable for a claim without a certificate."""
+    at ``path``; raise NotVerifiable for a claim without a certificate, or
+    for a report made at another tolerance whose claim fails a check at the
+    checker's thresholds."""
     m, file_factor, digest = load(path)
     n = m.shape[0]
     checks.require(digest in report["inputs"].values(), f"{path} is not an input of the report")
@@ -89,41 +93,51 @@ def verify(report: dict, path: str) -> None:
     cert = result.get("certificate") or {}
     kind = cert.get("kind")
     checks.require(kind in KINDS.get(role, ()), f"certificate kind {kind} does not fit {role}")
-    if kind == "negative_entry":
-        i, j = index(cert["i"], n, "negative entry"), index(cert["j"], n, "negative entry")
-        checks.negative_entry(m, i, j, cert["value"])
-    elif kind == "violation_vector":
-        witness = checks.violation if result["cone"] == "COPOSITIVE" else checks.psd_violation
-        witness(m, cert["x"], cert["value"])
-    elif kind == "boundary_zero":
-        checks.boundary_zero(m, cert["x"], cert["value"])
-    elif kind == "interior":
-        v = np.asarray(cert["factor"], dtype=float).reshape(n, -1)
-        j = index(cert["positive_column_index"], v.shape[1], "interior certificate")
-        checks.interior_certificate(m, v, j, cert["rank"])
-    if factorize:
-        v = np.asarray(result["factor"], dtype=float).reshape(n, -1)
-        checks.require(result["p"] == v.shape[1], f"factor: p is {result['p']!r}, not {v.shape[1]}")
-        # the most columns each method returns at order n
-        target, max_cols, rel = m, {"dd": n * (n + 1) // 2, "cp3": 3, "horn6": 15}.get(role), checks.REL
-        if role == "horn6":  # it factors the product of the file's factor
-            target = file_factor @ file_factor.T
-        elif role == "heuristic":  # at most --target columns
-            max_cols, rel = TARGET.parse_known_args(report["command"])[0].target, HEURISTIC_FIT
-            checks.require(max_cols is not None, "heuristic: no --target in the command")
-        checks.factor(target, v, max_cols, rel)
-    if role == "IN":
-        # Membership itself, re-checked from the matrix.
-        cone, thr = result["cone"], checks.threshold(m)
-        if cone in ("NONNEG", "DNN"):
-            checks.require(m.min() >= -thr, f"IN: entry {m.min():.3g} is negative")
-        if cone in ("PSD", "DNN"):
-            w = np.linalg.eigvalsh(m).min()
-            checks.require(w >= -thr, f"IN: eigenvalue {w:.3g} is negative")
-        if cone == "COPOSITIVE":
-            d = np.diag(m).min()
-            checks.require(d >= -thr, f"IN: diagonal entry {d:.3g} is negative")
-            raise NotVerifiable("copositive membership has no checkable certificate")
+    made_at = report["tolerance"]["abs"], report["tolerance"]["rel"]
+    try:
+        if kind == "negative_entry":
+            i, j = index(cert["i"], n, "negative entry"), index(cert["j"], n, "negative entry")
+            checks.negative_entry(m, i, j, cert["value"])
+        elif kind == "violation_vector":
+            witness = checks.violation if result["cone"] == "COPOSITIVE" else checks.psd_violation
+            witness(m, cert["x"], cert["value"])
+        elif kind == "boundary_zero":
+            checks.boundary_zero(m, cert["x"], cert["value"])
+        elif kind == "interior":
+            v = np.asarray(cert["factor"], dtype=float).reshape(n, -1)
+            j = index(cert["positive_column_index"], v.shape[1], "interior certificate")
+            checks.interior_certificate(m, v, j, cert["rank"])
+        if factorize:
+            v = np.asarray(result["factor"], dtype=float).reshape(n, -1)
+            checks.require(result["p"] == v.shape[1], f"factor: p is {result['p']!r}, not {v.shape[1]}")
+            # the most columns each method returns at order n
+            target, max_cols, rel = m, {"dd": n * (n + 1) // 2, "cp3": 3, "horn6": 15}.get(role), checks.REL
+            if role == "horn6":  # it factors the product of the file's factor
+                target = file_factor @ file_factor.T
+            elif role == "heuristic":  # at most --target columns
+                max_cols, rel = TARGET.parse_known_args(report["command"])[0].target, HEURISTIC_FIT
+                checks.require(max_cols is not None, "heuristic: no --target in the command")
+            checks.factor(target, v, max_cols, rel)
+        if role == "IN":
+            # Membership itself, re-checked from the matrix.
+            cone, thr = result["cone"], checks.threshold(m)
+            if cone in ("NONNEG", "DNN"):
+                checks.require(m.min() >= -thr, f"IN: entry {m.min():.3g} is negative")
+            if cone in ("PSD", "DNN"):
+                w = np.linalg.eigvalsh(m).min()
+                checks.require(w >= -thr, f"IN: eigenvalue {w:.3g} is negative")
+            if cone == "COPOSITIVE":
+                d = np.diag(m).min()
+                checks.require(d >= -thr, f"IN: diagonal entry {d:.3g} is negative")
+                raise NotVerifiable("copositive membership has no checkable certificate")
+    except checks.CheckError as exc:
+        if made_at == (checks.ABS, checks.REL):
+            raise
+        # a claim made at another tolerance may hold there and fail here
+        raise NotVerifiable(
+            f"{exc} at the checker's tolerance (abs {checks.ABS:g}, rel {checks.REL:g}); "
+            f"the report was made at abs {made_at[0]:g}, rel {made_at[1]:g}"
+        ) from exc
 
 
 def main(argv) -> int:

@@ -84,15 +84,10 @@ def babe(r: int) -> int:
 def known_pn_interval(n: int) -> tuple[int, int]:
     """Best known bracket for the maximum cp-rank at order n: exact through
     order 5, [9, 15] at order 6, and [floor(n^2/4), b_n - 3] beyond."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n <= 4:
-        return n, n
-    if n == 5:
-        return 6, 6
-    if n == 6:
-        return 9, 15
-    return n * n // 4, babe(n) - 3
+    lower = djl_lower(n)
+    if n <= 5:
+        return lower, lower
+    return lower, 15 if n == 6 else babe(n) - 3
 
 
 def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:

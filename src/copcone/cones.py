@@ -278,7 +278,5 @@ def cp_interior_certificate(v, tol: Tolerance = DEFAULT_TOL) -> InteriorCertific
     rank = kernel.num_rank(v.product(), tol)
     if rank != v.n:
         return None
-    for j in range(v.p):
-        if v.v[:, j].min() > thr:
-            return InteriorCertificate(v, j, rank)
-    return None
+    positive = np.flatnonzero(v.v.min(axis=0) > thr)
+    return InteriorCertificate(v, int(positive[0]), rank) if positive.size else None

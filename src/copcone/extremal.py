@@ -152,11 +152,9 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     s = np.sqrt(diag)
     scaled = a * np.outer(s, s)
     thr = tol.scaled(np.abs(scaled).max(initial=0.0))
-    rows = []
-    for i in range(a.shape[0]):
-        off = np.abs(scaled[i]).sum() - abs(scaled[i, i])
-        rows.append(bool(scaled[i, i] <= off + thr))
-    return AntiDdResult(scaled, tuple(rows))
+    d = np.diag(scaled)
+    off = np.abs(scaled).sum(axis=1) - np.abs(d)
+    return AntiDdResult(scaled, tuple((d <= off + thr).tolist()))
 
 
 def zero_diag_reduce(a, tol: Tolerance = DEFAULT_TOL) -> ZeroDiagReduction:
@@ -224,12 +222,8 @@ def _e12_recognize(a: np.ndarray, thr: float) -> OrbitWitness | None:
         return None
     d = np.ones(n)
     d[i] = d[j] = np.sqrt(a[i, j])
-    perm = np.empty(n, dtype=int)
-    perm[i], perm[j] = 0, 1
-    rest = iter(range(2, n))
-    for k in range(n):
-        if k not in (i, j):
-            perm[k] = next(rest)
+    # i, j go to 0, 1 and the other indices, in order, to 2..n-1
+    perm = np.argsort(np.r_[i, j, np.delete(np.arange(n), [i, j])])
     return OrbitWitness(d, perm)
 
 
@@ -291,9 +285,6 @@ def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     if kernel.num_rank(a, tol) < 3:
         return False
     thr = tol.scaled(ascale)
-    diag = np.diag(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if diag[i] <= thr and diag[j] <= thr and a[i, j] > thr:
-                return False
-    return True
+    zero = _zero_diag(a, thr)[0]
+    # an E12-orbit 2x2 block: a positive pair between two zero diagonal entries
+    return not (a[np.ix_(zero, zero)] > thr).any()

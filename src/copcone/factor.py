@@ -110,8 +110,11 @@ def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     return NonnegFactor(_dd_columns(m, tol.scaled(scale)), tol)
 
 
-def _dd_columns(m: np.ndarray, thr: float) -> np.ndarray:
-    """The columns of :func:`dd_factorize` of a validated ``m``, n x p."""
+def _dd_columns(m: np.ndarray, thr: float, mu: float = 0.0) -> np.ndarray:
+    """The columns of :func:`dd_factorize` of a validated ``m`` less ``mu``
+    times the all-ones matrix, n x p.  Nonnegativity and dominance are
+    checked on ``m``; for 0 < mu = min m_ij and n >= 3 the remainder keeps
+    both, since each of its rows gains (n - 2) mu of slack."""
     n = m.shape[0]
     if m.min() < -thr:
         raise NotNonnegativeError("matrix has a negative entry")
@@ -119,6 +122,9 @@ def _dd_columns(m: np.ndarray, thr: float) -> np.ndarray:
     off_sums = m.sum(axis=1) - np.diag(m)
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
+    if mu:  # the columns expand the remainder
+        m = m - mu
+        off_sums = m.sum(axis=1) - np.diag(m)
     cols = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -157,11 +163,7 @@ def positive_dd_factorize(
     mu = m.min()
     if mu <= thr:
         raise NotPositiveError("matrix must be entrywise positive")
-    off_sums = m.sum(axis=1) - np.diag(m)
-    if np.any(np.diag(m) - off_sums < -thr):
-        raise NotDiagonallyDominantError("diagonal dominance fails")
-    # thr, from M, is at least the remainder's own threshold
-    rest = _dd_columns(m - mu, thr)
+    rest = _dd_columns(m, thr, mu)
     first = np.full((n, 1), np.sqrt(mu))
     factor = NonnegFactor(np.hstack([first, rest]), tol)
     cert = cp_interior_certificate(factor, tol)
@@ -180,18 +182,10 @@ def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     """
     n = m.shape[0]
     thr = tol.scaled(np.abs(m).max())
-    # connectivity of the support pattern via BFS
+    # with self-loops, every vertex is within n - 1 steps of vertex 0 iff
+    # the support graph is connected
     adj = (m > thr) | np.eye(n, dtype=bool)
-    reached = np.zeros(n, dtype=bool)
-    frontier = [0]
-    reached[0] = True
-    while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not reached[j]:
-                reached[j] = True
-                frontier.append(int(j))
-    if not reached.all():
+    if not np.linalg.matrix_power(adj, n - 1)[0].all():
         raise PerronNotPositiveError("support graph is not connected")
     v = kernel.eig_sym(m)[1][:, 0]
     lam = float(v @ m @ v)
@@ -331,6 +325,7 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
     if abs(float(np.sum(m * hb))) > max(thr, tol.scaled(1.0)):
         raise NotOrthogonalToHornError("product is not orthogonal to the Horn block")
     w = special.horn_generators()
+    gens = [w[:, [i, (i + 1) % 5, 5]] for i in range(5)]
     groups: dict[int, list[np.ndarray]] = {}
     for j in range(v.p):
         col = v.column(j)
@@ -338,7 +333,7 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
         support = set(np.nonzero(col[:5] > col_thr)[0])
         for i in range(5):
             if support <= {i, (i + 1) % 5, (i + 2) % 5}:
-                c = kernel.lp_feasible(w[:, [i, (i + 1) % 5, 5]], col, tol)
+                c = kernel.lp_feasible(gens[i], col, tol)
                 if c is not None:
                     groups.setdefault(i, []).append(c)
                     break
@@ -349,9 +344,8 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
         c = np.column_stack(groups[i])  # 3 x p_i coefficient block
         y = c @ c.T  # doubly nonnegative: lp_feasible returns c >= 0
         z = _cp3_factor(y, np.abs(y).max(), tol)
-        gens = w[:, [i, (i + 1) % 5, 5]]
         if z.p:
-            out_cols.append(gens @ z.v)
+            out_cols.append(gens[i] @ z.v)
     if not out_cols:
         return NonnegFactor(np.zeros((6, 0)), tol)
     return NonnegFactor(np.hstack(out_cols), tol)
@@ -471,7 +465,7 @@ def heuristic_min_factor(
             prod = b @ rot
             if prod.min() >= -_ROOT_FLOOR * scale:
                 v = NonnegFactor(np.clip(prod, 0.0, None), tol)
-                if np.abs(v.product() - m).max() <= _FACTOR_FIT * scale and v.p <= p_target:
+                if np.abs(v.product() - m).max() <= _FACTOR_FIT * scale:
                     return v
                 break
             targ = np.clip(prod, 0.0, None)

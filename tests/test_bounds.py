@@ -35,6 +35,16 @@ def test_known_pn_table():
     assert known_pn_interval(7) == (12, 24)
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [(djl_lower, "order must be >= 1"), (babe, "rank must be >= 1"), (known_pn_interval, "order must be >= 1")],
+    ids=["djl_lower", "babe", "known_pn_interval"],
+)
+def test_rules_reject_an_argument_below_1(rule, message):
+    with pytest.raises(ValueError, match=message):
+        rule(0)
+
+
 def test_interval_endpoints_ordered():
     for n in range(1, 12):
         lo, hi = known_pn_interval(n)

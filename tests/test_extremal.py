@@ -16,7 +16,7 @@ from copcone import (
     rank3_witness_check,
     zero_diag_reduce,
 )
-from copcone.errors import NotOrthogonalError, ZeroRowError
+from copcone.errors import NotOrthogonalError, NotPositiveError, SingularError, ZeroRowError
 from copcone.extremal import FAIL, PASS, SKIP
 
 
@@ -145,6 +145,13 @@ class TestOrthChecks:
         res = anti_dd_check(self.m, self.a)
         assert res.all_pass
 
+    def test_anti_dd_failing_row(self):
+        # diag(1, -1) is orthogonal to I; row 0 has no off-diagonal mass to
+        # dominate its diagonal entry 1
+        res = anti_dd_check(np.eye(2), np.diag([1.0, -1.0]))
+        assert res.rows == (False, True)
+        assert not res.all_pass
+
     def test_anti_dd_zero_row_guard(self):
         m = np.zeros((2, 2))
         with pytest.raises(ZeroRowError):
@@ -203,3 +210,36 @@ def test_rank3_witness_check():
 
     with pytest.raises(Exception):
         rank3_witness_check(np.eye(6), horn_block6())
+
+
+def _e12_block_rank4():
+    # a_01 = 1 between the zero diagonal entries a_00 and a_11;
+    # <J + I, A> = 2 a_01 + 2 a_22 + 2 a_33 = 0
+    a = np.diag([0.0, 0.0, 1.0, -2.0])
+    a[0, 1] = a[1, 0] = 1.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.diag([1.0, -1.0, 0.0]), _e12_block_rank4()],
+    ids=["rank-2", "e12-block"],
+)
+def test_rank3_witness_check_false(a):
+    # J + I is positive and nonsingular, and orthogonal to both witnesses
+    n = a.shape[0]
+    assert not rank3_witness_check(np.ones((n, n)) + np.eye(n), a)
+
+
+@pytest.mark.parametrize(
+    "m, error, message",
+    [
+        (np.eye(3), NotPositiveError, "entrywise positive"),
+        (np.ones((3, 3)), SingularError, "nonsingular"),
+    ],
+    ids=["zero-entry", "singular"],
+)
+def test_rank3_witness_check_guards(m, error, message):
+    # diag(1, -1, 0) is orthogonal to both I and J
+    with pytest.raises(error, match=message):
+        rank3_witness_check(m, np.diag([1.0, -1.0, 0.0]))

@@ -129,6 +129,11 @@ class TestPositiveDd:
         with pytest.raises(NotPositiveError):
             positive_dd_factorize(m)
 
+    def test_positive_but_not_dd_rejected(self):
+        # each row of J + 0.5 I has diagonal 1.5 against an off-diagonal sum of 2
+        with pytest.raises(NotDiagonallyDominantError, match="diagonal dominance fails"):
+            positive_dd_factorize(np.ones((3, 3)) + 0.5 * np.eye(3))
+
 
 class TestPerturbPositify:
     def test_j2_example(self):

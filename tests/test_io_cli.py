@@ -381,6 +381,33 @@ def test_certificate_checker_rejects_an_entry_outside_the_matrix(tmp_path, i, j)
     assert chk.returncode == 3, chk.stdout + chk.stderr
 
 
+@pytest.mark.parametrize("cone", ["psd", "copositive"])
+def test_certificate_checker_cannot_verify_a_claim_made_at_another_tolerance(tmp_path, cone):
+    """At --tol 1e-3 the matrix (1, 0; 0, -1e-6) is PSD and copositive.  At
+    the checker's thresholds the claim fails: exit 4, naming both
+    tolerances.  The same report at the default tolerance fails: exit 3."""
+    matrix = tmp_path / "near-psd.txt"
+    matrix.write_text("2\n1 0\n0 -1e-6\n")
+    r = run_cli("check", "--cone", cone, "--tol", "1e-3", str(matrix))
+    assert r.returncode == 0 and json.loads(r.stdout)["result"]["answer"] == "IN"
+    chk = check_certificate(tmp_path, r.stdout, matrix)
+    assert chk.returncode == 4, chk.stdout + chk.stderr
+    assert "not verifiable" in chk.stdout
+    assert "(abs 1e-09, rel 1e-09)" in chk.stdout and "made at abs 0.001, rel 0.001" in chk.stdout
+    doc = json.loads(r.stdout)
+    doc["tolerance"] = {"abs": 1e-09, "rel": 1e-09}
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def test_certificate_checker_accepts_a_claim_that_holds_at_its_thresholds(tmp_path):
+    # horn.json is not PSD at either tolerance; its witness checks at 1e-9
+    r = run_cli("check", "--cone", "psd", "--tol", "1e-3", str(FIXTURES / "horn.json"))
+    assert json.loads(r.stdout)["tolerance"] == {"abs": 0.001, "rel": 0.001}
+    chk = check_certificate(tmp_path, r.stdout, FIXTURES / "horn.json")
+    assert chk.returncode == 0, chk.stdout + chk.stderr
+
+
 def test_certificate_checker_symmetrizes_like_the_library(tmp_path):
     # an asymmetry within 1e-12 relative is averaged away on both sides
     matrix = tmp_path / "near-symmetric.json"
