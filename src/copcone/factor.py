@@ -122,9 +122,8 @@ def _dd_columns(m: np.ndarray, thr: float, mu: float = 0.0) -> np.ndarray:
     off_sums = m.sum(axis=1) - np.diag(m)
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
-    if mu:  # the columns expand the remainder
-        m = m - mu
-        off_sums = m.sum(axis=1) - np.diag(m)
+    m = m - mu  # the columns expand the remainder
+    off_sums = m.sum(axis=1) - np.diag(m)
     cols = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -182,10 +181,14 @@ def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     """
     n = m.shape[0]
     thr = tol.scaled(np.abs(m).max())
-    # with self-loops, every vertex is within n - 1 steps of vertex 0 iff
-    # the support graph is connected
+    # connected iff the layers reached from vertex 0 cover every vertex;
+    # each vertex is expanded once, so this costs O(n^2)
     adj = (m > thr) | np.eye(n, dtype=bool)
-    if not np.linalg.matrix_power(adj, n - 1)[0].all():
+    reached = frontier = adj[0]
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
         raise PerronNotPositiveError("support graph is not connected")
     v = kernel.eig_sym(m)[1][:, 0]
     lam = float(v @ m @ v)

@@ -393,11 +393,12 @@ def test_certificate_checker_cannot_verify_a_claim_made_at_another_tolerance(tmp
     chk = check_certificate(tmp_path, r.stdout, matrix)
     assert chk.returncode == 4, chk.stdout + chk.stderr
     assert "not verifiable" in chk.stdout
-    assert "(abs 1e-09, rel 1e-09)" in chk.stdout and "made at abs 0.001, rel 0.001" in chk.stdout
+    assert "tolerance (abs 1e-09, rel 1e-09), but not at the report's (abs 0.001, rel 0.001)" in chk.stdout
     doc = json.loads(r.stdout)
-    doc["tolerance"] = {"abs": 1e-09, "rel": 1e-09}
-    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
-    assert chk.returncode == 3, chk.stdout + chk.stderr
+    for made_at in (1e-9, 1e-12):  # the default, and a tighter tolerance
+        doc["tolerance"] = {"abs": made_at, "rel": made_at}
+        chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+        assert chk.returncode == 3, chk.stdout + chk.stderr
 
 
 def test_certificate_checker_accepts_a_claim_that_holds_at_its_thresholds(tmp_path):
@@ -465,14 +466,21 @@ def _fractional_column(doc):
     doc["result"]["certificate"]["positive_column_index"] = 1.5
 
 
+def _text_tolerance(doc):
+    # a failing report is checked again at its tolerance, which must be numbers
+    doc["result"]["factor"][0][0] += 1.0
+    doc["tolerance"] = {"abs": "0.001", "rel": "0.001"}
+
+
 @pytest.mark.parametrize(
     "golden, corrupt",
     [
         ("check-psd-horn", _drop_inputs),
         ("check-psd-horn", _drop_x),
         ("factorize-posdd-dd_example", _fractional_column),
+        ("factorize-dd-dd_example", _text_tolerance),
     ],
-    ids=["no-inputs", "no-x", "fractional-column"],
+    ids=["no-inputs", "no-x", "fractional-column", "text-tolerance"],
 )
 def test_certificate_checker_rejects_a_malformed_report(tmp_path, golden, corrupt):
     """A missing or mistyped field exits 3 with a message, not a traceback."""
@@ -517,6 +525,45 @@ def test_certificate_checker_rejects_a_perturbed_factor(tmp_path, golden, corrup
     corrupt(doc)
     chk = check_certificate(tmp_path, json.dumps(doc), FIXTURES.parent / matrix)
     assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+def _entry_outside(doc):
+    doc["result"]["certificate"]["i"] = 5
+
+
+def _nudge_factor(doc):
+    doc["result"]["factor"][0][0] += 1e-6  # within 1e-3, not within 1e-9
+
+
+def _spoil_factor(doc):
+    doc["result"]["factor"][0][0] += 1.0  # beyond 1e-3 too
+
+
+def _negate_a_zero(doc):
+    # dd's first column is e_0 + e_1: a -1e-12 entry keeps V V' within 1e-9
+    doc["result"]["factor"][2][0] = -1e-12
+
+
+@pytest.mark.parametrize(
+    "args, corrupt, code",
+    [
+        (("check", "--cone", "nonneg"), _entry_outside, 3),
+        (("factorize", "--method", "dd"), _spoil_factor, 3),
+        (("factorize", "--method", "dd"), _negate_a_zero, 3),
+        (("factorize", "--method", "dd"), _nudge_factor, 4),
+    ],
+    ids=["entry-outside", "perturbed", "negative-entry", "within-its-tolerance"],
+)
+def test_certificate_checker_rechecks_at_a_looser_tolerance(tmp_path, args, corrupt, code):
+    """A report made at --tol 1e-3 that fails a check is checked again at
+    1e-3: a failure there is a false claim (exit 3); only a claim that holds
+    at 1e-3 is not verifiable (exit 4)."""
+    matrix = FIXTURES / ("horn.json" if args[0] == "check" else "dd_example.json")
+    doc = json.loads(run_cli(*args, "--tol", "1e-3", str(matrix)).stdout)
+    assert doc["tolerance"] == {"abs": 0.001, "rel": 0.001}
+    corrupt(doc)
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+    assert chk.returncode == code, chk.stdout + chk.stderr
 
 
 @pytest.mark.parametrize("target, code", [("6", 0), ("1", 3)])
