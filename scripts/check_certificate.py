@@ -3,10 +3,11 @@
 report with plain numpy, through the predicates of `copbench/checks.py`.
 
 Usage: check_certificate.py REPORT.json MATRIX
-MATRIX is the input file the report names, as JSON or as plain text.
+MATRIX is an input file the report names, as JSON or as plain text.
 Exits 0 if the certificate holds; 3 if it does not, if the report is
-malformed (a field missing or of the wrong type), or if it carries no
-factor; 4 if it cannot be verified (docs/format.md gives the rule).
+malformed (a field missing or of the wrong type), or if it is an error
+report or carries no factor; 4 if it cannot be verified, which includes
+the result of any other command (docs/format.md gives the rule).
 """
 import argparse
 import hashlib
@@ -104,7 +105,12 @@ def certify(report: dict, m: np.ndarray, file_factor) -> None:
     """Check the report's certificate for ``m`` at checks.py's thresholds."""
     n = m.shape[0]
     result = report["result"]
-    factorize = report["command"][0] == "factorize"
+    command = report["command"][0]
+    if command not in ("check", "factorize"):
+        # bounds, orbit and verify-orth results carry no certificate yet
+        checks.require("error" not in result, f"{command} reported the error {result.get('error')}")
+        raise NotVerifiable(f"{command} results carry no checkable certificate yet")
+    factorize = command == "factorize"
     if factorize:
         role = result["method"]
         # an error or FAILED report carries no factor

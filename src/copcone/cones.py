@@ -118,20 +118,6 @@ def _psd_violation(a, scale, tol) -> ViolationVector | None:
     return ViolationVector(witness, float(witness @ a @ witness))
 
 
-def _kept_indices(a: np.ndarray, positive_diag: bool = False) -> np.ndarray:
-    """Indices left after deleting, to a fixpoint, every index whose row is
-    entrywise >= 0 on the indices still kept (and, with ``positive_diag``,
-    whose diagonal entry is > 0).
-
-    For a symmetric ``a`` the first round is the fixpoint: a row kept for
-    its a_ij < 0 keeps j too, whose row holds a_ji = a_ij.
-    """
-    kept = (a < 0).any(axis=1)
-    if positive_diag:
-        kept |= ~(a.diagonal() > 0)
-    return np.flatnonzero(kept)
-
-
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Exact copositivity test: vertex and edge checks, then one enumeration.
 
@@ -160,7 +146,8 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(scale)
-    keep = _kept_indices(a)
+    # one round is the fixpoint: a row kept for its a_ij < 0 keeps j, whose row holds a_ji
+    keep = np.flatnonzero((a < 0).any(axis=1))
     k = keep.size
     b = a[keep[:, None], keep]
 
@@ -232,11 +219,10 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
     """
     a, scale = kernel.as_sym(a, tol)
-    verdict = is_copositive(a, tol)
-    if verdict.answer is not Answer.IN:
+    if is_copositive(a, tol).answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
     thr = tol.scaled(scale)
-    keep = _kept_indices(a, positive_diag=True)
+    keep = np.flatnonzero((a < 0).any(axis=1) | ~(a.diagonal() > 0))
     if not keep.size:
         return []
     values, kept_lams = zip(*kernel.simplex_stationary_points(a[np.ix_(keep, keep)]))

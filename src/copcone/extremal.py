@@ -236,8 +236,7 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     answer otherwise.
     """
     a, scale = kernel.as_sym(a, tol)
-    verdict = is_copositive(a, tol)
-    if verdict.answer is not Answer.IN:
+    if is_copositive(a, tol).answer is not Answer.IN:
         raise NotCopositiveError("matrix is not certified copositive")
     thr = tol.scaled(scale)
     w, q = kernel.eig_sym(a)

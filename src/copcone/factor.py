@@ -124,21 +124,14 @@ def _dd_columns(m: np.ndarray, thr: float, mu: float = 0.0) -> np.ndarray:
         raise NotDiagonallyDominantError("diagonal dominance fails")
     m = m - mu  # the columns expand the remainder
     off_sums = m.sum(axis=1) - np.diag(m)
-    cols = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] > 0.0:
-                c = np.zeros(n)
-                c[i] = c[j] = np.sqrt(m[i, j])
-                cols.append(c)
-        resid = m[i, i] - off_sums[i]
-        if resid > 0.0:
-            c = np.zeros(n)
-            c[i] = np.sqrt(resid)
-            cols.append(c)
-    if not cols:
-        return np.zeros((n, 0))
-    return np.column_stack(cols)
+    # row i holds its pairs j > i, then its residual in column n; nonzero
+    # reads row by row, so the columns come pair by pair, then the residual
+    grid = np.column_stack([np.triu(m, 1), np.diag(m) - off_sums])
+    rows, cols = np.nonzero(grid > 0.0)
+    k = np.arange(rows.size)
+    out = np.zeros((n + 1, rows.size))  # row n takes a residual's second entry
+    out[rows, k] = out[cols, k] = np.sqrt(grid[rows, cols])
+    return out[:n]
 
 
 def positive_dd_factorize(
@@ -331,7 +324,7 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
     gens = [w[:, [i, (i + 1) % 5, 5]] for i in range(5)]
     groups: dict[int, list[np.ndarray]] = {}
     for j in range(v.p):
-        col = v.column(j)
+        col = v.v[:, j]
         col_thr = tol.scaled(col.max(initial=0.0))
         support = set(np.nonzero(col[:5] > col_thr)[0])
         for i in range(5):
@@ -342,15 +335,12 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
                     break
         else:
             raise ColumnOutsideConesError(f"column {j} lies outside the generator cones")
-    out_cols = []
+    out_cols = [np.zeros((6, 0))]
     for i in sorted(groups):
         c = np.column_stack(groups[i])  # 3 x p_i coefficient block
         y = c @ c.T  # doubly nonnegative: lp_feasible returns c >= 0
         z = _cp3_factor(y, np.abs(y).max(), tol)
-        if z.p:
-            out_cols.append(gens[i] @ z.v)
-    if not out_cols:
-        return NonnegFactor(np.zeros((6, 0)), tol)
+        out_cols.append(gens[i] @ z.v)
     return NonnegFactor(np.hstack(out_cols), tol)
 
 

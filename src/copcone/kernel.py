@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,7 @@ def pivoted_cholesky(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         col = r[:, j] / np.sqrt(d[j])
         cols.append(col)
         r = r - np.outer(col, col)
-    if not cols:
-        return np.zeros((n, 0))
-    return np.column_stack(cols)
+    return np.column_stack([np.zeros((n, 0)), *cols])
 
 
 # Support masks solved per batch.  Bounds the stacked KKT arrays of one
@@ -301,12 +300,7 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
     found = _convex_form_min(q)
     if found is not None:
         return found
-    best_val = np.inf
-    best_lam = None
-    for val, lam in simplex_stationary_points(q):
-        if val < best_val:
-            best_val, best_lam = val, lam
-    return best_val, best_lam
+    return min(simplex_stationary_points(q), key=operator.itemgetter(0))
 
 
 def _convex_form_min(q):

@@ -46,9 +46,6 @@ def horn_generators() -> np.ndarray:
     orthogonal to the Horn block lies in one of the five cones spanned by
     two cyclically adjacent columns and e6.
     """
-    w = np.zeros((6, 6))
-    for i in range(5):
-        w[i, i] = 1.0
-        w[(i + 1) % 5, i] = 1.0
-    w[5, 5] = 1.0
+    w = np.eye(6)
+    w[[1, 2, 3, 4, 0], range(5)] = 1.0
     return w

@@ -93,6 +93,11 @@ class TestClassify:
         cls = classify_rank12(np.eye(5) + 0.5)
         assert "UNKNOWN" in cls.tag
 
+    @pytest.mark.parametrize("a", [np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 0.0]])])
+    def test_rank2_outside_the_e12_orbit_is_unknown(self, a):
+        # no positive off-diagonal pair; one pair but a nonzero diagonal
+        assert classify_rank12(a).tag == "UNKNOWN_EXTREME_CLASS"
+
 
 class TestOrthChecks:
     def setup_method(self, method):

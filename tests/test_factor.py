@@ -90,6 +90,26 @@ class TestNonnegFactor:
                 op(NonnegFactor(v))
 
 
+def reference_dd_columns(m):
+    """The dd expansion one column at a time: per row i, its pairs j > i,
+    then its residual."""
+    n = m.shape[0]
+    off_sums = m.sum(axis=1) - np.diag(m)
+    cols = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i, j] > 0.0:
+                c = np.zeros(n)
+                c[i] = c[j] = np.sqrt(m[i, j])
+                cols.append(c)
+        resid = m[i, i] - off_sums[i]
+        if resid > 0.0:
+            c = np.zeros(n)
+            c[i] = np.sqrt(resid)
+            cols.append(c)
+    return np.column_stack(cols) if cols else np.zeros((n, 0))
+
+
 class TestDd:
     def test_residual_and_column_count(self, rng):
         for _ in range(50):
@@ -107,6 +127,27 @@ class TestDd:
     def test_rejects_negative_entry(self):
         with pytest.raises(NotNonnegativeError):
             dd_factorize(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+
+    def test_columns_match_the_per_entry_loop(self, rng):
+        """dd and posdd expand bit for bit as one column at a time does."""
+        inputs = [np.zeros((3, 3)), np.eye(4)]
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            m = random_dd_nonneg(rng, n)
+            pattern = rng.random((n, n)) < 0.5
+            pattern = pattern | pattern.T | np.eye(n, dtype=bool)
+            m = np.where(pattern, m, 0.0)
+            # some rows with a residual of 0 up to roundoff
+            off_sums = m.sum(axis=1) - np.diag(m)
+            np.fill_diagonal(m, np.where(rng.random(n) < 0.3, off_sums, np.diag(m)))
+            inputs.append(m)
+        for m in inputs:
+            assert np.array_equal(dd_factorize(m).v, reference_dd_columns(m))
+        for _ in range(50):
+            m = random_positive_dd(rng, int(rng.integers(3, 9)))
+            mu = m.min()
+            expected = np.column_stack([np.full(m.shape[0], np.sqrt(mu)), reference_dd_columns(m - mu)])
+            assert np.array_equal(positive_dd_factorize(m)[0].v, expected)
 
 
 class TestPositiveDd:
@@ -256,6 +297,9 @@ class TestHorn6:
     def test_wrong_order(self):
         with pytest.raises(ValueError):
             horn_orthogonal_factorize(NonnegFactor(np.ones((5, 1))))
+
+    def test_all_zero_factor_gives_no_columns(self):
+        assert horn_orthogonal_factorize(NonnegFactor(np.zeros((6, 2)))).v.shape == (6, 0)
 
     def test_cone_fit_uses_the_given_tolerance(self):
         # e1 + e2 plus 1e-7 e3: orthogonal to the Horn block up to 1e-14,

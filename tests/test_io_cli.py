@@ -424,34 +424,40 @@ def golden_reports(pattern):
     return sorted(p.name for p in GOLDEN.glob(pattern) if p.stat().st_size)
 
 
-def checker_code(result):
+def checker_code(doc):
     """The checker's exit code on a golden report: 3 for an error or FAILED
-    report, which has no factor, 4 for an uncertified copositive IN."""
+    report, which has no factor, 4 for an uncertified copositive IN and for
+    the result of a command other than check and factorize."""
+    result = doc["result"]
     if "error" in result or result.get("status") == "FAILED":
         return 3
+    if doc["command"][0] not in ("check", "factorize"):
+        return 4
     return 4 if (result.get("cone"), result.get("answer")) == ("COPOSITIVE", "IN") else 0
 
 
-@pytest.mark.parametrize("name", golden_reports("check-*.json") + golden_reports("factorize-*.json"))
+@pytest.mark.parametrize("name", [name for name in golden_reports("*.json") if name != "exit-codes.json"])
 def test_certificate_checker_on_golden_report(tmp_path, name):
     """Every golden answer, factor and interior certificate re-verifies
-    against the file the report names."""
+    against the first file the report names."""
     report = (GOLDEN / name).read_text()
     doc = json.loads(report)
-    (matrix,) = doc["inputs"]
-    chk = check_certificate(tmp_path, report, FIXTURES.parent / matrix)
-    assert chk.returncode == checker_code(doc["result"]), chk.stdout + chk.stderr
+    chk = check_certificate(tmp_path, report, FIXTURES.parent / next(iter(doc["inputs"])))
+    assert chk.returncode == checker_code(doc), chk.stdout + chk.stderr
 
 
 def test_certificate_checker_exit_codes_over_the_goldens():
     """25 check reports hold and 7 copositive IN are not verifiable; of the
-    30 factorize reports 11 carry a factor and 19 an error or FAILED."""
-    codes = [checker_code(json.loads((GOLDEN / name).read_text())["result"])
-             for name in golden_reports("check-*.json")]
-    assert (codes.count(0), codes.count(4)) == (25, 7)
-    codes = [checker_code(json.loads((GOLDEN / name).read_text())["result"])
-             for name in golden_reports("factorize-*.json")]
-    assert (codes.count(0), codes.count(3)) == (11, 19)
+    30 factorize reports 11 carry a factor and 19 an error or FAILED; of the
+    18 bounds, orbit and verify-orth reports 13 carry a result and 5 an
+    error."""
+    def codes(*patterns):
+        names = [name for pattern in patterns for name in golden_reports(pattern)]
+        return [checker_code(json.loads((GOLDEN / name).read_text())) for name in names]
+
+    assert sorted(codes("check-*.json")) == [0] * 25 + [4] * 7
+    assert sorted(codes("factorize-*.json")) == [0] * 11 + [3] * 19
+    assert sorted(codes("bounds-*.json", "orbit-*.json", "verify-orth-*.json")) == [3] * 5 + [4] * 13
 
 
 def _drop_inputs(doc):

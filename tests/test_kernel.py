@@ -235,6 +235,15 @@ def test_stationary_points_match_per_support_loop(a):
         assert np.array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
+def test_form_min_is_the_first_least_stationary_point(a):
+    # Horn orbits and integer entries tie; the first point in mask order wins
+    val, lam = simplex_form_min(a)
+    want_val, want_lam = enumerated_min(a)
+    assert val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
 def test_support_plan_holds_only_integer_indices():
     """The cached plan at the largest order: integer arrays only, one block
     position per mask and one index per member of each support, so its size
@@ -376,6 +385,19 @@ def test_lp_feasible_basic_cases():
     assert x is not None and x.min() >= 0 and abs(x.sum() - 1) <= 1e-9
     # infeasible: x1 + x2 = -1 with x >= 0
     assert lp_feasible(a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([-1.0])) is None
+
+
+@pytest.mark.parametrize(
+    "a_eq, b_eq, message",
+    [
+        (np.ones((2, 2)), np.ones(3), "shape mismatch"),
+        (np.array([[1.0, np.inf]]), np.ones(1), "must be finite"),
+        (np.ones((1, 2)), np.array([np.nan]), "must be finite"),
+    ],
+)
+def test_lp_feasible_rejects_malformed_input(a_eq, b_eq, message):
+    with pytest.raises(ValueError, match=message):
+        lp_feasible(a_eq, b_eq)
 
 
 def test_lp_feasible_dependent_columns_do_not_raise():
