@@ -2,12 +2,14 @@
 """Re-verify the certificate in a `copcone check` or `copcone factorize`
 report with plain numpy, through the predicates of `copbench/checks.py`.
 
-Usage: check_certificate.py REPORT.json MATRIX
-MATRIX is an input file the report names, as JSON or as plain text.
+Usage: check_certificate.py REPORT.json [MATRIX]
+MATRIX is an input file the report names, as JSON or as plain text; a
+report that read no file, as `copcone bounds --n N` does, needs none.
 Exits 0 if the certificate holds; 3 if it does not, if the report is
-malformed (a field missing or of the wrong type), or if it is an error
-report or carries no factor; 4 if it cannot be verified, which includes
-the result of any other command (docs/format.md gives the rule).
+malformed (a field missing or of the wrong type), if it is an error
+report or carries no factor, or if MATRIX is missing or not one of its
+inputs; 4 if it cannot be verified, which includes the result of any
+other command (docs/format.md gives the rule).
 """
 import argparse
 import hashlib
@@ -73,12 +75,17 @@ def load(path: str):
     return 0.5 * (m + m.T), factor, hashlib.sha256(blob).hexdigest()
 
 
-def verify(report: dict, path: str) -> None:
+def verify(report: dict, path: str | None) -> None:
     """Raise CheckError unless the report's certificate holds for the file
-    at ``path``; raise NotVerifiable for a claim without a certificate, or
-    one that holds only at the looser tolerance the report was made at."""
-    m, file_factor, digest = load(path)
-    checks.require(digest in report["inputs"].values(), f"{path} is not an input of the report")
+    at ``path``, which is None only for a report that read no file; raise
+    NotVerifiable for a claim without a certificate, or one that holds only
+    at the looser tolerance the report was made at."""
+    if path is None:
+        checks.require(not report["inputs"], "the report read files: give one of them as MATRIX")
+        m = file_factor = None
+    else:
+        m, file_factor, digest = load(path)
+        checks.require(digest in report["inputs"].values(), f"{path} is not an input of the report")
     try:
         certify(report, m, file_factor)
     except checks.CheckError as exc:
@@ -103,13 +110,13 @@ def verify(report: dict, path: str) -> None:
 
 def certify(report: dict, m: np.ndarray, file_factor) -> None:
     """Check the report's certificate for ``m`` at checks.py's thresholds."""
-    n = m.shape[0]
     result = report["result"]
     command = report["command"][0]
     if command not in ("check", "factorize"):
         # bounds, orbit and verify-orth results carry no certificate yet
         checks.require("error" not in result, f"{command} reported the error {result.get('error')}")
         raise NotVerifiable(f"{command} results carry no checkable certificate yet")
+    n = m.shape[0]
     factorize = command == "factorize"
     if factorize:
         role = result["method"]
@@ -158,9 +165,12 @@ def certify(report: dict, m: np.ndarray, file_factor) -> None:
 
 
 def main(argv) -> int:
-    report_path, matrix_path = argv
+    parser = argparse.ArgumentParser(usage="check_certificate.py REPORT.json [MATRIX]")
+    parser.add_argument("report")
+    parser.add_argument("matrix", nargs="?")
+    args = parser.parse_args(argv)
     try:
-        verify(json.load(open(report_path)), matrix_path)
+        verify(json.load(open(args.report)), args.matrix)
     except (checks.CheckError, LookupError, TypeError, ValueError, AttributeError, argparse.ArgumentError) as exc:
         # a missing or mistyped field fails the report like a false claim
         reason = exc if isinstance(exc, checks.CheckError) else f"malformed report: {exc!r}"

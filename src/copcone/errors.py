@@ -10,9 +10,6 @@ class CopconeError(Exception):
 
     tag = "ERROR"
 
-    def __init__(self, message: str = ""):
-        super().__init__(message or self.tag)
-
 
 class NotNonnegativeError(CopconeError):
     tag = "NOT_NONNEG"

@@ -87,7 +87,6 @@ class OrthColumnResult:
 
 @dataclass(frozen=True)
 class AntiDdResult:
-    scaled: np.ndarray
     rows: tuple[bool, ...]
 
     @property
@@ -121,7 +120,8 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
     """Nullspace condition of an orthogonal pair: if coordinate i is in the
     support of every factor column, column i of A lies in the nullspace of M.
 
-    Returns PASS/FAIL when the support hypothesis holds, SKIP otherwise.  A
+    Returns PASS/FAIL when the support hypothesis holds, as it does vacuously
+    for a factor with no columns, and SKIP otherwise.  A
     factor of another order than M, or an i outside [0, n), is a ValueError.
     """
     m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
@@ -130,7 +130,7 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
         raise ValueError(f"factor order {v.n} differs from matrix order {n}")
     if not 0 <= i < n:
         raise ValueError(f"index {i} is outside [0, {n})")
-    if v.p == 0 or not np.all(v.v[i, :] > tol.scaled(v.scale)):
+    if not np.all(v.v[i, :] > tol.scaled(v.scale)):
         return SKIP
     if np.abs(m @ a[:, i]).max() <= tol.scaled(mscale * ascale):
         return PASS
@@ -154,7 +154,7 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     thr = tol.scaled(np.abs(scaled).max(initial=0.0))
     d = np.diag(scaled)
     off = np.abs(scaled).sum(axis=1) - np.abs(d)
-    return AntiDdResult(scaled, tuple((d <= off + thr).tolist()))
+    return AntiDdResult(tuple((d <= off + thr).tolist()))
 
 
 def zero_diag_reduce(a, tol: Tolerance = DEFAULT_TOL) -> ZeroDiagReduction:
@@ -165,23 +165,22 @@ def zero_diag_reduce(a, tol: Tolerance = DEFAULT_TOL) -> ZeroDiagReduction:
     ``structure_ok`` tells whether they do.
     """
     a, scale = kernel.as_sym(a, tol)
-    zero, structure_ok = _zero_diag(a, tol.scaled(scale))
-    z_idx = tuple(int(i) for i in np.nonzero(zero)[0])
-    return ZeroDiagReduction(a[np.ix_(~zero, ~zero)], z_idx, structure_ok)
+    return _zero_diag(a, tol.scaled(scale))
 
 
-def _zero_diag(a: np.ndarray, thr: float) -> tuple[np.ndarray, bool]:
-    """Mask of the diagonal entries <= thr of ``a``; do their rows vanish?"""
+def _zero_diag(a: np.ndarray, thr: float) -> ZeroDiagReduction:
+    """:func:`zero_diag_reduce` of a validated ``a``; its zeros are the diagonal entries <= thr."""
     zero = np.diag(a) <= thr
-    return zero, bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
+    structure_ok = bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
+    return ZeroDiagReduction(a[np.ix_(~zero, ~zero)], tuple(np.flatnonzero(zero).tolist()), structure_ok)
 
 
 def _horn_block_orbit(a: np.ndarray, thr: float, tol: Tolerance) -> OrbitWitness | None:
     """Horn-orbit witness of ``a`` less its zero-diagonal rows, which must vanish."""
-    zero, structure_ok = _zero_diag(a, thr)
-    if not structure_ok or np.count_nonzero(~zero) != 5:
+    red = _zero_diag(a, thr)
+    if not red.structure_ok or red.s.shape[0] != 5:
         return None
-    return horn_orbit_recognize(a[np.ix_(~zero, ~zero)], tol)
+    return horn_orbit_recognize(red.s, tol)
 
 
 def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None:
@@ -284,6 +283,6 @@ def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     if kernel.num_rank(a, tol) < 3:
         return False
     thr = tol.scaled(ascale)
-    zero = _zero_diag(a, thr)[0]
+    zero = _zero_diag(a, thr).zero_indices
     # an E12-orbit 2x2 block: a positive pair between two zero diagonal entries
     return not (a[np.ix_(zero, zero)] > thr).any()

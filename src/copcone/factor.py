@@ -56,8 +56,6 @@ class NonnegFactor:
 
     def __init__(self, columns, tol: Tolerance = DEFAULT_TOL):
         v = np.asarray(columns, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
         thr = tol.scaled(_factor_scale(v))
         if v.min(initial=0.0) < -thr:
             raise NotNonnegativeError("factor has a negative entry beyond tolerance")
@@ -73,9 +71,6 @@ class NonnegFactor:
     @property
     def p(self) -> int:
         return self.v.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.v[:, j].copy()
 
     def product(self) -> np.ndarray:
         return self.v @ self.v.T

@@ -25,7 +25,6 @@ _SYM_TOL = Tolerance(abs=0.0, rel=1e-12)
 
 @dataclass(frozen=True)
 class MatrixFile:
-    n: int
     data: np.ndarray
     factor: np.ndarray | None
     digest: str
@@ -88,7 +87,7 @@ def load_matrix(path: str) -> MatrixFile:
         raise DataError(str(exc)) from exc
     if factor is not None and factor.min(initial=0.0) < 0:
         raise DataError("factor entries must be nonnegative")
-    return MatrixFile(n, data, factor, digest)
+    return MatrixFile(data, factor, digest)
 
 
 def load_factor(path: str) -> tuple[np.ndarray, str]:

@@ -345,10 +345,11 @@ def _nnls(q, c, stop=0.0):
     """Minimizer of ``z @ q @ z - 2 * c @ z`` over z >= 0 by the
     Lawson-Hanson active set (Lawson & Hanson 1974, ch. 23) on the normal
     equations.  ``q`` is positive definite, or a Gram matrix A.T @ A with
-    dependent columns, whose passive columns the method keeps independent
-    while ``stop`` exceeds the roundoff in the gradient.  An index j enters the passive set only while ``(c - q @ z)_j``, minus
-    half the gradient, exceeds ``stop``.  ``None`` if it does not settle
-    within 3n additions (roundoff cycling)."""
+    dependent columns.  An index j enters the passive set only while
+    ``(c - q @ z)_j``, minus half the gradient, exceeds ``stop``; a ``stop``
+    above the roundoff in the gradient keeps the passive columns
+    independent.  ``None`` if it does not settle within 3n additions
+    (roundoff cycling)."""
     n = q.shape[0]
     passive = np.zeros(n, dtype=bool)
     z = np.zeros(n)

@@ -77,7 +77,7 @@ def test_03_factorization_residuals():
         v, cert = cc.positive_dd_factorize(m)
         ok &= np.abs(v.product() - m).max() <= 1e-9 * np.abs(m).max()
         ok &= cert.rank == n
-        ok &= v.column(cert.positive_column_index).min() > 0
+        ok &= v.v[:, cert.positive_column_index].min() > 0
     report("03 factorization residuals", ok)
 
 

@@ -672,7 +672,7 @@ def test_cp_interior_certificate(rng):
     cert = cp_interior_certificate(v)
     assert cert is not None
     assert cert.rank == 4
-    assert v.column(cert.positive_column_index).min() > 0
+    assert v.v[:, cert.positive_column_index].min() > 0
     # rank-deficient product is never interior
     flat = NonnegFactor(np.ones((4, 2)))
     assert cp_interior_certificate(flat) is None

@@ -146,6 +146,18 @@ class TestOrthChecks:
         assert orth_nullspace_check(m, a, NonnegFactor(np.ones((6, 1))), 0) == FAIL
         assert orth_nullspace_check(m, a, NonnegFactor(w), 0) == SKIP
 
+    def test_nullspace_of_an_empty_factor_is_decided(self):
+        """A factor with no columns puts every index in the support of all
+        of them, so each index gets PASS or FAIL, never SKIP: the condition
+        holds where (M A)[:, i] vanishes, as for column 5 of W6 and Horn plus
+        a zero row."""
+        w = np.eye(6)
+        w[[1, 2, 3, 4, 0], [0, 1, 2, 3, 4]] = 1.0
+        m, a = w @ w.T, horn_block6()
+        v = NonnegFactor(np.zeros((6, 1)))
+        assert v.p == 0
+        assert [orth_nullspace_check(m, a, v, i) for i in range(6)] == [FAIL] * 5 + [PASS]
+
     def test_anti_dd_all_rows(self):
         res = anti_dd_check(self.m, self.a)
         assert res.all_pass

@@ -23,6 +23,7 @@ from copcone import (
 )
 from copcone.errors import (
     ColumnOutsideConesError,
+    KOutOfRangeError,
     NewtonDivergedError,
     NotDiagonallyDominantError,
     NotDnnError,
@@ -58,6 +59,11 @@ class TestNonnegFactor:
     def test_rejects_negative(self):
         with pytest.raises(NotNonnegativeError):
             NonnegFactor(np.array([[-1.0]]))
+
+    def test_rejects_a_vector(self):
+        # a factor is an n x p array of columns, even when p is 1
+        with pytest.raises(ValueError, match="2-d array of columns"):
+            NonnegFactor(np.ones(3))
 
     def test_product(self, rng):
         raw = rng.random((3, 5))
@@ -158,7 +164,7 @@ class TestPositiveDd:
             v, cert = positive_dd_factorize(m)
             assert np.abs(v.product() - m).max() <= 1e-9 * np.abs(m).max()
             assert cert.rank == n
-            assert v.column(cert.positive_column_index).min() > 0
+            assert v.v[:, cert.positive_column_index].min() > 0
 
     def test_small_order_rejected(self):
         with pytest.raises(OrderTooSmallError):
@@ -232,6 +238,13 @@ class TestSupportSplit:
         assert with_i.p == 2 and without_i.p == 1
         total = with_i.product() + without_i.product()
         assert np.abs(total - v.product()).max() <= 1e-12
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_order(self, index):
+        # -1 would index the last row
+        v = NonnegFactor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
+        with pytest.raises(KOutOfRangeError, match="index out of range"):
+            support_split(v, index)
 
 
 class TestCp3:

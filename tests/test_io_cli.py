@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 class TestLoadMatrix:
     def test_json_fixture(self):
         mf = load_matrix(str(FIXTURES / "horn.json"))
-        assert mf.n == 5
+        assert mf.data.shape == (5, 5)
         assert mf.data[0, 1] == -1.0
         assert len(mf.digest) == 64
 
@@ -26,7 +26,7 @@ class TestLoadMatrix:
         p = tmp_path / "m.txt"
         p.write_text("2\n1 0\n0 2\n")
         mf = load_matrix(str(p))
-        assert mf.n == 2
+        assert mf.data.shape == (2, 2)
         assert mf.data[1, 1] == 2.0
 
     def test_factor_field(self):
@@ -205,6 +205,14 @@ class TestCliExitCodes:
         assert r.stdout == ""
         assert "factor entries must be nonnegative" in r.stderr
 
+    def test_verify_orth_decides_every_index_under_an_all_zero_factor(self, tmp_path):
+        """The factor loses its zero column, and with no columns left every
+        index is in the support of all of them: PASS or FAIL, never SKIP."""
+        (tmp_path / "z.json").write_text(json.dumps({"n": 6, "factor": [[0.0]] * 6}))
+        r = run_cli("verify-orth", "w6.json", "hornplus0.json", "--factor", str(tmp_path / "z.json"), cwd=FIXTURES)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["result"]["nullspace"] == ["FAIL"] * 5 + ["PASS"]
+
     def test_factorize_error_tag(self):
         r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
         assert r.returncode == 1
@@ -274,7 +282,7 @@ def test_check_copositive_matches_golden_report(fixture):
     assert r.stdout == golden.read_text()
 
 
-def check_certificate(tmp_path, report_text, matrix):
+def check_certificate(tmp_path, report_text, *matrix):
     report = tmp_path / "report.json"
     report.write_text(report_text)
     return subprocess.run(
@@ -282,7 +290,7 @@ def check_certificate(tmp_path, report_text, matrix):
             sys.executable,
             str(FIXTURES.parent / "scripts" / "check_certificate.py"),
             str(report),
-            str(matrix),
+            *map(str, matrix),
         ],
         capture_output=True,
         text=True,
@@ -302,6 +310,30 @@ def test_certificate_checker_cannot_verify_copositive_membership(tmp_path):
     chk = check_certificate(tmp_path, r.stdout, FIXTURES / "horn.json")
     assert chk.returncode == 4, chk.stdout + chk.stderr
     assert "not verifiable" in chk.stdout
+
+
+def test_certificate_checker_needs_no_matrix_for_a_report_that_read_none(tmp_path):
+    """`bounds --n` reads no file, so its inputs are empty: without MATRIX
+    the table is not verifiable (exit 4)."""
+    r = run_cli("bounds", "--n", "6")
+    assert json.loads(r.stdout)["inputs"] == {}
+    chk = check_certificate(tmp_path, r.stdout)
+    assert chk.returncode == 4, chk.stdout + chk.stderr
+    assert "bounds results carry no checkable certificate yet" in chk.stdout
+
+
+def test_certificate_checker_rejects_a_matrix_the_report_did_not_read(tmp_path):
+    r = run_cli("bounds", "--n", "6")
+    chk = check_certificate(tmp_path, r.stdout, FIXTURES / "w6.json")
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+    assert "w6.json is not an input of the report" in chk.stdout
+
+
+def test_certificate_checker_needs_a_matrix_for_a_report_that_read_one(tmp_path):
+    r = run_cli("check", "--cone", "psd", str(FIXTURES / "horn.json"))
+    chk = check_certificate(tmp_path, r.stdout)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+    assert "the report read files: give one of them as MATRIX" in chk.stdout
 
 
 def _negate_value(res):
