@@ -5,7 +5,8 @@ and extreme-ray orbit tooling.
 ``import copcone`` loads none of the layer modules.  A public name, or a
 layer module such as ``copcone.cones``, is imported on first access
 (PEP 562) and the name is then bound here, so a process that only tests
-copositivity never loads ``bounds``, ``extremal``, ``factor`` or ``special``.
+copositivity, ``copcone check`` included, never runs ``bounds``,
+``extremal``, ``factor`` or ``special``.
 """
 
 import sys

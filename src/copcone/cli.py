@@ -11,16 +11,34 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import sys
 import time
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import cones, extremal, factor
+from . import cones
 from .errors import CopconeError, DataError
 from .io import canonical_json, load_factor, load_matrix
 from .kernel import Tolerance
+
+
+def _lazy(name: str):
+    """The module ``copcone.<name>``, put in ``sys.modules`` now but run on
+    its first attribute access, so that a command runs only the layers it
+    uses while a tracer still finds every layer in ``sys.modules``."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+bounds_mod = _lazy("bounds")
+extremal = _lazy("extremal")
+factor = _lazy("factor")
 
 EXIT_USAGE = 64
 EXIT_DATA = 65
