@@ -61,11 +61,12 @@ def index(value, size: int, what: str) -> int:
 def load(path: str):
     """The matrix a file holds, symmetrized as copcone symmetrizes it, the
     file's `factor` field (None in the plain-text format) and its sha256."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     text = blob.decode()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        n, data, factor = int(doc["n"]), doc["data"], doc.get("factor")
+        checks.require(type(doc["n"]) is int, f"n: not an integer {doc['n']!r}")
+        n, data, factor = doc["n"], doc["data"], doc.get("factor")
     else:  # the plain-text format: n, then the n^2 entries
         n, *data = text.split()
         n, factor = int(n), None
@@ -170,7 +171,7 @@ def main(argv) -> int:
     parser.add_argument("matrix", nargs="?")
     args = parser.parse_args(argv)
     try:
-        verify(json.load(open(args.report)), args.matrix)
+        verify(json.loads(Path(args.report).read_text()), args.matrix)
     except (checks.CheckError, LookupError, TypeError, ValueError, AttributeError, argparse.ArgumentError) as exc:
         # a missing or mistyped field fails the report like a false claim
         reason = exc if isinstance(exc, checks.CheckError) else f"malformed report: {exc!r}"

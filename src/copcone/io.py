@@ -43,6 +43,14 @@ def _as_matrix(raw, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def _order(doc) -> int:
+    """A JSON file's ``n``; ``int()`` would read 2.5 as 2 and true as 1."""
+    n = doc["n"]
+    if type(n) is not int:
+        raise DataError(f"n must be an integer, not {n!r}")
+    return n
+
+
 def _read(path: str) -> tuple[bytes, str]:
     """The bytes of a file and their sha256 digest."""
     try:
@@ -62,7 +70,7 @@ def load_matrix(path: str) -> MatrixFile:
     try:
         if stripped.startswith("{"):
             doc = json.loads(text)
-            n = int(doc["n"])
+            n = _order(doc)
             data = _as_matrix(doc["data"], n, "data")
             factor = None
             if doc.get("factor") is not None:
@@ -96,7 +104,7 @@ def load_factor(path: str) -> tuple[np.ndarray, str]:
     blob, digest = _read(path)
     try:
         doc = json.loads(blob.decode("utf-8"))
-        n = int(doc["n"])
+        n = _order(doc)
         factor = _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
     except DataError:
         raise

@@ -1,30 +1,60 @@
+import contextlib
+import importlib.util
+import io
 import os
-import subprocess
-import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from copcone import NonnegFactor, horn_generators
+from copcone import NonnegFactor, cli, horn_generators
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# scripts/check_certificate.py is a script, not a module on the path: load it
+# once, as the module its ``main`` lives in.
+_spec = importlib.util.spec_from_file_location("check_certificate", ROOT / "scripts" / "check_certificate.py")
+checker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checker)
 
 
-def run_cli(*args, env=None, cwd=None):
-    """Run ``python -m copcone`` in a subprocess that imports this checkout."""
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run(main, *args, cwd=None) -> Run:
+    """Call ``main(argv)`` in this process, from ``cwd`` when given, with
+    stdout and stderr captured; the exit code of an argparse usage error
+    (64 for copcone) or ``--help`` is that of its ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(a) for a in args])
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(previous)
+    return Run(code, out.getvalue(), err.getvalue())
+
+
+def run_cli(*args, cwd=None) -> Run:
+    """``copcone ARGS``, run in process by :func:`run`."""
+    return run(cli.main, *args, cwd=cwd)
+
+
+def checkout_env(**extra) -> dict:
+    """The environment for a fresh interpreter that imports this checkout."""
     path = os.environ.get("PYTHONPATH")
-    full_env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "copcone", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-        cwd=cwd,
-    )
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""), **extra)
 
 
 @pytest.fixture

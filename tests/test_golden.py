@@ -1,30 +1,28 @@
 """Golden CLI reports: every fixture x subcommand, stdout and exit code.
 
-Each case runs ``copcone.cli.main`` in process from the repository root, so
-the report's paths are relative, and compares its stdout byte for byte with
+Each case runs ``copcone.cli.main`` in process, through conftest's shared
+runner ``run_cli``, from the repository root, so the report's paths are
+relative, and compares its stdout byte for byte with
 ``tests/golden/<case>.json`` and its exit code with
 ``tests/golden/exit-codes.json``.  A data error (exit 65) pins an empty
 stdout.
 
-Regenerate the named cases (all of them when none is named) with
+Regenerate the named cases (all of them when none is named), through the
+same runner, with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
 and regenerate only the reports a change is meant to move.
 """
 
-import contextlib
-import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from copcone.cli import main
+from conftest import ROOT, run_cli
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 EXIT_CODES = GOLDEN / "exit-codes.json"
 
@@ -50,29 +48,17 @@ CASES["bounds-witness-w6-hornplus0"] = [
 ]
 
 
-def run_case(argv):
-    """Return ``(stdout, exit code)`` of one in-process CLI run."""
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    return out.getvalue(), code
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case):
-    stdout, code = run_case(CASES[case])
-    assert code == json.loads(EXIT_CODES.read_text())[case]
-    assert stdout == (GOLDEN / f"{case}.json").read_text()
+    r = run_cli(*CASES[case], cwd=ROOT)
+    assert r.returncode == json.loads(EXIT_CODES.read_text())[case]
+    assert r.stdout == (GOLDEN / f"{case}.json").read_text()
 
 
 if __name__ == "__main__":
     codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
     for case in sys.argv[1:] or sorted(CASES):
-        stdout, codes[case] = run_case(CASES[case])
-        (GOLDEN / f"{case}.json").write_text(stdout)
+        r = run_cli(*CASES[case], cwd=ROOT)
+        codes[case] = r.returncode
+        (GOLDEN / f"{case}.json").write_text(r.stdout)
     EXIT_CODES.write_text(json.dumps(dict(sorted(codes.items())), indent=2) + "\n")

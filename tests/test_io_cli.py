@@ -1,15 +1,17 @@
+import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import checker, checkout_env, run, run_cli
 from copcone import horn_matrix
 from copcone.errors import DataError
-from copcone.io import canonical_json, load_matrix
+from copcone.io import canonical_json, load_factor, load_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -66,6 +68,23 @@ class TestLoadMatrix:
         p.write_text("{not json")
         with pytest.raises(DataError):
             load_matrix(str(p))
+
+    @pytest.mark.parametrize("load", [load_matrix, load_factor])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 2.5, "data": [[1, 0], [0, 1]]}',
+            '{"n": true, "data": [[1]]}',
+            '{"n": "2", "data": [[1, 0], [0, 1]]}',
+        ],
+        ids=["float", "bool", "string"],
+    )
+    def test_rejects_an_order_that_is_not_an_integer(self, tmp_path, doc, load):
+        # int() read these as orders 2, 1 and 2, and the data fits each
+        p = tmp_path / "bad.json"
+        p.write_text(doc)
+        with pytest.raises(DataError, match="n must be an integer"):
+            load(str(p))
 
     def test_missing_file(self):
         with pytest.raises(DataError):
@@ -184,7 +203,9 @@ class TestCliExitCodes:
         doc = json.loads((FIXTURES / "w6.json").read_text())
         doc["factor"] = (1e160 * np.array(doc["factor"])).tolist()
         (tmp_path / "big.json").write_text(json.dumps(doc))
-        r = run_cli(*args, cwd=tmp_path, env={"PYTHONWARNINGS": "error"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_cli(*args, cwd=tmp_path)
         assert r.returncode == 65
         assert r.stdout == ""
         assert "factor product entries must be at most 2**500 in magnitude" in r.stderr
@@ -244,6 +265,57 @@ class TestCliDeterminism:
         assert "wall time" in r.stderr
 
 
+class TestProcessBoundary:
+    """The only CLI and checker runs that start interpreters: each pins what
+    a run in this process cannot show.  The rest go through conftest's
+    in-process runner, which these show to be faithful."""
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("bounds", "w6.json", "--witness", "hornplus0.json", "--factor", "w6.json"), 0),
+            (("check", "--cone", "psd", "horn.json"), 1),
+            (("check", "horn.json"), 64),
+            (("check", "--cone", "psd", "missing.json"), 65),
+        ],
+        ids=["exit-0", "exit-1", "exit-64", "exit-65"],
+    )
+    def test_python_m_copcone_matches_the_in_process_runner(self, args, code, seed):
+        """Two hash seeds give the report of this process: a second run in
+        one process cannot show an order that depends on string hashes."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "copcone", *args],
+            cwd=FIXTURES,
+            env=checkout_env(PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+        )
+        r = run_cli(*args, cwd=FIXTURES)
+        assert proc.returncode == r.returncode == code, proc.stderr
+        assert proc.stdout == r.stdout
+        if code >= 64:  # an error message, and no wall time
+            assert proc.stderr == r.stderr
+
+    def test_a_report_piped_into_the_checker(self):
+        with subprocess.Popen(
+            [sys.executable, "-m", "copcone", "check", "--cone", "psd", "horn.json"],
+            cwd=FIXTURES,
+            env=checkout_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        ) as copcone:
+            chk = subprocess.run(
+                [sys.executable, str(FIXTURES.parent / "scripts" / "check_certificate.py"), "/dev/stdin", "horn.json"],
+                cwd=FIXTURES,
+                stdin=copcone.stdout,
+                capture_output=True,
+                text=True,
+            )
+        assert copcone.returncode == 1
+        assert (chk.returncode, chk.stdout, chk.stderr) == (0, "certificate OK\n", "")
+
+
 class TestCliFlags:
     def test_tol_flag(self):
         r = run_cli("check", "--cone", "nonneg", str(FIXTURES / "j2.json"), "--tol", "1e-5")
@@ -285,16 +357,7 @@ def test_check_copositive_matches_golden_report(fixture):
 def check_certificate(tmp_path, report_text, *matrix):
     report = tmp_path / "report.json"
     report.write_text(report_text)
-    return subprocess.run(
-        [
-            sys.executable,
-            str(FIXTURES.parent / "scripts" / "check_certificate.py"),
-            str(report),
-            *map(str, matrix),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    return run(checker.main, report, *matrix)
 
 
 def test_certificate_checker_script(tmp_path):
@@ -402,6 +465,20 @@ def test_certificate_checker_rejects_a_file_the_report_did_not_read(tmp_path):
     assert check_certificate(tmp_path, report, FIXTURES / "identity6.json").returncode == 4
     chk = check_certificate(tmp_path, report, FIXTURES / "dd_example.json")
     assert chk.returncode == 3, chk.stdout + chk.stderr
+
+
+@pytest.mark.parametrize("n, data", [(2.5, [[1, 0], [0, 1]]), (True, [[1]])], ids=["float", "bool"])
+def test_certificate_checker_rejects_an_order_that_is_not_an_integer(tmp_path, n, data):
+    # int() read these as orders 2 and 1, where the report's IN holds
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"n": len(data), "data": data}))
+    doc = json.loads(run_cli("check", "--cone", "psd", str(matrix)).stdout)
+    matrix.write_text(json.dumps({"n": n, "data": data}))
+    digest = hashlib.sha256(matrix.read_bytes()).hexdigest()
+    doc["inputs"] = {path: digest for path in doc["inputs"]}
+    chk = check_certificate(tmp_path, json.dumps(doc), matrix)
+    assert chk.returncode == 3, chk.stdout + chk.stderr
+    assert "not an integer" in chk.stdout
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (5, 0)])

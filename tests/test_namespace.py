@@ -5,14 +5,13 @@ but runs ``factor``, ``bounds`` and ``extremal`` only when a command uses them."
 import importlib
 import inspect
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 import copcone
-from conftest import SRC
+from conftest import ROOT, checkout_env
 
 # The modules that are attributes of the package without an explicit import.
 MODULES = ("bounds", "cones", "errors", "extremal", "factor", "kernel", "special")
@@ -25,11 +24,9 @@ TRACED = ("kernel", "cones", "factor", "bounds", "extremal", "io")
 def fresh(code: str, result: str):
     """The JSON value of the expression ``result`` in a fresh interpreter,
     started in the checkout, after it has run ``code``."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     probe = f"{code}\nimport json, sys, types\nprint(json.dumps({result}))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, cwd=SRC.parent, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=checkout_env(), cwd=ROOT, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
 
