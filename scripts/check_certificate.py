@@ -7,35 +7,24 @@ MATRIX is an input file the report names, as JSON or as plain text; a
 report that read no file, as `copcone bounds --n N` does, needs none.
 Exits 0 if the certificate holds; 3 if it does not, if the report is
 malformed (a field missing or of the wrong type), if it is an error
-report or carries no factor, or if MATRIX is missing or not one of its
-inputs; 4 if it cannot be verified, which includes the result of any
-other command (docs/format.md gives the rule).
+report or carries no factor, if MATRIX is missing or not one of its
+inputs, or if REPORT or MATRIX cannot be read; 4 if it cannot be
+verified, which includes the result of any other command
+(docs/format.md gives the rule).
 """
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "copbench"))
-import checks  # noqa: E402  numpy only; it never imports copcone
-
-# The certificate kinds each answer may carry, as `check` emits them: a
-# failure needs a witness, membership carries a zero or nothing, UNDECIDED
-# nothing.  A factorize report is keyed by its method: posdd carries the
-# interior certificate, the other methods none.
-KINDS = {
-    "NOT_IN": {"negative_entry", "violation_vector"},
-    "IN": {None, "boundary_zero"},
-    "UNDECIDED": {None},
-    "posdd": {"interior"},
-    "dd": {None},
-    "cp3": {None},
-    "horn6": {None},
-    "heuristic": {None},
-}
+# copbench/checks.py, loaded by its path: numpy only, it never imports copcone
+_spec = importlib.util.spec_from_file_location("checks", Path(__file__).resolve().parents[1] / "copbench/checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 # Relative residual `heuristic_min_factor` accepts (the library's _FACTOR_FIT).
 HEURISTIC_FIT = 1e-7
@@ -56,6 +45,28 @@ def index(value, size: int, what: str) -> int:
     numpy does, which reads -1 as the last row or column."""
     checks.require(type(value) is int and 0 <= value < size, f"{what}: no index {value!r}")
     return value
+
+
+def interior(m, cert, result) -> None:
+    v = np.asarray(cert["factor"], dtype=float).reshape(len(m), -1)
+    j = index(cert["positive_column_index"], v.shape[1], "interior certificate")
+    checks.interior_certificate(m, v, j, cert["rank"])
+
+
+# Each certificate kind: the answers of `check` or the methods of `factorize`
+# it may appear under, and the checks.py predicate that verifies it for the
+# matrix m.  A failure carries a witness, membership a zero or nothing,
+# UNDECIDED nothing; posdd carries the interior certificate, the other
+# methods none.
+KINDS = {
+    "negative_entry": ({"NOT_IN"}, lambda m, cert, result: checks.negative_entry(
+        m, index(cert["i"], len(m), "negative entry"), index(cert["j"], len(m), "negative entry"), cert["value"])),
+    "violation_vector": ({"NOT_IN"}, lambda m, cert, result: (
+        checks.violation if result["cone"] == "COPOSITIVE" else checks.psd_violation)(m, cert["x"], cert["value"])),
+    "boundary_zero": ({"IN"}, lambda m, cert, result: checks.boundary_zero(m, cert["x"], cert["value"])),
+    "interior": ({"posdd"}, interior),
+    None: ({"IN", "UNDECIDED", "dd", "cp3", "horn6", "heuristic"}, lambda m, cert, result: None),
+}
 
 
 def load(path: str):
@@ -126,20 +137,9 @@ def certify(report: dict, m: np.ndarray, file_factor) -> None:
     else:
         role = result["answer"]
     cert = result.get("certificate") or {}
-    kind = cert.get("kind")
-    checks.require(kind in KINDS.get(role, ()), f"certificate kind {kind} does not fit {role}")
-    if kind == "negative_entry":
-        i, j = index(cert["i"], n, "negative entry"), index(cert["j"], n, "negative entry")
-        checks.negative_entry(m, i, j, cert["value"])
-    elif kind == "violation_vector":
-        witness = checks.violation if result["cone"] == "COPOSITIVE" else checks.psd_violation
-        witness(m, cert["x"], cert["value"])
-    elif kind == "boundary_zero":
-        checks.boundary_zero(m, cert["x"], cert["value"])
-    elif kind == "interior":
-        v = np.asarray(cert["factor"], dtype=float).reshape(n, -1)
-        j = index(cert["positive_column_index"], v.shape[1], "interior certificate")
-        checks.interior_certificate(m, v, j, cert["rank"])
+    roles, predicate = KINDS.get(cert.get("kind"), ((), None))
+    checks.require(role in roles, f"certificate kind {cert.get('kind')} does not fit {role}")
+    predicate(m, cert, result)
     if factorize:
         v = np.asarray(result["factor"], dtype=float).reshape(n, -1)
         checks.require(result["p"] == v.shape[1], f"factor: p is {result['p']!r}, not {v.shape[1]}")
@@ -176,6 +176,9 @@ def main(argv) -> int:
         # a missing or mistyped field fails the report like a false claim
         reason = exc if isinstance(exc, checks.CheckError) else f"malformed report: {exc!r}"
         print(f"certificate FAILED: {reason}")
+        return 3
+    except OSError as exc:  # a missing path, or a directory
+        print(f"certificate FAILED: cannot read {exc.filename}: {exc.strerror}")
         return 3
     except NotVerifiable as exc:
         print(f"certificate not verifiable: {exc}")

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import os
 from pathlib import Path
@@ -13,12 +12,6 @@ from copcone import NonnegFactor, cli, horn_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-
-# scripts/check_certificate.py is a script, not a module on the path: load it
-# once, as the module its ``main`` lives in.
-_spec = importlib.util.spec_from_file_location("check_certificate", ROOT / "scripts" / "check_certificate.py")
-checker = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checker)
 
 
 class Run(NamedTuple):
