@@ -124,8 +124,6 @@ def cmd_factorize(args, tol, inputs) -> tuple[dict, int]:
         v = factor.horn_orthogonal_factorize(factor.NonnegFactor(mf.factor, tol), tol)
         target = mf.factor @ mf.factor.T
     else:  # heuristic
-        if args.target is None:
-            raise DataError("heuristic factorization needs --target")
         v = factor.heuristic_min_factor(mf.data, args.target, tol=tol)
         if v is None:
             result["status"] = "FAILED"
@@ -145,8 +143,6 @@ def cmd_factorize(args, tol, inputs) -> tuple[dict, int]:
 
 def cmd_bounds(args, tol, inputs) -> tuple[dict, int]:
     if args.path is None:
-        if args.n is None:
-            raise DataError("either a matrix file or --n is required")
         lo, hi = bounds_mod.known_pn_interval(args.n)
         return {
             "n": args.n,
@@ -190,6 +186,22 @@ def cmd_verify_orth(args, tol, inputs) -> tuple[dict, int]:
     return result, 0
 
 
+def _misuse(args) -> str | None:
+    """The message of the usage rule the parsed arguments break, or None:
+    the rules that tie one option to another, which argparse cannot state."""
+    if args.command == "bounds":
+        if args.n is None and args.path is None:
+            return "either a matrix file or --n is required"
+        if args.n is not None and (args.path, args.witness, args.factor) != (None, None, None):
+            return "--n reads no matrix file, --witness or --factor"
+    elif args.command == "factorize":
+        if args.method == "heuristic" and args.target is None:
+            return "heuristic factorization needs --target"
+        if args.method != "heuristic" and args.target is not None:
+            return "--target is read by --method heuristic only"
+    return None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="copcone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,7 +240,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    misuse = _misuse(args)
+    if misuse:
+        parser.error(misuse)
     started = time.perf_counter()
     try:
         tol = Tolerance() if args.tol is None else Tolerance(abs=args.tol, rel=args.tol)

@@ -1,8 +1,28 @@
+"""copcone's file loaders and report format, and its CLI as a table.
+
+Each row of ROWS runs ``copcone.cli.main`` twice in process, from
+``fixtures/``, with every warning an error; both runs must give the same
+exit code and stdout bytes.  A row names:
+
+- an id and the argv, whose words name fixtures or the row's files;
+- the exit code;
+- stdout: None for empty, {dotted path: value} read from the JSON report,
+  or a fragment of the text;
+- a fragment of stderr;
+- optional files, name -> text, written to ``tmp_path``: a word of the
+  argv that names one stands for its path.
+
+tests/test_golden.py pins the report of every fixture under each
+subcommand byte for byte, and TestProcessBoundary exit codes 0, 1, 64 and
+65 across the process boundary; a row pins what neither does.
+"""
+
+import functools
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -118,156 +138,127 @@ class TestCanonicalJson:
             canonical_json({"x": object()})
 
 
-class TestCliExitCodes:
-    def test_check_in(self):
-        r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
-        assert r.returncode == 0
-        assert json.loads(r.stdout)["result"]["answer"] == "IN"
+W6 = json.loads((FIXTURES / "w6.json").read_text())
+F6 = np.array(W6["factor"])
+F6_NEGATIVE = F6.copy()
+F6_NEGATIVE[0, 0] = -1
+OVERFLOWING = {
+    "ones": "[[1e308, -1e308], [-1e308, 1e308]]",
+    "diagonal": "[[1e308, 0], [0, 1]]",
+    "ones-1e200": "[[1e200, -1e200], [-1e200, 1e200]]",
+    "ones-half-max": "[[8.988465674311579e307, -8.988465674311579e307], "
+    "[-8.988465674311579e307, 8.988465674311579e307]]",
+}
+N_ALONE = "--n reads no matrix file, --witness or --factor"
 
-    def test_check_not_in(self):
-        r = run_cli("check", "--cone", "psd", str(FIXTURES / "horn.json"))
-        assert r.returncode == 1
-        assert json.loads(r.stdout)["result"]["answer"] == "NOT_IN"
 
-    def test_check_undecided(self, tmp_path):
-        # I_17 - 0.01 (J - I): past the order-16 enumeration, and no vertex or edge refutes it
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps({"n": 17, "data": (1.01 * np.eye(17) - 0.01).tolist()}))
-        r = run_cli("check", "--cone", "copositive", str(p))
-        assert r.returncode == 2
-        assert json.loads(r.stdout)["result"]["answer"] == "UNDECIDED"
+def w6_with_factor(v: np.ndarray) -> str:
+    return json.dumps(dict(W6, factor=v.tolist()))
 
-    def test_usage_error(self):
-        r = run_cli("check", str(FIXTURES / "horn.json"))
-        assert r.returncode == 64
 
-    def test_data_error(self):
-        r = run_cli("check", "--cone", "psd", "missing.json")
-        assert r.returncode == 65
+class Row(NamedTuple):
+    id: str
+    argv: tuple
+    code: int
+    stdout: Any  # None, {dotted path: value} or a fragment
+    stderr: str
+    files: dict | None = None  # name -> text, written to tmp_path
 
-    @pytest.mark.parametrize("tail", ["7 8 9 junk", "7"])
-    def test_trailing_tokens_are_a_data_error(self, tmp_path, tail):
-        p = tmp_path / "m.txt"
-        p.write_text(f"2\n1 0\n0 2\n{tail}\n")
-        r = run_cli("check", "--cone", "psd", str(p))
-        assert r.returncode == 65
-        assert r.stdout == ""
 
-    @pytest.mark.parametrize(
-        "args",
-        [("bounds", "w6.json", "--witness", "horn.json"), ("verify-orth", "w6.json", "horn.json")],
-        ids=["bounds", "verify-orth"],
+ROWS = [
+    # I_17 - 0.01 (J - I): past the order-16 enumeration, and no vertex or edge refutes it
+    Row("undecided", ("check", "--cone", "copositive", "m.json"), 2, {"result.answer": "UNDECIDED"}, "wall time",
+        {"m.json": json.dumps({"n": 17, "data": (1.01 * np.eye(17) - 0.01).tolist()})}),
+    Row("trailing-tokens", ("check", "--cone", "psd", "m.txt"), 65, None,
+        "could not convert string to float: 'junk'", {"m.txt": "2\n1 0\n0 2\n7 8 9 junk\n"}),
+    Row("trailing-token", ("check", "--cone", "psd", "m.txt"), 65, None,
+        "expected n^2 = 4 matrix values, got 5", {"m.txt": "2\n1 0\n0 2\n7\n"}),
+    Row("orders-differ-bounds", ("bounds", "w6.json", "--witness", "horn.json"), 65, None,
+        "matrix orders differ: 6 and 5"),
+    Row("orders-differ-verify-orth", ("verify-orth", "w6.json", "horn.json"), 65, None,
+        "matrix orders differ: 6 and 5"),
+    # too few rows to index, or enough rows to pass on the wrong ones
+    *(
+        Row(f"factor-order-{rows}-{argv[0]}", (*argv, "f.json"), 65, None,
+            f"factor order {rows} differs from matrix order 6",
+            {"f.json": json.dumps({"n": rows, "factor": np.ones((rows, 2)).tolist()})})
+        for argv in (("verify-orth", "w6.json", "hornplus0.json", "--factor"), ("bounds", "w6.json", "--factor"))
+        for rows in (5, 7)
+    ),
+    *(
+        Row(f"overflow-{name}-{cone}", ("check", "--cone", cone, "m.json"), 65, None,
+            "matrix entries must be at most 2**500 in magnitude", {"m.json": f'{{"n": 2, "data": {data}}}'})
+        for name, data in OVERFLOWING.items()
+        for cone in ("copositive", "psd", "dnn", "nonneg")
+    ),
+    # a matrix file's factor field, or a --factor file
+    Row("factor-field-beyond-bound", ("factorize", "--method", "horn6", "big.json"), 65, None,
+        "factor product entries must be at most 2**500 in magnitude", {"big.json": w6_with_factor(1e160 * F6)}),
+    Row("factor-file-beyond-bound", ("bounds", "big.json", "--factor", "big.json"), 65, None,
+        "factor product entries must be at most 2**500 in magnitude", {"big.json": w6_with_factor(1e160 * F6)}),
+    Row("factor-field-negative", ("factorize", "--method", "horn6", "neg.json"), 65, None,
+        "factor entries must be nonnegative", {"neg.json": w6_with_factor(F6_NEGATIVE)}),
+    Row("factor-file-negative", ("bounds", "w6.json", "--factor", "neg.json"), 65, None,
+        "factor entries must be nonnegative", {"neg.json": w6_with_factor(F6_NEGATIVE)}),
+    # The factor loses its zero column, and with no columns left every index
+    # is in the support of all of them: PASS or FAIL, never SKIP.
+    Row("all-zero-factor", ("verify-orth", "w6.json", "hornplus0.json", "--factor", "z.json"), 0,
+        {"result.nullspace": ["FAIL"] * 5 + ["PASS"]}, "wall time",
+        {"z.json": json.dumps({"n": 6, "factor": [[0.0]] * 6})}),
+    Row("tol", ("check", "--cone", "nonneg", "j2.json", "--tol", "1e-5"), 0, {"tolerance.abs": 1e-5}, "wall time"),
+    # With a NaN threshold this matrix, whose edge minimum is -2, was IN.
+    *(
+        Row(f"tol-{name}", ("check", "--cone", "copositive", "m.json", f"--tol={value}"), 65, None,
+            "tolerances must be finite and nonnegative", {"m.json": '{"n": 2, "data": [[1, -5], [-5, 1]]}'})
+        for name, value in (("nan", "nan"), ("inf", "inf"), ("negative", "-1e-9"))
+    ),
+    # argvs no golden runs
+    Row("bounds-table", ("bounds", "--n", "6"), 0, {"result.interval": [9, 15]}, "wall time"),
+    Row("bounds-witness", ("bounds", "w6.json", "--witness", "hornplus0.json"), 0,
+        {"result.best_interval": [6, 12]}, "wall time"),
+    Row("verify-orth", ("verify-orth", "w6.json", "hornplus0.json"), 0,
+        {"result.column_check": True, "result.anti_dd_all_pass": True}, "wall time"),
+    # usage rules: combinations argparse accepts that no command reads
+    Row("bounds-without-input", ("bounds",), 64, None, "error: either a matrix file or --n is required"),
+    Row("bounds-n-and-file", ("bounds", "--n", "6", "w6.json"), 64, None, N_ALONE),
+    Row("bounds-n-and-witness", ("bounds", "--n", "6", "--witness", "hornplus0.json"), 64, None, N_ALONE),
+    Row("bounds-n-and-factor", ("bounds", "--n", "6", "--factor", "w6.json"), 64, None, N_ALONE),
+    Row("heuristic-without-target", ("factorize", "--method", "heuristic", "dd_example.json"), 64, None,
+        "error: heuristic factorization needs --target"),
+    Row("target-without-heuristic", ("factorize", "--method", "dd", "--target", "6", "dd_example.json"), 64, None,
+        "error: --target is read by --method heuristic only"),
+    Row("help", ("--help",), 0, "usage: copcone [-h]", ""),
+    *(
+        Row(f"help-{command}", (command, "--help"), 0, f"usage: copcone {command}", "")
+        for command in ("check", "factorize", "bounds", "orbit", "verify-orth")
+    ),
+]
+
+
+def value_at(doc, path: str):
+    return functools.reduce(
+        lambda node, key: node[int(key) if isinstance(node, list) else key], path.split("."), doc
     )
-    def test_matrix_orders_differ_is_a_data_error(self, args):
-        r = run_cli(*args, cwd=FIXTURES)
-        assert r.returncode == 65
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_cli(tmp_path, row):
+    files = row.files or {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [tmp_path / arg if arg in files else arg for arg in row.argv]
+    r, again = run_cli(*argv, cwd=FIXTURES), run_cli(*argv, cwd=FIXTURES)
+    assert (r.returncode, r.stdout) == (again.returncode, again.stdout)
+    assert r.returncode == row.code, r.stderr
+    assert row.stderr in r.stderr, r.stderr
+    if row.stdout is None:
         assert r.stdout == ""
-        assert "matrix orders differ: 6 and 5" in r.stderr
-
-    @pytest.mark.parametrize("rows", [5, 7])
-    @pytest.mark.parametrize(
-        "args",
-        [("verify-orth", "w6.json", "hornplus0.json", "--factor"), ("bounds", "w6.json", "--factor")],
-        ids=["verify-orth", "bounds"],
-    )
-    def test_factor_of_another_order_is_a_data_error(self, tmp_path, args, rows):
-        # too few rows to index, or enough rows to pass on the wrong ones
-        f = tmp_path / "f.json"
-        f.write_text(json.dumps({"n": rows, "factor": np.ones((rows, 2)).tolist()}))
-        r = run_cli(*args, str(f), cwd=FIXTURES)
-        assert r.returncode == 65
-        assert r.stdout == ""
-        assert f"factor order {rows} differs from matrix order 6" in r.stderr
-
-    @pytest.mark.parametrize("cone", ["copositive", "psd", "dnn", "nonneg"])
-    @pytest.mark.parametrize(
-        "data",
-        [
-            "[[1e308, -1e308], [-1e308, 1e308]]",
-            "[[1e308, 0], [0, 1]]",
-            "[[1e200, -1e200], [-1e200, 1e200]]",
-            "[[8.988465674311579e307, -8.988465674311579e307], [-8.988465674311579e307, 8.988465674311579e307]]",
-        ],
-        ids=["ones", "diagonal", "ones-1e200", "ones-half-max"],
-    )
-    def test_entries_whose_symmetrization_overflows_are_a_data_error(self, tmp_path, cone, data):
-        p = tmp_path / "m.json"
-        p.write_text(f'{{"n": 2, "data": {data}}}')
-        r = run_cli("check", "--cone", cone, str(p))
-        assert r.returncode == 65
-        assert r.stdout == ""
-        assert "matrix entries must be at most 2**500 in magnitude" in r.stderr
-        assert "overflow" not in r.stderr
-
-    @pytest.mark.parametrize(
-        "args",
-        [("factorize", "--method", "horn6", "big.json"), ("bounds", "big.json", "--factor", "big.json")],
-        ids=["horn6", "bounds"],
-    )
-    def test_factor_beyond_the_entry_bound_is_a_data_error(self, tmp_path, args):
-        doc = json.loads((FIXTURES / "w6.json").read_text())
-        doc["factor"] = (1e160 * np.array(doc["factor"])).tolist()
-        (tmp_path / "big.json").write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = run_cli(*args, cwd=tmp_path)
-        assert r.returncode == 65
-        assert r.stdout == ""
-        assert "factor product entries must be at most 2**500 in magnitude" in r.stderr
-
-    @pytest.mark.parametrize(
-        "args",
-        [("factorize", "--method", "horn6", "neg.json"), ("bounds", "w6.json", "--factor", "neg.json")],
-        ids=["factor-field", "factor-file"],
-    )
-    def test_negative_factor_entry_is_a_data_error(self, tmp_path, args):
-        # a matrix file's factor field, or a --factor file
-        doc = json.loads((FIXTURES / "w6.json").read_text())
-        (tmp_path / "w6.json").write_text(json.dumps(doc))
-        doc["factor"][0][0] = -1
-        (tmp_path / "neg.json").write_text(json.dumps(doc))
-        r = run_cli(*args, cwd=tmp_path)
-        assert r.returncode == 65
-        assert r.stdout == ""
-        assert "factor entries must be nonnegative" in r.stderr
-
-    def test_verify_orth_decides_every_index_under_an_all_zero_factor(self, tmp_path):
-        """The factor loses its zero column, and with no columns left every
-        index is in the support of all of them: PASS or FAIL, never SKIP."""
-        (tmp_path / "z.json").write_text(json.dumps({"n": 6, "factor": [[0.0]] * 6}))
-        r = run_cli("verify-orth", "w6.json", "hornplus0.json", "--factor", str(tmp_path / "z.json"), cwd=FIXTURES)
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout)["result"]["nullspace"] == ["FAIL"] * 5 + ["PASS"]
-
-    def test_factorize_error_tag(self):
-        r = run_cli("factorize", "--method", "dd", str(FIXTURES / "horn.json"))
-        assert r.returncode == 1
-        assert "error" in json.loads(r.stdout)["result"]
-
-
-class TestCliDeterminism:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("check", "--cone", "copositive", "horn.json"),
-            ("factorize", "--method", "dd", "dd_example.json"),
-            ("factorize", "--method", "horn6", "w6.json"),
-            ("bounds", "w6.json", "--witness", "hornplus0.json"),
-            ("orbit", "e12.json"),
-            ("verify-orth", "w6.json", "hornplus0.json", "--factor", "w6.json"),
-        ],
-    )
-    def test_byte_identical_reports(self, args):
-        full = [a if not a.endswith(".json") else str(FIXTURES / a) for a in args]
-        r1 = run_cli(*full)
-        r2 = run_cli(*full)
-        assert r1.stdout == r2.stdout
-        assert r1.stdout.strip()
-
-    def test_stdout_carries_no_timing(self):
-        r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
-        assert "wall" not in r.stdout
-        assert "wall time" in r.stderr
+    elif isinstance(row.stdout, str):
+        assert row.stdout in r.stdout
+    else:
+        doc = json.loads(r.stdout)
+        assert {path: value_at(doc, path) for path in row.stdout} == row.stdout
 
 
 class TestProcessBoundary:
@@ -319,31 +310,3 @@ class TestProcessBoundary:
             )
         assert copcone.returncode == 1
         assert (chk.returncode, chk.stdout, chk.stderr) == (0, "certificate OK\n", "")
-
-
-class TestCliFlags:
-    def test_tol_flag(self):
-        r = run_cli("check", "--cone", "nonneg", str(FIXTURES / "j2.json"), "--tol", "1e-5")
-        assert json.loads(r.stdout)["tolerance"]["abs"] == 1e-5
-
-    @pytest.mark.parametrize(
-        "flag", ["--tol=nan", "--tol=inf", "--tol=-1e-9"], ids=["tol-nan", "tol-inf", "tol-negative"]
-    )
-    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, flag):
-        # With a NaN threshold this matrix, whose edge minimum is -2, was IN.
-        p = tmp_path / "m.json"
-        p.write_text('{"n": 2, "data": [[1, -5], [-5, 1]]}')
-        r = run_cli("check", "--cone", "copositive", str(p), flag)
-        assert r.returncode == 65
-        assert r.stdout == ""
-        assert "tolerances must be finite and nonnegative" in r.stderr
-
-    def test_bounds_table_mode(self):
-        r = run_cli("bounds", "--n", "6")
-        res = json.loads(r.stdout)["result"]
-        assert res["interval"] == [9, 15]
-
-    def test_report_digests_inputs(self):
-        r = run_cli("check", "--cone", "copositive", str(FIXTURES / "horn.json"))
-        inputs = json.loads(r.stdout)["inputs"]
-        assert all(len(v) == 64 for v in inputs.values())
