@@ -199,6 +199,8 @@ def _misuse(args) -> str | None:
             return "heuristic factorization needs --target"
         if args.method != "heuristic" and args.target is not None:
             return "--target is read by --method heuristic only"
+        if args.target is not None and args.target < 1:
+            return "--target must be at least 1"
     return None
 
 

@@ -5,9 +5,9 @@ complete positivity.
 Every negative verdict carries a certificate that re-verifies with plain
 arithmetic.  Copositivity is decided exactly: after deleting nonnegative
 rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form,
-and otherwise one exact simplex minimization of the remaining block (an
-active set if it is positive definite, a KKT enumeration if not) settles
-the decision and supplies the boundary certificate.
+and otherwise one exact simplex minimization of the remaining block (block
+principal pivoting if it is positive definite, a KKT enumeration if not)
+settles the decision and supplies the boundary certificate.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     exact 2x2 principal check; the other pairs cannot refute) refutes at
     its minimizer, the first such pair in row-major order winning a tie.
     Otherwise one call of ``kernel.simplex_form_min`` finds the exact
-    minimum of the form on the simplex of B: by the active set with a
-    strict KKT check when B is positive definite, by one KKT support
+    minimum of the form on the simplex of B: by block principal pivoting
+    with a strict KKT check when B is positive definite, by one KKT support
     enumeration otherwise.  It refutes with its minimizer, or decides IN
     and supplies the ``BoundaryZero`` when the minimum vanishes.
     ``minimum``, reported on IN answers only, is the smaller of the

@@ -3,19 +3,20 @@
 Eigendecomposition (LAPACK ``eigh``), pivoted Cholesky, numerical rank,
 exact quadratic-form minimization over the standard simplex, and a
 feasibility test for ``A x = b, x >= 0``.  Orders are small (n <= ~12), so
-robustness and high relative accuracy come first.  One Lawson-Hanson active
-set serves the last two: the feasibility test is its nonnegative least
-squares.  Speed matters in one place, the exact simplex minimization.  A
-positive definite form is convex there: the active set finds its optimal
-support, whose face point is kept after a strict KKT check.  Any other
-form, or a near tie, enumerates all 2**n - 1 supports and solves their KKT
-systems in stacked LAPACK calls, one per support size within each block of
-1024 bitmasks, which bounds the KKT stacks held to one block's systems.
+robustness and high relative accuracy come first.  The feasibility test is
+a Lawson-Hanson nonnegative least squares.  Speed matters in one place, the
+exact simplex minimization.  A positive definite form is convex there:
+block principal pivoting finds its optimal support, in one inversion when
+the support is every index, and that face's point is kept after a strict
+KKT check whose margins are scaled per index.  Any other form, or a near
+tie, enumerates all 2**n - 1 supports and solves their KKT systems in
+stacked LAPACK calls, one per support size within each block of 1024
+bitmasks, which bounds the KKT stacks held to one block's systems.
 The integer layout of that walk (per block and support size, the masks'
 positions and member indices) is built once per order and cached: 0.9 kB
 at order 5, 0.23 MB at order 12, 4.7 MB at order 16.  The enumeration
 yields its points in increasing mask order, with the values a
-one-support-at-a-time loop gives, bit for bit; the active set returns the
+one-support-at-a-time loop gives, bit for bit; the pivoting returns the
 enumeration's minimum, bit for bit.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
@@ -162,18 +163,23 @@ _RESIDUAL = 1e-8
 # simplex, and the face is skipped.
 _WEIGHT_FLOOR = -1e-10
 
-# The positive definite fast path keeps its support S only when every
-# j outside S has (q lam)_j - value above this times max|q_ij|.  The
-# curvature along e_j - lam is at most max|q_ij|, so the stationary point of
-# the face S + {j} then has lam_j below _WEIGHT_FLOOR, ten times over, and
-# the enumeration skips that face; a smaller gap is a near tie, left to the
+# The positive definite fast path keeps its support S only when every j
+# outside S has the multiplier g_j = (q lam)_j - value above this times
+# c_j = q_jj - 2 (q lam)_j + value, the curvature of the form along e_j - lam.
+# On the face S + {j} the form along e_j - lam, minimized over S's own
+# directions, has slope 2 g_j and a curvature between 0 and c_j, so that
+# face's stationary point gives j the weight -g_j / c_j or less: below
+# _WEIGHT_FLOOR ten times over, and the enumeration skips the face.  Both
+# sides are taken along e_j - lam, so a well-resolved multiplier next to a
+# huge entry elsewhere is no tie; a smaller g_j is one, left to the
 # enumeration.
 _KKT_MARGIN = 1e-9
 
-# ... and only when dropping any i from S raises the face minimum, by
-# lam_i**2 / (q_S^-1)_ii, by more than this times max|q_ij|.  A smaller rise
-# can round to a tie, which the enumeration gives to the subface (it comes
-# first in mask order).
+# ... and only when dropping any i from S raises the face minimum by more
+# than this times lam' |q| lam, the size of the terms the face values are
+# summed from and so the scale of their roundoff.  The rise is at least
+# lam_i**2 / (q_S^-1)_ii; a smaller one can round to a tie, which the
+# enumeration gives to the subface (it comes first in mask order).
 _SUBFACE_GAP = 1e-12
 
 
@@ -291,10 +297,11 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
 
     Returns ``(value, lam)`` with ``lam >= 0``, ``sum(lam) == 1``, exact up
     to roundoff.  A positive definite ``q`` is a convex problem (Bomze 1998,
-    J. Glob. Optim. 13): an active set finds the optimal support, and its
-    face point is kept if it passes a strict KKT check.  Any other ``q``,
-    or a near tie, goes to the KKT support enumeration, which resolves ties
-    by enumeration order.  Both give the enumeration's answer bit for bit.
+    J. Glob. Optim. 13): block principal pivoting finds the optimal
+    support, and its face point is kept if it passes a strict KKT check.
+    Any other ``q``, or a near tie, goes to the KKT support enumeration,
+    which resolves ties by enumeration order.  Both give the enumeration's
+    answer bit for bit.
     ``q`` is symmetric, as for :func:`simplex_stationary_points`.
     """
     found = _convex_form_min(q)
@@ -308,46 +315,85 @@ def _convex_form_min(q):
     enumerating, or ``None`` when ``q`` is not positive definite or the
     answer is not certain to be the enumeration's.
 
-    The active set gives the support S of the minimizer; ``_face_points``
-    then computes S's point exactly as the enumeration does.  It is kept
-    only if every index outside S has a positive KKT multiplier and every
-    index in S a positive subface gap, both with a margin: then no other
-    face's point can match or undercut it.
+    :func:`_pivot_support` gives the support S of the minimizer and the
+    inverse of q_S; ``_face_points`` then computes S's point exactly as the
+    enumeration does.  It is kept only if every index outside S has a
+    positive KKT multiplier, with a margin scaled by the curvature along
+    that index (``_KKT_MARGIN``), and every index in S a positive subface
+    gap, with a margin scaled by the roundoff of the face values
+    (``_SUBFACE_GAP``): then no other face's point can match or undercut it.
     """
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         return None
     try:
         np.linalg.cholesky(q)
-        z = _nnls(q, np.ones(n))
-        if z is None:
-            return None
-        support = np.flatnonzero(z > 0.0)
-        inv_diag = np.diag(np.linalg.inv(q[support[:, None], support]))
+        found = _pivot_support(q)
     except np.linalg.LinAlgError:  # not positive definite, or singular in roundoff
         return None
-    scale = np.abs(q).max()
-    keep, values, lams = _face_points(q, support[None, :], max(1.0, scale))
+    if found is None:
+        return None
+    support, inv = found
+    abs_q = np.abs(q)
+    keep, values, lams = _face_points(q, support[None, :], max(1.0, abs_q.max()))
     if not keep.size:
         return None
     val = values[0]
     lam = np.zeros(n)
     lam[support] = lams[0]
-    outside = np.delete(q @ lam, support) - val
-    inside = lams[0] ** 2 / inv_diag
-    # a NaN fails both comparisons
-    if outside.min(initial=np.inf) > _KKT_MARGIN * scale and inside.min() > _SUBFACE_GAP * scale:
+    qlam = q @ lam
+    # the multiplier check over all j, then waived on S; a NaN fails it
+    settled = qlam - val > _KKT_MARGIN * (q.diagonal() - 2.0 * qlam + val)
+    settled[support] = True
+    rise = lams[0] ** 2 / inv.diagonal()
+    if settled.all() and (rise > _SUBFACE_GAP * (lam @ abs_q @ lam)).all():
         return float(val), lam
+    return None
+
+
+def _pivot_support(q):
+    """Support of the minimizer z of ``z @ q @ z - 2 * z.sum()`` over
+    z >= 0 for a positive definite ``q`` (z / z.sum() is the minimizer on
+    the simplex), by block principal pivoting (Judice & Pires 1994), and the
+    inverse of ``q`` on that support; ``None`` if the pivoting does not
+    settle within 4n + 4 steps.
+
+    Every index starts free.  Each step inverts the free block, solves for
+    its z, and flips every free index with z < 0 and every fixed index with
+    (q z - 1) < 0; after three full flips that do not shrink that infeasible
+    set, it flips only the set's last index (Murty's rule, finite in exact
+    arithmetic).  A block whose minimizer has every index in its support
+    settles in one step.
+    """
+    n = q.shape[0]
+    free = np.ones(n, dtype=bool)
+    least, tries = n + 1, 3
+    for _ in range(4 * n + 4):
+        idx = np.flatnonzero(free)
+        inv = np.linalg.inv(q[idx[:, None], idx])
+        z = np.zeros(n)
+        z[idx] = inv.sum(axis=1)
+        flip = np.where(free, z < 0.0, q @ z < 1.0)
+        if not flip.any():
+            return idx, inv
+        count = np.count_nonzero(flip)
+        if count < least:
+            least, tries = count, 3
+        elif tries:
+            tries -= 1
+        else:
+            flip[: np.flatnonzero(flip)[-1]] = False
+        free ^= flip
     return None
 
 
 def _nnls(q, c, stop=0.0):
     """Minimizer of ``z @ q @ z - 2 * c @ z`` over z >= 0 by the
     Lawson-Hanson active set (Lawson & Hanson 1974, ch. 23) on the normal
-    equations.  ``q`` is positive definite, or a Gram matrix A.T @ A with
-    dependent columns.  An index j enters the passive set only while
-    ``(c - q @ z)_j``, minus half the gradient, exceeds ``stop``; a ``stop``
-    above the roundoff in the gradient keeps the passive columns
+    equations, for :func:`lp_feasible`.  ``q`` is a Gram matrix A.T @ A,
+    possibly of dependent columns.  An index j enters the passive set only
+    while ``(c - q @ z)_j``, minus half the gradient, exceeds ``stop``; a
+    ``stop`` above the roundoff in the gradient keeps the passive columns
     independent.  ``None`` if it does not settle within 3n additions
     (roundoff cycling)."""
     n = q.shape[0]

@@ -150,7 +150,7 @@ def form_min_calls(monkeypatch):
 @pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
 def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
     """A call the vertex and edge checks cannot refute solves the simplex
-    minimum once (by the active set on a positive definite block, by one
+    minimum once (by pivoting on a positive definite block, by one
     enumeration otherwise); that solve decides the call, supplies any
     BoundaryZero, and its value is the reported minimum."""
     a = make(rng)
@@ -633,7 +633,7 @@ def test_boundary_zeros_drop_a_point_whose_gradient_is_not_zero(monkeypatch):
     """The support-gradient filter, on crafted points: both have |value| <=
     thr, but only e_0 has [A x]_k = 0 on its support; [A e_1]_1 = 1."""
     # Row 0 is nonnegative: is_copositive decides the positive definite
-    # block {1, 2}, with its one negative pair, by the active set.  a_00 = 0
+    # block {1, 2}, with its one negative pair, by pivoting.  a_00 = 0
     # keeps row 0 in the enumeration of copositive_boundary_zeros.
     a = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, -0.5], [1.0, -0.5, 1.0]])
     blocks = []

@@ -227,6 +227,11 @@ ROWS = [
         "error: heuristic factorization needs --target"),
     Row("target-without-heuristic", ("factorize", "--method", "dd", "--target", "6", "dd_example.json"), 64, None,
         "error: --target is read by --method heuristic only"),
+    *(
+        Row(f"target-{value}", ("factorize", "--method", "heuristic", "--target", value, "dd_example.json"), 64,
+            None, "error: --target must be at least 1")
+        for value in ("0", "-2")
+    ),
     Row("help", ("--help",), 0, "usage: copcone [-h]", ""),
     *(
         Row(f"help-{command}", (command, "--help"), 0, f"usage: copcone {command}", "")

@@ -336,14 +336,54 @@ def test_positive_definite_min_matches_the_enumeration(kind, n, seed, log_scale)
     assert np.array_equal(lam, want_lam)
 
 
+@pytest.mark.parametrize("n, seed", [(3, 54), (4, 4), (5, 3), (6, 9), (8, 20)])
+def test_near_tie_is_left_to_the_enumeration(n, seed):
+    # Some index j outside the support has a multiplier of roundoff size:
+    # the face with j may round below the support's own, so the KKT margin
+    # has to send these to the enumeration.
+    q = positive_definite("tied", n, seed)
+    assert kernel._convex_form_min(q) is None
+    val, lam = simplex_form_min(q)
+    want_val, want_lam = enumerated_min(q)
+    assert val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
+def diagonally_scaled(kind, n, seed):
+    """D q D with log10 d_i uniform on (-4, 4) for a ``positive_definite``
+    kind, or a diagonal matrix with entries 10**U(-8, 8) for "wide_diagonal":
+    a multiplier or a subface gap far below the largest entry is no tie."""
+    rng = np.random.default_rng([seed, n])
+    if kind == "wide_diagonal":
+        return np.diag(10.0 ** rng.uniform(-8.0, 8.0, n))
+    d = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    q = d[:, None] * positive_definite(kind, n, seed) * d
+    return 0.5 * (q + q.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["gram", "diagonal", "near_singular", "tied", "wide_diagonal"]),
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+)
+def test_scaled_positive_definite_min_matches_the_enumeration(kind, n, seed):
+    q = diagonally_scaled(kind, n, seed)
+    val, lam = simplex_form_min(q)
+    want_val, want_lam = enumerated_min(q)
+    assert type(val) is float and val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
 @pytest.mark.parametrize(
     "q",
     [15.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])],
     ids=["edge-zero", "rank1"],
 )
 def test_singular_psd_min_matches_the_enumeration(q):
-    # Cholesky may pass on these in roundoff; the active set then meets a
-    # singular system and leaves the answer to the enumeration.
+    # Cholesky may pass on these in roundoff; the pivoting then meets a
+    # singular block, or the KKT check a tie, and leaves the answer to the
+    # enumeration.
     val, lam = simplex_form_min(q)
     want_val, want_lam = enumerated_min(q)
     assert val == want_val
@@ -370,6 +410,67 @@ def test_positive_definite_block_needs_no_enumeration(enumerations, rng):
     assert a.min() < 0  # no row is deleted before the search
     assert is_copositive(a).answer is Answer.IN
     assert enumerations == []
+
+
+def test_scaled_positive_definite_block_needs_no_enumeration(enumerations):
+    # Entries from 1e-6 to 1e6: margins taken from the largest entry read
+    # the small multipliers and subface gaps as near ties.
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((10, 10))
+    d = 10.0 ** rng.uniform(-3.0, 3.0, 10)
+    a = d[:, None] * (g @ g.T / 10 + 0.1 * np.eye(10)) * d
+    assert (a < 0).any(axis=1).all()  # no row is deleted before the search
+    assert is_copositive(a).answer is Answer.IN
+    assert enumerations == []
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(name, order) of each ``np.linalg.inv`` and ``np.linalg.solve`` call."""
+    calls = []
+    for name in ("inv", "solve"):
+        inner = getattr(np.linalg, name)
+
+        def counting(a, *args, name=name, inner=inner):
+            calls.append((name, np.shape(a)[-1]))
+            return inner(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_well_conditioned_block_is_decided_by_one_inversion(linalg_calls, rng):
+    a = np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
+    assert is_copositive(a).answer is Answer.IN
+    # the support's inverse, then the bordered KKT system of its face point
+    assert linalg_calls == [("inv", 12), ("solve", 13)]
+
+
+@pytest.mark.parametrize("kind", ["gram", "diagonal", "near_singular"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_pivoting_finds_the_active_set_support(kind, n):
+    for seed in range(20):
+        for scale in (1e-6, 1.0, 1e6):
+            q = scale * positive_definite(kind, n, seed)
+            z = kernel._nnls(q, np.ones(n))
+            if z is None:
+                continue
+            support, inv = kernel._pivot_support(q)
+            assert np.array_equal(support, np.flatnonzero(z > 0.0))
+            assert np.array_equal(inv, np.linalg.inv(q[support[:, None], support]))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+def test_pivoting_on_ties_stops_within_its_step_cap(linalg_calls, n):
+    for seed in range(20):
+        q = positive_definite("tied", n, seed)
+        linalg_calls.clear()
+        found = kernel._pivot_support(q)
+        assert len(linalg_calls) <= 4 * n + 4
+        if found is not None:
+            support, inv = found
+            assert support.size and np.array_equal(support, np.unique(support))
+            assert np.array_equal(inv, np.linalg.inv(q[support[:, None], support]))
 
 
 def test_indefinite_block_is_enumerated_once(enumerations):
