@@ -310,10 +310,8 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
     if v.n != 6:
         raise ValueError("order-6 input required")
     m = v.product()
-    scale = np.abs(m).max(initial=0.0)
-    thr = tol.scaled(scale)
     hb = special.horn_block6()
-    if abs(float(np.sum(m * hb))) > max(thr, tol.scaled(1.0)):
+    if abs(float(np.sum(m * hb))) > tol.scaled(np.abs(m).max(initial=0.0)):
         raise NotOrthogonalToHornError("product is not orthogonal to the Horn block")
     w = special.horn_generators()
     gens = [w[:, [i, (i + 1) % 5, 5]] for i in range(5)]

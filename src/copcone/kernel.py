@@ -8,10 +8,11 @@ a Lawson-Hanson nonnegative least squares.  Speed matters in one place, the
 exact simplex minimization.  A positive definite form is convex there:
 block principal pivoting finds its optimal support, in one inversion when
 the support is every index, and that face's point is kept after a strict
-KKT check whose margins are scaled per index.  Any other form, or a near
-tie, enumerates all 2**n - 1 supports and solves their KKT systems in
-stacked LAPACK calls, one per support size within each block of 1024
-bitmasks, which bounds the KKT stacks held to one block's systems.
+KKT check whose margins are scaled per index.  Any other form, a near
+tie, or pivoting that comes back to a free set it has tried enumerates all
+2**n - 1 supports and solves their KKT systems in stacked LAPACK calls,
+one per support size within each block of 1024 bitmasks, which bounds the
+KKT stacks held to one block's systems.
 The integer layout of that walk (per block and support size, the masks'
 positions and member indices) is built once per order and cached: 0.9 kB
 at order 5, 0.23 MB at order 12, 4.7 MB at order 16.  The enumeration
@@ -316,12 +317,13 @@ def _convex_form_min(q):
     answer is not certain to be the enumeration's.
 
     :func:`_pivot_support` gives the support S of the minimizer and the
-    inverse of q_S; ``_face_points`` then computes S's point exactly as the
-    enumeration does.  It is kept only if every index outside S has a
-    positive KKT multiplier, with a margin scaled by the curvature along
-    that index (``_KKT_MARGIN``), and every index in S a positive subface
-    gap, with a margin scaled by the roundoff of the face values
-    (``_SUBFACE_GAP``): then no other face's point can match or undercut it.
+    inverse of q_S, or ``None`` when its free sets cycle; ``_face_points``
+    then computes S's point exactly as the enumeration does.  It is kept
+    only if every index outside S has a positive KKT multiplier, with a
+    margin scaled by the curvature along that index (``_KKT_MARGIN``), and
+    every index in S a positive subface gap, with a margin scaled by the
+    roundoff of the face values (``_SUBFACE_GAP``): then no other face's
+    point can match or undercut it.
     """
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
@@ -355,20 +357,19 @@ def _pivot_support(q):
     """Support of the minimizer z of ``z @ q @ z - 2 * z.sum()`` over
     z >= 0 for a positive definite ``q`` (z / z.sum() is the minimizer on
     the simplex), by block principal pivoting (Judice & Pires 1994), and the
-    inverse of ``q`` on that support; ``None`` if the pivoting does not
-    settle within 4n + 4 steps.
+    inverse of ``q`` on that support; ``None`` the first time a free set
+    repeats, as the steps would then cycle.
 
     Every index starts free.  Each step inverts the free block, solves for
     its z, and flips every free index with z < 0 and every fixed index with
-    (q z - 1) < 0; after three full flips that do not shrink that infeasible
-    set, it flips only the set's last index (Murty's rule, finite in exact
-    arithmetic).  A block whose minimizer has every index in its support
+    (q z - 1) < 0.  A block whose minimizer has every index in its support
     settles in one step.
     """
     n = q.shape[0]
     free = np.ones(n, dtype=bool)
-    least, tries = n + 1, 3
-    for _ in range(4 * n + 4):
+    seen = set()
+    while (key := free.tobytes()) not in seen:
+        seen.add(key)
         idx = np.flatnonzero(free)
         inv = np.linalg.inv(q[idx[:, None], idx])
         z = np.zeros(n)
@@ -376,13 +377,6 @@ def _pivot_support(q):
         flip = np.where(free, z < 0.0, q @ z < 1.0)
         if not flip.any():
             return idx, inv
-        count = np.count_nonzero(flip)
-        if count < least:
-            least, tries = count, 3
-        elif tries:
-            tries -= 1
-        else:
-            flip[: np.flatnonzero(flip)[-1]] = False
         free ^= flip
     return None
 

@@ -573,6 +573,19 @@ def test_verdicts_match_the_reference_on_every_family(kind, seed):
     assert_same_verdicts(verdict_family(kind, seed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(VERDICT_FAMILIES + ZERO_FAMILIES), st.integers(0, 10_000))
+def test_verdicts_respect_simultaneous_permutation(kind, seed):
+    a = verdict_family(kind, seed)
+    perm = np.random.default_rng([seed, 1]).permutation(a.shape[0])
+    pa = a[np.ix_(perm, perm)]
+    v, pv = is_copositive(a), is_copositive(pa)
+    assert pv.answer is v.answer
+    assert type(pv.certificate) is type(v.certificate)
+    if pv.answer is not Answer.UNDECIDED:  # which carries no certificate
+        assert_certificate_holds(pv, pa)
+
+
 @pytest.mark.parametrize("a", MALFORMED, ids=range(len(MALFORMED)))
 @pytest.mark.parametrize("test", PUBLIC_TESTS)
 def test_malformed_input_errors_match_the_reference(a, test):

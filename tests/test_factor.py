@@ -307,6 +307,14 @@ class TestHorn6:
         with pytest.raises(NotOrthogonalToHornError):
             horn_orthogonal_factorize(v0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_orthogonality_margin_scales_with_the_product(self, scale):
+        # <M, H6> = (v1 - v2)**2 = 1.5e-9 * scale**2 against the threshold
+        # tol.scaled(max|M|): 1.0e-9 at scale 1, so neither scale passes
+        col = scale * np.array([1e-3 + np.sqrt(1.5e-9), 1e-3, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(NotOrthogonalToHornError):
+            horn_orthogonal_factorize(NonnegFactor(col[:, None]))
+
     def test_wrong_order(self):
         with pytest.raises(ValueError):
             horn_orthogonal_factorize(NonnegFactor(np.ones((5, 1))))
