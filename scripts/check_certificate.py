@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Re-verify the certificate in a `copcone check` or `copcone factorize`
-report with plain numpy, through the predicates of `copbench/checks.py`.
+"""Re-verify the certificate in a `copcone check`, `copcone factorize` or
+`copcone orbit` report with plain numpy, through the predicates of
+`copbench/checks.py`.
 
 Usage: check_certificate.py REPORT.json [MATRIX]
 MATRIX is an input file the report names, as JSON or as plain text; a
@@ -9,7 +10,8 @@ Exits 0 if the certificate holds; 3 if it does not, if the report is
 malformed (a field missing or of the wrong type), if it is an error
 report or carries no factor, if MATRIX is missing or not one of its
 inputs, or if REPORT or MATRIX cannot be read; 4 if it cannot be
-verified, which includes the result of any other command
+verified, which includes an orbit class without a witness (PSD_RANK1,
+UNKNOWN_EXTREME_CLASS) and the result of any other command
 (docs/format.md gives the rule).
 """
 import argparse
@@ -53,11 +55,46 @@ def interior(m, cert, result) -> None:
     checks.interior_certificate(m, v, j, cert["rank"])
 
 
+def orbit(m, base, witness) -> None:
+    """A = d d' o B permuted, for the witness's d and its perm of integers."""
+    perm = [index(p, len(m), "orbit witness") for p in witness["perm"]]
+    checks.orbit(m, base, witness["d"], perm)
+
+
+# The Horn matrix; this script never imports copcone.
+HORN = np.array([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1], [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
+
+
+def horn_orbit(m, witness, result) -> None:
+    """The rows through the zero diagonal entries vanish and the 5x5 block
+    left is in the Horn orbit."""
+    thr = checks.threshold(m)
+    zero = np.diag(m) <= thr
+    rows = np.abs(m[zero]).max(initial=0.0)
+    checks.require(rows <= thr, f"HORN_ORBIT: a row through a zero diagonal entry reaches {rows:.3g}")
+    block = m[np.ix_(~zero, ~zero)]
+    checks.require(len(block) == 5, f"HORN_ORBIT: the block left has order {len(block)}, not 5")
+    orbit(block, HORN, witness)
+
+
+def e12_orbit(m, witness, result) -> None:
+    e12 = np.zeros_like(m)
+    e12[0, 1] = e12[1, 0] = 1.0
+    orbit(m, e12, witness)
+
+
+def no_witness(reason: str):
+    def predicate(m, witness, result):
+        raise NotVerifiable(f"orbit class {result['class']} {reason}")
+    return predicate
+
+
 # Each certificate kind: the answers of `check` or the methods of `factorize`
 # it may appear under, and the checks.py predicate that verifies it for the
 # matrix m.  A failure carries a witness, membership a zero or nothing,
 # UNDECIDED nothing; posdd carries the interior certificate, the other
-# methods none.
+# methods none.  An `orbit` result is keyed by its class, and its witness
+# is the certificate.
 KINDS = {
     "negative_entry": ({"NOT_IN"}, lambda m, cert, result: checks.negative_entry(
         m, index(cert["i"], len(m), "negative entry"), index(cert["j"], len(m), "negative entry"), cert["value"])),
@@ -66,6 +103,10 @@ KINDS = {
     "boundary_zero": ({"IN"}, lambda m, cert, result: checks.boundary_zero(m, cert["x"], cert["value"])),
     "interior": ({"posdd"}, interior),
     None: ({"IN", "UNDECIDED", "dd", "cp3", "horn6", "heuristic"}, lambda m, cert, result: None),
+    "HORN_ORBIT": ({"orbit"}, horn_orbit),
+    "E12_ORBIT": ({"orbit"}, e12_orbit),
+    "PSD_RANK1": ({"orbit"}, no_witness("has no checkable certificate yet")),
+    "UNKNOWN_EXTREME_CLASS": ({"orbit"}, no_witness("claims no orbit")),
 }
 
 
@@ -125,20 +166,24 @@ def certify(report: dict, m: np.ndarray, file_factor) -> None:
     result = report["result"]
     command = report["command"][0]
     if command not in ("check", "factorize"):
-        # bounds, orbit and verify-orth results carry no certificate yet
         checks.require("error" not in result, f"{command} reported the error {result.get('error')}")
-        raise NotVerifiable(f"{command} results carry no checkable certificate yet")
+        if command != "orbit":  # bounds and verify-orth results carry no certificate yet
+            raise NotVerifiable(f"{command} results carry no checkable certificate yet")
     n = m.shape[0]
     factorize = command == "factorize"
-    if factorize:
-        role = result["method"]
-        # an error or FAILED report carries no factor
-        checks.require("factor" in result, f"factorize --method {role}: no factor in the report")
+    if command == "orbit":  # keyed by its class; the witness is the certificate
+        role, kind, cert = command, result["class"], result.get("witness")
     else:
-        role = result["answer"]
-    cert = result.get("certificate") or {}
-    roles, predicate = KINDS.get(cert.get("kind"), ((), None))
-    checks.require(role in roles, f"certificate kind {cert.get('kind')} does not fit {role}")
+        if factorize:
+            role = result["method"]
+            # an error or FAILED report carries no factor
+            checks.require("factor" in result, f"factorize --method {role}: no factor in the report")
+        else:
+            role = result["answer"]
+        cert = result.get("certificate") or {}
+        kind = cert.get("kind")
+    roles, predicate = KINDS.get(kind, ((), None))
+    checks.require(role in roles, f"certificate kind {kind} does not fit {role}")
     predicate(m, cert, result)
     if factorize:
         v = np.asarray(result["factor"], dtype=float).reshape(n, -1)

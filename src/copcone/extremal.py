@@ -67,7 +67,7 @@ class OrbitWitness:
 
 @dataclass(frozen=True)
 class ExtremeClass:
-    tag: str  # PSD_RANK1 | E12_ORBIT | HORN_ORBIT | NONNEG_EXTREME | UNKNOWN_EXTREME_CLASS
+    tag: str  # PSD_RANK1 | E12_ORBIT | HORN_ORBIT | UNKNOWN_EXTREME_CLASS
     witness: OrbitWitness | None = None
     vector: np.ndarray | None = None  # rank-1 case: A = vector vector^T
 
@@ -183,12 +183,19 @@ def _horn_block_orbit(a: np.ndarray, thr: float, tol: Tolerance) -> OrbitWitness
     return horn_orbit_recognize(red.s, tol)
 
 
+# The 120 permutations of order 5 in itertools order, and the Horn matrix
+# under each: _HORN_UNDER[k][i, j] = H[p_i, p_j] for p = _PERMS[k].
+_PERMS = np.array(list(itertools.permutations(range(5))))
+_HORN_UNDER = special.horn_matrix()[_PERMS[:, :, None], _PERMS[:, None, :]]
+_PERMS.flags.writeable = _HORN_UNDER.flags.writeable = False
+
+
 def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None:
     """Recognize membership of an order-5 matrix in the Horn orbit.
 
     The Horn matrix has unit diagonal, so the scaling is forced to
-    d_i = sqrt(A_ii); all 120 permutations are swept and the first exact
-    match (within tolerance) is returned, or ``None``.
+    d_i = sqrt(A_ii); all 120 permutations are tested at once and the first
+    match within tolerance, in itertools order, is returned, or ``None``.
     """
     a, scale = kernel.as_sym(a, tol)
     if a.shape[0] != 5:
@@ -198,13 +205,10 @@ def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None
     if diag.min() <= thr:
         return None
     d = np.sqrt(diag)
-    h = special.horn_matrix()
-    gram = np.outer(d, d)
-    for perm in itertools.permutations(range(5)):
-        p = np.array(perm)
-        if np.abs(a - gram * h[p[:, None], p]).max() <= thr:
-            return OrbitWitness(d, p)
-    return None
+    match = np.abs(a - np.outer(d, d) * _HORN_UNDER).max(axis=(1, 2)) <= thr
+    if not match.any():
+        return None
+    return OrbitWitness(d, _PERMS[match.argmax()].copy())
 
 
 def _e12_recognize(a: np.ndarray, thr: float) -> OrbitWitness | None:
@@ -232,7 +236,8 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     Rank 1 must be PSD (a single squared vector), rank 2 must lie in the
     E12 orbit; higher ranks are recognized against the Horn orbit where the
     surviving block has order 5, and UNKNOWN_EXTREME_CLASS is the honest
-    answer otherwise.
+    answer otherwise.  No nonnegative matrix of rank 3 or more is extreme
+    (the nonnegative extreme rays are E_ii and E_ij + E_ji, Hall-Newman).
     """
     a, scale = kernel.as_sym(a, tol)
     if is_copositive(a, tol).answer is not Answer.IN:
@@ -250,8 +255,6 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     witness = _horn_block_orbit(a, thr, tol)
     if witness is not None:
         return ExtremeClass("HORN_ORBIT", witness=witness)
-    if _negative_entry(a, scale, tol) is None and _one_positive_entry(a, thr):
-        return ExtremeClass("NONNEG_EXTREME")
     return ExtremeClass("UNKNOWN_EXTREME_CLASS")
 
 
@@ -262,12 +265,7 @@ def nonneg_extreme_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a, scale = kernel.as_sym(a, tol)
     if _negative_entry(a, scale, tol) is not None:
         raise NotNonnegativeError("matrix is not nonnegative")
-    return _one_positive_entry(a, tol.scaled(scale))
-
-
-def _one_positive_entry(a: np.ndarray, thr: float) -> bool:
-    """Whether exactly one entry on or above the diagonal exceeds ``thr``."""
-    return int(np.count_nonzero(a[np.triu_indices(a.shape[0])] > thr)) == 1
+    return int(np.count_nonzero(np.triu(a) > tol.scaled(scale))) == 1
 
 
 def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -44,6 +44,7 @@ PREFIX = {0: "certificate OK", 3: "certificate FAILED", 4: "certificate not veri
 DROP = object()
 
 DD, HORN, NEGDIAG, W6 = "fixtures/dd_example.json", "fixtures/horn.json", "fixtures/negdiag.txt", "fixtures/w6.json"
+E12, HORN_PLUS_0, J2 = "fixtures/e12.json", "fixtures/hornplus0.json", "fixtures/j2.json"
 BOUNDS = ("bounds", "--n", "6")
 PSD_HORN = ("check", "--cone", "psd", HORN)
 COP_NEGDIAG = ("check", "--cone", "copositive", NEGDIAG)
@@ -192,6 +193,24 @@ ROWS = [
         {"command.3": "--target=6", "command.4": DROP}, 0),
     Row("factor-inline-target-1", "factorize-heuristic-dd_example", DD, 3, "factor: 4 columns, limit 1",
         {"command.3": "--target=1", "command.4": DROP}, 0),
+    # orbit results, keyed by class: a witness (d, perm) rebuilds the matrix, or the Horn
+    # block left when the rows through its zero diagonal entries vanish
+    Row("orbit-e12", "orbit-e12", E12, 0, "certificate OK"),
+    Row("orbit-horn", "orbit-horn", HORN, 0, "certificate OK"),
+    Row("orbit-hornplus0", "orbit-hornplus0", HORN_PLUS_0, 0, "certificate OK"),
+    # a transposition is not one of the ten symmetries of the Horn matrix
+    Row("orbit-perm-swapped", "orbit-horn", HORN, 3, "orbit witness does not reconstruct A",
+        {"result.witness.perm": [1, 0, 2, 3, 4]}, 0),
+    Row("orbit-perm-repeated", "orbit-hornplus0", HORN_PLUS_0, 3, "orbit witness: not a permutation",
+        {"result.witness.perm.1": 0}, 0),
+    Row("orbit-perm-fractional", "orbit-horn", HORN, 3, "orbit witness: no index 1.5",
+        {"result.witness.perm.1": 1.5}, 0),
+    Row("orbit-d-zero", "orbit-e12", E12, 3, "orbit witness: scaling is not positive", {"result.witness.d.0": 0.0}, 0),
+    Row("orbit-e12-as-horn", "orbit-e12", E12, 3, "HORN_ORBIT: a row through a zero diagonal entry reaches 1",
+        {"result.class": "HORN_ORBIT"}, 0),
+    Row("orbit-psd-rank1", "orbit-j2", J2, 4, "orbit class PSD_RANK1 has no checkable certificate yet"),
+    Row("orbit-unknown", "orbit-w6", W6, 4, "orbit class UNKNOWN_EXTREME_CLASS claims no orbit"),
+    Row("orbit-error", "orbit-negdiag", NEGDIAG, 3, "orbit reported the error NOT_COPOSITIVE"),
     # a malformed report
     Row("no-inputs", "check-psd-horn", HORN, 3, "malformed report: KeyError('inputs')", {"inputs": DROP}, 0),
     Row("no-x", "check-psd-horn", HORN, 3, "malformed report: KeyError('x')", {"result.certificate.x": DROP}, 0),
@@ -288,11 +307,14 @@ def golden_reports(pattern):
 
 def checker_code(doc):
     """The checker's exit code on a golden report: 3 for an error or FAILED
-    report, which has no factor, 4 for an uncertified copositive IN and for
-    the result of a command other than check and factorize."""
+    report, which has no factor, 0 for an orbit witness, 4 for an
+    uncertified copositive IN and for any other result of a command other
+    than check and factorize."""
     result = doc["result"]
     if "error" in result or result.get("status") == "FAILED":
         return 3
+    if "witness" in result and doc["command"][0] == "orbit":
+        return 0
     if doc["command"][0] not in ("check", "factorize"):
         return 4
     return 4 if (result.get("cone"), result.get("answer")) == ("COPOSITIVE", "IN") else 0
@@ -311,12 +333,12 @@ def test_certificate_checker_on_golden_report(tmp_path, name):
 def test_certificate_checker_exit_codes_over_the_goldens():
     """25 check reports hold and 7 copositive IN are not verifiable; of the
     30 factorize reports 11 carry a factor and 19 an error or FAILED; of the
-    18 bounds, orbit and verify-orth reports 13 carry a result and 5 an
-    error."""
+    18 bounds, orbit and verify-orth reports 3 carry an orbit witness, 10
+    another result and 5 an error."""
     def codes(*patterns):
         names = [name for pattern in patterns for name in golden_reports(pattern)]
         return [checker_code(json.loads((GOLDEN / name).read_text())) for name in names]
 
     assert sorted(codes("check-*.json")) == [0] * 25 + [4] * 7
     assert sorted(codes("factorize-*.json")) == [0] * 11 + [3] * 19
-    assert sorted(codes("bounds-*.json", "orbit-*.json", "verify-orth-*.json")) == [3] * 5 + [4] * 13
+    assert sorted(codes("bounds-*.json", "orbit-*.json", "verify-orth-*.json")) == [0] * 3 + [3] * 5 + [4] * 10

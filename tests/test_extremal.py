@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_admissible_factor, random_sym
 from copcone import (
@@ -10,13 +14,14 @@ from copcone import (
     horn_block6,
     horn_matrix,
     horn_orbit_recognize,
+    kernel,
     nonneg_extreme_check,
     orth_column_check,
     orth_nullspace_check,
     rank3_witness_check,
     zero_diag_reduce,
 )
-from copcone.errors import NotOrthogonalError, NotPositiveError, SingularError, ZeroRowError
+from copcone.errors import NotNonnegativeError, NotOrthogonalError, NotPositiveError, SingularError, ZeroRowError
 from copcone.extremal import FAIL, PASS, SKIP
 
 
@@ -61,6 +66,61 @@ class TestHornOrbit:
     def test_identity_not_in_orbit(self):
         assert horn_orbit_recognize(np.eye(5)) is None
 
+    def test_a_returned_perm_is_a_fresh_array(self):
+        horn_orbit_recognize(horn_matrix()).perm[:] = 4
+        assert horn_orbit_recognize(horn_matrix()).perm.tolist() == [0, 1, 2, 3, 4]
+
+
+def reference_horn_orbit(a):
+    """The recognizer as a loop over the 120 permutations in itertools
+    order, stopping at the first within the threshold: ``(d, perm)``."""
+    a, scale = kernel.as_sym(a, kernel.DEFAULT_TOL)
+    thr = kernel.DEFAULT_TOL.scaled(scale)
+    diag = np.diag(a)
+    if diag.min() <= thr:
+        return None
+    d = np.sqrt(diag)
+    h = horn_matrix()
+    gram = np.outer(d, d)
+    for perm in itertools.permutations(range(5)):
+        p = np.array(perm)
+        if np.abs(a - gram * h[p[:, None], p]).max() <= thr:
+            return d, p
+    return None
+
+
+def horn_orbit_case(kind, scale, seed):
+    """A Horn-orbit member d d' o H_p, d in [0.5, 2] times ``scale``; the same
+    with one symmetric off-diagonal pair pushed by 10 thr; or a random
+    symmetric matrix, with its diagonal made positive half of the time."""
+    rng = np.random.default_rng([seed, 27])
+    if kind == "random":
+        a = random_sym(rng, 5, scale)
+        if seed % 2:
+            np.fill_diagonal(a, np.abs(np.diag(a)))
+        return a
+    d, p = rng.uniform(0.5, 2.0, 5) * scale, rng.permutation(5)
+    a = horn_matrix()[np.ix_(p, p)] * np.outer(d, d)
+    if kind == "pushed":
+        i, j = rng.choice(5, size=2, replace=False)
+        push = 10 * kernel.DEFAULT_TOL.scaled(np.abs(a).max()) * rng.choice([-1.0, 1.0])
+        a[i, j] += push
+        a[j, i] += push
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["orbit", "pushed", "random"]), st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 10_000))
+def test_horn_orbit_recognize_matches_the_loop_bit_for_bit(kind, scale, seed):
+    a = horn_orbit_case(kind, scale, seed)
+    want, got = reference_horn_orbit(a), horn_orbit_recognize(a)
+    if kind != "random":  # the case is what it was built to be
+        assert (want is None) == (kind == "pushed")
+    if want is None:
+        assert got is None
+    else:
+        assert (got.d.tobytes(), got.perm.tolist()) == (want[0].tobytes(), want[1].tolist())
+
 
 class TestClassify:
     def test_rank1(self, rng):
@@ -96,6 +156,16 @@ class TestClassify:
     @pytest.mark.parametrize("a", [np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 0.0]])])
     def test_rank2_outside_the_e12_orbit_is_unknown(self, a):
         # no positive off-diagonal pair; one pair but a nonzero diagonal
+        assert classify_rank12(a).tag == "UNKNOWN_EXTREME_CLASS"
+
+    def test_nonnegative_rank3_inside_the_tolerance_band_is_unknown(self):
+        """a_00 = 1 is the one entry above thr = 2e-9, but the two all-1.9e-9
+        blocks of order 3 give numerical rank 3: no nonnegative matrix of that
+        rank is extreme, so no class claims it."""
+        a = np.zeros((7, 7))
+        a[0, 0] = 1.0
+        a[1:4, 1:4] = a[4:, 4:] = 1.9e-9
+        assert kernel.num_rank(a) == 3
         assert classify_rank12(a).tag == "UNKNOWN_EXTREME_CLASS"
 
 
@@ -206,6 +276,8 @@ def test_nonneg_extreme_check():
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert nonneg_extreme_check(b)
     assert not nonneg_extreme_check(np.ones((3, 3)))
+    with pytest.raises(NotNonnegativeError, match="matrix is not nonnegative"):
+        nonneg_extreme_check(horn_matrix())
 
 
 def test_rank3_witness_check():

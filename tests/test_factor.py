@@ -230,6 +230,10 @@ class TestPerturbPositify:
         with pytest.raises(PerronNotPositiveError, match="support graph is not connected"):
             perturb_positify(NonnegFactor(np.eye(2)), 0.5)
 
+    def test_rejects_a_negative_eps(self):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            perturb_positify(NonnegFactor(np.ones((2, 1))), -1.0)
+
 
 class TestSupportSplit:
     def test_support_split(self, rng):
@@ -359,6 +363,10 @@ class TestContinuation:
         vbar, vtilde, m0 = self.interior_point(rng, 3, 0)
         with pytest.raises(NewtonDivergedError):
             factor_continuation(vbar, vtilde, m0 + 100.0 * np.eye(3))
+
+    def test_rejects_a_factor_that_is_not_square(self):
+        with pytest.raises(ValueError, match="square positive factor required"):
+            factor_continuation(np.ones((3, 2)), np.zeros((3, 0)), np.eye(3))
 
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(NotPositiveError):

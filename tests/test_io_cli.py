@@ -173,6 +173,13 @@ ROWS = [
         "could not convert string to float: 'junk'", {"m.txt": "2\n1 0\n0 2\n7 8 9 junk\n"}),
     Row("trailing-token", ("check", "--cone", "psd", "m.txt"), 65, None,
         "expected n^2 = 4 matrix values, got 5", {"m.txt": "2\n1 0\n0 2\n7\n"}),
+    Row("data-rows", ("check", "--cone", "psd", "m.json"), 65, None, "data must have 3 rows",
+        {"m.json": '{"n": 3, "data": [[1, 0], [0, 1]]}'}),
+    Row("data-nan", ("check", "--cone", "psd", "m.json"), 65, None, "data has non-finite entries",
+        {"m.json": '{"n": 1, "data": [[NaN]]}'}),
+    Row("empty-text", ("check", "--cone", "psd", "m.txt"), 65, None, "empty matrix file", {"m.txt": " \n\t\n"}),
+    Row("factor-not-json", ("bounds", "w6.json", "--factor", "f.json"), 65, None, "malformed factor file",
+        {"f.json": "not json"}),
     Row("orders-differ-bounds", ("bounds", "w6.json", "--witness", "horn.json"), 65, None,
         "matrix orders differ: 6 and 5"),
     Row("orders-differ-verify-orth", ("verify-orth", "w6.json", "horn.json"), 65, None,
