@@ -10,9 +10,9 @@ Exits 0 if the certificate holds; 3 if it does not, if the report is
 malformed (a field missing or of the wrong type), if it is an error
 report or carries no factor, if MATRIX is missing or not one of its
 inputs, or if REPORT or MATRIX cannot be read; 4 if it cannot be
-verified, which includes an orbit class without a witness (PSD_RANK1,
-UNKNOWN_EXTREME_CLASS) and the result of any other command
-(docs/format.md gives the rule).
+verified, which includes the orbit class UNKNOWN_EXTREME_CLASS and the
+result of any other command (docs/format.md gives the rule).  An orbit
+report of class HORN_ORBIT, E12_ORBIT or PSD_RANK1 exits 0 or 3.
 """
 import argparse
 import hashlib
@@ -83,18 +83,24 @@ def e12_orbit(m, witness, result) -> None:
     orbit(m, e12, witness)
 
 
-def no_witness(reason: str):
-    def predicate(m, witness, result):
-        raise NotVerifiable(f"orbit class {result['class']} {reason}")
-    return predicate
+def psd_rank1(m, witness, result) -> None:
+    """A = v v' for the report's vector v."""
+    v = np.asarray(result["vector"], dtype=float)
+    checks.require(v.shape == (len(m),), f"PSD_RANK1: vector of shape {v.shape}, not ({len(m)},)")
+    miss = float(np.abs(np.outer(v, v) - m).max())
+    checks.require(miss <= checks.threshold(m), f"PSD_RANK1: v v' misses A by {miss:.3g}")
+
+
+def no_orbit(m, witness, result) -> None:
+    raise NotVerifiable("orbit class UNKNOWN_EXTREME_CLASS claims no orbit")
 
 
 # Each certificate kind: the answers of `check` or the methods of `factorize`
 # it may appear under, and the checks.py predicate that verifies it for the
 # matrix m.  A failure carries a witness, membership a zero or nothing,
 # UNDECIDED nothing; posdd carries the interior certificate, the other
-# methods none.  An `orbit` result is keyed by its class, and its witness
-# is the certificate.
+# methods none.  An `orbit` result is keyed by its class, and its witness,
+# or for PSD_RANK1 its vector, is the certificate.
 KINDS = {
     "negative_entry": ({"NOT_IN"}, lambda m, cert, result: checks.negative_entry(
         m, index(cert["i"], len(m), "negative entry"), index(cert["j"], len(m), "negative entry"), cert["value"])),
@@ -105,8 +111,8 @@ KINDS = {
     None: ({"IN", "UNDECIDED", "dd", "cp3", "horn6", "heuristic"}, lambda m, cert, result: None),
     "HORN_ORBIT": ({"orbit"}, horn_orbit),
     "E12_ORBIT": ({"orbit"}, e12_orbit),
-    "PSD_RANK1": ({"orbit"}, no_witness("has no checkable certificate yet")),
-    "UNKNOWN_EXTREME_CLASS": ({"orbit"}, no_witness("claims no orbit")),
+    "PSD_RANK1": ({"orbit"}, psd_rank1),
+    "UNKNOWN_EXTREME_CLASS": ({"orbit"}, no_orbit),
 }
 
 

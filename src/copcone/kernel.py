@@ -3,8 +3,9 @@
 Eigendecomposition (LAPACK ``eigh``), pivoted Cholesky, numerical rank,
 exact quadratic-form minimization over the standard simplex, and a
 feasibility test for ``A x = b, x >= 0``.  Orders are small (n <= ~12), so
-robustness and high relative accuracy come first.  The feasibility test is
-a Lawson-Hanson nonnegative least squares.  Speed matters in one place, the
+robustness and high relative accuracy come first.  The feasibility test
+takes linearly independent columns and solves the normal equations on a
+support that shrinks to the positive weights.  Speed matters in one place, the
 exact simplex minimization.  A positive definite form is convex there:
 block principal pivoting finds its optimal support, in one inversion when
 the support is every index, and that face's point is kept after a strict
@@ -381,55 +382,15 @@ def _pivot_support(q):
     return None
 
 
-def _nnls(q, c, stop=0.0):
-    """Minimizer of ``z @ q @ z - 2 * c @ z`` over z >= 0 by the
-    Lawson-Hanson active set (Lawson & Hanson 1974, ch. 23) on the normal
-    equations, for :func:`lp_feasible`.  ``q`` is a Gram matrix A.T @ A,
-    possibly of dependent columns.  An index j enters the passive set only
-    while ``(c - q @ z)_j``, minus half the gradient, exceeds ``stop``; a
-    ``stop`` above the roundoff in the gradient keeps the passive columns
-    independent.  ``None`` if it does not settle within 3n additions
-    (roundoff cycling)."""
-    n = q.shape[0]
-    passive = np.zeros(n, dtype=bool)
-    z = np.zeros(n)
-    for _ in range(3 * n):
-        w = c - q @ z  # minus half the gradient
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= stop:
-            return z
-        passive[j] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            trial = np.zeros(n)
-            trial[idx] = np.linalg.solve(q[idx[:, None], idx], c[idx])
-            if trial[idx].min() > 0.0:
-                break
-            if passive[j] and z[j] == 0.0 and trial[j] <= 0.0:
-                return None  # roundoff: j cannot enter, and the set would cycle
-            # step from z toward trial until the first weight reaches zero
-            neg = np.flatnonzero(passive & (trial <= 0.0))
-            ratio = z[neg] / (z[neg] - trial[neg])
-            k = int(np.argmin(ratio))
-            z += ratio[k] * (trial - z)
-            z[neg[k]] = 0.0
-            passive &= z > 0.0
-            if not passive.any():
-                return None
-        z = trial
-    return None
-
-
 def lp_feasible(a_eq, b_eq, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Find ``x >= 0`` with ``a_eq @ x == b_eq``, each row within
-    ``tol.scaled(max|b_eq|)``.
+    ``tol.scaled(max|b_eq|)``, for linearly independent columns of ``a_eq``.
 
-    Solves the nonnegative least-squares problem by the active set of
-    :func:`_nnls` on the normal equations and returns its solution if the
-    residual is within the threshold.  ``None`` means the system is
-    infeasible, or the active set did not settle (it cycled in roundoff or
-    met an exactly singular passive set).
+    Independent columns admit at most one solution, so the least-squares
+    solution decides: the normal equations are solved on a support S that
+    starts as every column and shrinks to the positive weights while some
+    weight is <= 0 (at most one solve per column).  Returns x, zero off S,
+    if its residual is within the threshold, else ``None``.
     """
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b = np.atleast_1d(np.asarray(b_eq, dtype=float))
@@ -437,11 +398,17 @@ def lp_feasible(a_eq, b_eq, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
         raise ValueError("constraint matrix/rhs shape mismatch")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("constraint entries must be finite")
-    thr = tol.scaled(np.abs(b).max(initial=0.0))
-    try:
-        x = _nnls(a.T @ a, a.T @ b, thr)
-    except np.linalg.LinAlgError:
-        return None
-    if x is None or np.abs(a @ x - b).max(initial=0.0) > thr:
+    if np.linalg.matrix_rank(a) < a.shape[1]:
+        raise ValueError("constraint columns must be linearly independent")
+    q, c = a.T @ a, a.T @ b
+    x = np.zeros(a.shape[1])
+    support = np.arange(a.shape[1])
+    while support.size:
+        weights = np.linalg.solve(q[support[:, None], support], c[support])
+        if weights.min() > 0.0:
+            x[support] = weights
+            break
+        support = support[weights > 0.0]
+    if np.abs(a @ x - b).max(initial=0.0) > tol.scaled(np.abs(b).max(initial=0.0)):
         return None
     return x

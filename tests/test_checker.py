@@ -208,7 +208,12 @@ ROWS = [
     Row("orbit-d-zero", "orbit-e12", E12, 3, "orbit witness: scaling is not positive", {"result.witness.d.0": 0.0}, 0),
     Row("orbit-e12-as-horn", "orbit-e12", E12, 3, "HORN_ORBIT: a row through a zero diagonal entry reaches 1",
         {"result.class": "HORN_ORBIT"}, 0),
-    Row("orbit-psd-rank1", "orbit-j2", J2, 4, "orbit class PSD_RANK1 has no checkable certificate yet"),
+    # PSD_RANK1 carries the vector v of A = v v'
+    Row("orbit-psd-rank1", "orbit-j2", J2, 0, "certificate OK"),
+    Row("orbit-psd-rank1-wrong-vector", "orbit-j2", J2, 3, "PSD_RANK1: v v' misses A by 3",
+        {"result.vector": [2.0, 1.0]}, 0),
+    Row("orbit-psd-rank1-wrong-length", "orbit-j2", J2, 3, "PSD_RANK1: vector of shape (3,), not (2,)",
+        {"result.vector": [1.0, 1.0, 0.0]}, 0),
     Row("orbit-unknown", "orbit-w6", W6, 4, "orbit class UNKNOWN_EXTREME_CLASS claims no orbit"),
     Row("orbit-error", "orbit-negdiag", NEGDIAG, 3, "orbit reported the error NOT_COPOSITIVE"),
     # a malformed report
@@ -307,13 +312,13 @@ def golden_reports(pattern):
 
 def checker_code(doc):
     """The checker's exit code on a golden report: 3 for an error or FAILED
-    report, which has no factor, 0 for an orbit witness, 4 for an
-    uncertified copositive IN and for any other result of a command other
-    than check and factorize."""
+    report, which has no factor, 0 for an orbit witness or rank-1 vector, 4
+    for an uncertified copositive IN and for any other result of a command
+    other than check and factorize."""
     result = doc["result"]
     if "error" in result or result.get("status") == "FAILED":
         return 3
-    if "witness" in result and doc["command"][0] == "orbit":
+    if ("witness" in result or "vector" in result) and doc["command"][0] == "orbit":
         return 0
     if doc["command"][0] not in ("check", "factorize"):
         return 4
@@ -333,12 +338,12 @@ def test_certificate_checker_on_golden_report(tmp_path, name):
 def test_certificate_checker_exit_codes_over_the_goldens():
     """25 check reports hold and 7 copositive IN are not verifiable; of the
     30 factorize reports 11 carry a factor and 19 an error or FAILED; of the
-    18 bounds, orbit and verify-orth reports 3 carry an orbit witness, 10
-    another result and 5 an error."""
+    18 bounds, orbit and verify-orth reports 3 carry an orbit witness, 1 a
+    rank-1 vector, 9 another result and 5 an error."""
     def codes(*patterns):
         names = [name for pattern in patterns for name in golden_reports(pattern)]
         return [checker_code(json.loads((GOLDEN / name).read_text())) for name in names]
 
     assert sorted(codes("check-*.json")) == [0] * 25 + [4] * 7
     assert sorted(codes("factorize-*.json")) == [0] * 11 + [3] * 19
-    assert sorted(codes("bounds-*.json", "orbit-*.json", "verify-orth-*.json")) == [0] * 3 + [3] * 5 + [4] * 10
+    assert sorted(codes("bounds-*.json", "orbit-*.json", "verify-orth-*.json")) == [0] * 4 + [3] * 5 + [4] * 9

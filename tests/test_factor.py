@@ -32,6 +32,7 @@ from copcone.errors import (
     NotPositiveError,
     OrderTooSmallError,
     PerronNotPositiveError,
+    PositivityLostError,
 )
 from copcone.factor import _perron_vector, horn_orthogonal_factorize
 
@@ -394,6 +395,14 @@ class TestContinuation:
         vbar, _, _ = self.interior_point(rng, 3, 0)
         with pytest.raises(NotNonnegativeError):
             factor_continuation(vbar, np.full((3, 1), -10.0), vbar @ vbar.T)
+
+    def test_a_target_that_needs_a_zero_entry_loses_positivity(self):
+        # the off-diagonal pair of vbar vbar' is 2e-3: lowered by 2e-3 it is 0, which no
+        # entrywise positive factor gives; lowered by 1e-3 the continuation converges
+        vbar = np.array([[1.0, 1e-3], [1e-3, 1.0]])
+        e12 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PositivityLostError, match="pushed a factor entry to zero"):
+            factor_continuation(vbar, np.zeros((2, 0)), vbar @ vbar.T - 2e-3 * e12)
 
 
 class TestHeuristic:

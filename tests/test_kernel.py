@@ -320,6 +320,47 @@ def positive_definite(kind, n, seed):
     return q[np.ix_(p, p)]
 
 
+def reference_nnls(q, c, stop=0.0):
+    """Minimizer of ``z @ q @ z - 2 * c @ z`` over z >= 0 by the
+    Lawson-Hanson active set (Lawson & Hanson 1974, ch. 23) on the normal
+    equations: the reference the block principal pivoting is checked
+    against.  ``q`` is a Gram matrix A.T @ A, possibly of dependent
+    columns.  An index j enters the passive set only
+    while ``(c - q @ z)_j``, minus half the gradient, exceeds ``stop``; a
+    ``stop`` above the roundoff in the gradient keeps the passive columns
+    independent.  ``None`` if it does not settle within 3n additions
+    (roundoff cycling)."""
+    n = q.shape[0]
+    passive = np.zeros(n, dtype=bool)
+    z = np.zeros(n)
+    for _ in range(3 * n):
+        w = c - q @ z  # minus half the gradient
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= stop:
+            return z
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            trial = np.zeros(n)
+            trial[idx] = np.linalg.solve(q[idx[:, None], idx], c[idx])
+            if trial[idx].min() > 0.0:
+                break
+            if passive[j] and z[j] == 0.0 and trial[j] <= 0.0:
+                return None  # roundoff: j cannot enter, and the set would cycle
+            # step from z toward trial until the first weight reaches zero
+            neg = np.flatnonzero(passive & (trial <= 0.0))
+            ratio = z[neg] / (z[neg] - trial[neg])
+            k = int(np.argmin(ratio))
+            z += ratio[k] * (trial - z)
+            z[neg[k]] = 0.0
+            passive &= z > 0.0
+            if not passive.any():
+                return None
+        z = trial
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(["gram", "diagonal", "near_singular", "tied"]),
@@ -457,7 +498,7 @@ def test_pivoting_finds_the_active_set_support(kind, n):
     for seed in range(20):
         for scale in (1e-6, 1.0, 1e6):
             q = scale * positive_definite(kind, n, seed)
-            z = kernel._nnls(q, np.ones(n))
+            z = reference_nnls(q, np.ones(n))
             if z is None:
                 continue
             support, inv = kernel._pivot_support(q)
@@ -491,11 +532,12 @@ def test_indefinite_block_is_enumerated_once(enumerations):
 
 
 def test_lp_feasible_basic_cases():
-    # x1 + x2 = 1, x >= 0: the normal equations are singular
-    x = lp_feasible(a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
-    assert x is not None and x.min() >= 0 and abs(x.sum() - 1) <= 1e-9
-    # infeasible: x1 + x2 = -1 with x >= 0
-    assert lp_feasible(a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([-1.0])) is None
+    a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+    # feasible: b = a @ (0.5, 0.25)
+    x = lp_feasible(a_eq=a, b_eq=np.array([0.5, 0.75, 0.5]))
+    assert np.array_equal(x, [0.5, 0.25])
+    # infeasible: b = a @ (1, -1) has its one solution outside x >= 0
+    assert lp_feasible(a_eq=a, b_eq=np.array([1.0, 0.0, -2.0])) is None
 
 
 @pytest.mark.parametrize(
@@ -504,22 +546,15 @@ def test_lp_feasible_basic_cases():
         (np.ones((2, 2)), np.ones(3), "shape mismatch"),
         (np.array([[1.0, np.inf]]), np.ones(1), "must be finite"),
         (np.ones((1, 2)), np.array([np.nan]), "must be finite"),
+        # dependent columns: more columns than rows, equal columns, a zero column
+        (np.array([[1.0, 1.0]]), np.ones(1), "linearly independent"),
+        (np.array([[9.0, 9.0], [6.0, 6.0], [9.0, 9.0]]), np.ones(3), "linearly independent"),
+        (np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2), "linearly independent"),
     ],
 )
 def test_lp_feasible_rejects_malformed_input(a_eq, b_eq, message):
     with pytest.raises(ValueError, match=message):
         lp_feasible(a_eq, b_eq)
-
-
-def test_lp_feasible_dependent_columns_do_not_raise():
-    a = np.array([[9.0, 9.0], [6.0, 6.0], [9.0, 9.0]])
-    b = a @ np.array([0.6, 0.0])
-    x = lp_feasible(a, b)
-    assert x is not None and np.abs(a @ x - b).max() <= DEFAULT_TOL.scaled(5.4)
-    # With no tolerance a roundoff gradient lets the dependent column enter,
-    # and the passive block is exactly singular: no answer, but no error.
-    x = lp_feasible(a, b, Tolerance(abs=0.0, rel=0.0))
-    assert x is None or np.array_equal(a @ x, b)
 
 
 def test_lp_feasible_cone_membership(rng):
@@ -571,6 +606,24 @@ def test_lp_feasible_takes_its_threshold_from_the_tolerance():
     assert lp_feasible(gens, b) is None
     x = lp_feasible(gens, b, Tolerance(abs=1e-6, rel=0.0))
     assert x is not None and np.abs(gens @ x - b).max() <= 1e-6
+
+
+def test_lp_feasible_decides_orthogonal_columns():
+    """Beyond the Horn generators: k <= n <= 8 orthonormal columns at a
+    scale in [1e-3, 1e3].  A nonnegative combination with exact zeros is
+    found; one coefficient made negative leaves no solution."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        a = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k] * 10.0 ** rng.uniform(-3, 3)
+        c = 10.0 ** rng.uniform(-3, 3, k) * (rng.random(k) < 0.7)
+        b = a @ c
+        x = lp_feasible(a, b)
+        assert x is not None and x.min() >= 0.0, seed
+        assert np.abs(a @ x - b).max() <= DEFAULT_TOL.scaled(np.abs(b).max()), seed
+        c[rng.integers(k)] = -(10.0 ** rng.uniform(-3, 3))
+        assert lp_feasible(a, a @ c) is None, seed
 
 
 def test_tolerance_scaling():
