@@ -95,9 +95,9 @@ def is_nonneg(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
 
 def _negative_entry(a, scale, tol) -> NegativeEntry | None:
     """The most negative entry of a validated ``a``, if it is below -thr."""
-    i, j = np.unravel_index(np.argmin(a), a.shape)
+    i, j = divmod(int(a.argmin()), a.shape[1])
     if a[i, j] < -tol.scaled(scale):
-        return NegativeEntry(int(i), int(j), float(a[i, j]))
+        return NegativeEntry(i, j, float(a[i, j]))
     return None
 
 
@@ -133,7 +133,11 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     On B, the most negative diagonal entry refutes at its vertex, and then
     the lowest edge minimum over the negative pairs b_ij < 0, i < j (the
     exact 2x2 principal check; the other pairs cannot refute) refutes at
-    its minimizer, the first such pair in row-major order winning a tie.
+    its minimizer.  That check is one loop over the pairs in row-major
+    order on Python floats, and a strict comparison lets the first minimum
+    win a tie.  It is O(k^2) Python operations, not a dozen numpy calls of
+    fixed cost: up to order 12 the loop is the faster, and beyond it the
+    enumeration of at least 2^13 supports, or UNDECIDED, follows anyway.
     Otherwise one call of ``kernel.simplex_form_min`` finds the exact
     minimum of the form on the simplex of B: by block principal pivoting
     with a strict KKT check when B is positive definite, by one KKT support
@@ -167,28 +171,33 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             x = np.zeros(k)
             x[i] = 1.0
             return refute(x, d[i])  # x @ b @ x, exactly
-        # Edge {i, j} minimum (b_ii b_jj - b_ij^2) / (b_ii + b_jj - 2 b_ij),
-        # attained at x ~ (b_jj - b_ij, b_ii - b_ij) when both are >= 0.  A
-        # pair with b_ij < 0 and a denominator <= 0 has all three entries in
+        # Edge {p, q} minimum (b_pp b_qq - b_pq^2) / (b_pp + b_qq - 2 b_pq),
+        # attained at x ~ (b_qq - b_pq, b_pp - b_pq) when both are >= 0.  A
+        # pair with b_pq < 0 and a denominator <= 0 has all three entries in
         # [-thr, 0), so its form stays >= -thr and it can refute nothing.
-        rows, cols = np.nonzero(b < 0)
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
-        bij = b[rows, cols]
-        di, dj = d[rows], d[cols]
-        den = di + dj - 2.0 * bij
-        edge = np.divide(di * dj - bij * bij, den, out=np.full(bij.size, np.inf), where=den > 0)
-        if edge.size:
-            p = int(edge.argmin())
-            if math.isfinite(edge[p]):
-                i, j, bij = rows[p], cols[p], bij[p]
-                x = np.zeros(k)
-                x[i] = max(d[j] - bij, 0.0)
-                x[j] = max(d[i] - bij, 0.0)
-                x /= x[i] + x[j]
-                value = x @ b @ x
-                if value < -thr:
-                    return refute(x, value)
+        # Each Python float operation rounds as numpy's elementwise one does,
+        # so the edge values keep their bits.
+        rows = b.tolist()
+        best = math.inf
+        for p, row in enumerate(rows):
+            bpp = row[p]
+            for q in range(p + 1, k):
+                bpq = row[q]
+                if bpq < 0:
+                    bqq = rows[q][q]
+                    den = bpp + bqq - 2.0 * bpq
+                    if den > 0:
+                        edge = (bpp * bqq - bpq * bpq) / den
+                        if edge < best:  # strict: the first pair wins a tie
+                            best, i, j, bij = edge, p, q, bpq
+        if best < math.inf:
+            x = np.zeros(k)
+            x[i] = max(rows[j][j] - bij, 0.0)
+            x[j] = max(rows[i][i] - bij, 0.0)
+            x /= x[i] + x[j]
+            value = x @ b @ x
+            if value < -thr:
+                return refute(x, value)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         val, lam = kernel.simplex_form_min(b)
@@ -208,10 +217,11 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
 def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Unit-simplex zeros of the quadratic form of a copositive matrix.
 
-    Each returned x satisfies x >= 0, ||x||_1 = 1, |x.T A x| <= tol and
-    |[A x]_k| <= tol for every k in the support of x.  Zeros are collected
-    from the KKT stationary points of every support set; where the zero set
-    is a continuum, one representative per support is returned.
+    Each returned x satisfies x >= 0, ||x||_1 = 1, |x.T A x| <= thr and
+    |[A x]_k| <= thr for every k in the support of x, where
+    thr = tol.scaled(max|a_ij|).  Zeros are collected from the KKT
+    stationary points of every support set; where the zero set is a
+    continuum, one representative per support is returned.
 
     Only the indices that can carry a zero are enumerated: an index whose row
     is entrywise >= 0 on the indices kept and whose a_ii > 0 is deleted, to a

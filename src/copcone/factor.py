@@ -59,7 +59,7 @@ class NonnegFactor:
         thr = tol.scaled(_factor_scale(v))
         if v.min(initial=0.0) < -thr:
             raise NotNonnegativeError("factor has a negative entry beyond tolerance")
-        v = np.clip(v, 0.0, None)
+        v = np.maximum(v, 0.0)
         col_max = v.max(axis=0, initial=0.0)
         self.v = v[:, col_max > 0.0]
         self.scale = float(col_max.max(initial=0.0))
@@ -113,7 +113,7 @@ def _dd_columns(m: np.ndarray, thr: float, mu: float = 0.0) -> np.ndarray:
     n = m.shape[0]
     if m.min() < -thr:
         raise NotNonnegativeError("matrix has a negative entry")
-    m = np.clip(m, 0.0, None)
+    m = np.maximum(m, 0.0)
     off_sums = m.sum(axis=1) - np.diag(m)
     if np.any(np.diag(m) - off_sums < -thr):
         raise NotDiagonallyDominantError("diagonal dominance fails")
@@ -290,7 +290,7 @@ def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:
         v = np.column_stack([_quadrant_rotate(l @ q), np.eye(n)[i] / np.linalg.norm(u)])
     if v.min() < -clip:
         raise NotDnnError("no nonnegative factor within tolerance")
-    return NonnegFactor(np.clip(v, 0.0, None), tol)
+    return NonnegFactor(np.maximum(v, 0.0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def heuristic_min_factor(
     rank = kernel._rank(w, tol)
     if p_target < rank:
         return None  # cp-rank is bounded below by rank
-    w = np.clip(w[:rank], 0.0, None)
+    w = np.maximum(w[:rank], 0.0)
     b = q[:, :rank] * np.sqrt(w)[None, :]  # n x r root of m
     scale = max(scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
@@ -450,11 +450,11 @@ def heuristic_min_factor(
         for _ in range(500):
             prod = b @ rot
             if prod.min() >= -_ROOT_FLOOR * scale:
-                v = NonnegFactor(np.clip(prod, 0.0, None), tol)
+                v = NonnegFactor(np.maximum(prod, 0.0), tol)
                 if np.abs(v.product() - m).max() <= _FACTOR_FIT * scale:
                     return v
                 break
-            targ = np.clip(prod, 0.0, None)
+            targ = np.maximum(prod, 0.0)
             u, _, vt = np.linalg.svd(b.T @ targ, full_matrices=False)
             rot = u @ vt
     return None

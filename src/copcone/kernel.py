@@ -77,6 +77,12 @@ def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Validate a square symmetric array; return its exact symmetrization
     and that matrix's largest entry magnitude, the scale of thresholds.
 
+    An input equal to its transpose byte for byte, -0.0 against -0.0
+    included, is returned as a copy: 0.5 * (a + a.T) equals it bit for bit,
+    so the skew test and the symmetrization are skipped.  Any other input,
+    -0.0 facing 0.0 among them, is symmetrized.  The result never shares
+    memory with the input.
+
     Raises ``ValueError`` if the input is not square, not finite, has an
     entry above ``MAX_ENTRY`` in magnitude, or is not symmetric within the
     tolerance.
@@ -91,6 +97,8 @@ def as_sym(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
         raise ValueError("matrix entries must be finite")
     if scale > MAX_ENTRY:
         raise ValueError("matrix entries must be at most 2**500 in magnitude")
+    if arr.tobytes() == arr.T.tobytes():
+        return arr.copy(), scale  # 0.5 * (arr + arr.T), bit for bit
     skew = np.abs(arr - arr.T).max()
     if skew > tol.scaled(scale):
         raise ValueError("matrix is not symmetric within tolerance")

@@ -504,6 +504,16 @@ def verdict_family(kind, seed):
         return random_sym(rng, n)
     if kind == "integer":  # exact ties and exactly singular faces
         return np.round(random_sym(rng, n, 3.0))
+    if kind == "signed-zeros":  # exact ties; -0.0 facing 0.0 or -0.0, and on the diagonal
+        a = np.round(random_sym(rng, n, 2.0))
+        np.fill_diagonal(a, np.abs(a.diagonal()))
+        neg = (a == 0) & (rng.random((n, n)) < 0.5)
+        if rng.random() < 0.5:  # in pairs: a equals its transpose byte for byte
+            neg |= neg.T
+        a[neg] = -0.0
+        i = rng.integers(n)
+        a[i, i] = -0.0
+        return a
     if kind == "nonneg":  # deleted rows; a zero diagonal entry is a zero
         u = rng.random((n, n))
         a = u + u.T
@@ -531,6 +541,7 @@ def verdict_family(kind, seed):
 VERDICT_FAMILIES = [
     "random",
     "integer",
+    "signed-zeros",
     "nonneg",
     "gram-plus-nonneg",
     "near-symmetric",
@@ -557,6 +568,10 @@ MALFORMED = [
 
 
 def assert_same_verdicts(a):
+    sym = kernel.as_sym(a)[0]
+    want = reference_as_sym(a)
+    assert sym.shape == want.shape and sym.tobytes() == want.tobytes()
+    assert not np.shares_memory(sym, a)
     assert verdict_key(is_copositive(a)) == verdict_key(reference_is_copositive(a))
     assert verdict_key(is_dnn(a)) == verdict_key(reference_is_dnn(a))
 
