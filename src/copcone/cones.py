@@ -227,6 +227,12 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     is entrywise >= 0 on the indices kept and whose a_ii > 0 is deleted, to a
     fixpoint, because at a zero x, [A x]_i = 0 on supp(x) while such a row
     gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
+
+    Raises :class:`NotCopositiveError` unless :func:`is_copositive` answers
+    ``IN``, and the kernel's ``ValueError`` ("support enumeration is limited
+    to order 16") when more than 16 indices are kept: zero-diagonal rows
+    stay, so Horn plus a zero block of order 12 (order 17), which
+    :func:`is_copositive` certifies ``IN``, raises it.
     """
     a, scale = kernel.as_sym(a, tol)
     if is_copositive(a, tol).answer is not Answer.IN:

@@ -12,14 +12,11 @@ the support is every index, and that face's point is kept after a strict
 KKT check whose margins are scaled per index.  Any other form, a near
 tie, or pivoting that comes back to a free set it has tried enumerates all
 2**n - 1 supports and solves their KKT systems in stacked LAPACK calls,
-one per support size within each block of 1024 bitmasks, which bounds the
-KKT stacks held to one block's systems.
-The integer layout of that walk (per block and support size, the masks'
-positions and member indices) is built once per order and cached: 0.9 kB
-at order 5, 0.23 MB at order 12, 4.7 MB at order 16.  The enumeration
-yields its points in increasing mask order, with the values a
-one-support-at-a-time loop gives, bit for bit; the pivoting returns the
-enumeration's minimum, bit for bit.
+one per support size.  The integer layout of that walk (per support size,
+the masks' positions and member indices) is built once per order and
+cached.  The enumeration yields its points in increasing mask order, with
+the values a one-support-at-a-time loop gives, bit for bit; the pivoting
+returns the enumeration's minimum, bit for bit.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
@@ -155,11 +152,6 @@ def pivoted_cholesky(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.column_stack([np.zeros((n, 0)), *cols])
 
 
-# Support masks solved per batch.  Bounds the stacked KKT arrays of one
-# support size to _BLOCK * (n + 1)**2 floats (2.4 MB at order 16); one
-# batch over all masks at order 12 measured +1.8 MB of peak RSS.
-_BLOCK = 1024
-
 # Largest order whose 2**n - 1 supports are enumerated.
 ENUMERATION_MAX_ORDER = 16
 
@@ -202,50 +194,43 @@ def simplex_stationary_points(q):
     is always among the yielded values.  Supports whose stationarity system
     is inconsistent are skipped: their face attains its minimum on a subface.
 
-    The masks are walked in blocks of ``_BLOCK``; inside a block the KKT
-    systems of each support size are solved in one stacked call, with the
-    index arrays of the cached :func:`_support_plan`.  Each system sees the
-    same LAPACK/BLAS calls as a one-support-at-a-time solve, so the yielded
-    values are bit-identical to it.  ``q`` is a symmetric float matrix as
-    :func:`as_sym` returns it, or a principal block of one.
+    The KKT systems of each support size are solved in one stacked call,
+    with the index arrays of the cached :func:`_support_plan`.  Each system
+    sees the same LAPACK/BLAS calls as a one-support-at-a-time solve, so the
+    yielded values are bit-identical to it.  ``q`` is a symmetric float
+    matrix as :func:`as_sym` returns it, or a principal block of one.
     """
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         raise ValueError(f"support enumeration is limited to order {ENUMERATION_MAX_ORDER}")
     scale = max(1.0, np.abs(q).max())
-    for count, sizes in _support_plan(n):
-        values = np.empty(count)
-        lams = np.zeros((count, n))
-        found = np.zeros(count, dtype=bool)
-        for rows, idx in sizes:
-            keep, vals, lam = _face_points(q, idx, scale)
-            rows = rows[keep]
-            found[rows] = True
-            values[rows] = vals
-            lams[rows[:, None], idx[keep]] = lam
-        yield from zip(values[found].tolist(), lams[found])
+    count = (1 << n) - 1
+    values = np.empty(count)
+    lams = np.zeros((count, n))
+    found = np.zeros(count, dtype=bool)
+    for rows, idx in _support_plan(n):
+        keep, vals, lam = _face_points(q, idx, scale)
+        rows = rows[keep]
+        found[rows] = True
+        values[rows] = vals
+        lams[rows[:, None], idx[keep]] = lam
+    yield from zip(values[found].tolist(), lams[found])
 
 
 @functools.lru_cache(maxsize=None)
 def _support_plan(n):
-    """Integer layout of the enumeration at order ``n``: per block of
-    ``_BLOCK`` masks, its mask count and, for each support size k present,
-    the block positions of the size-k masks and their (m, k) index array.
-    Every caller shares the cached arrays, so they are read-only."""
-    bits = 1 << np.arange(n)
+    """Integer layout of the enumeration at order ``n``: for each support
+    size k, the positions mask - 1 of the size-k masks and their (m, k)
+    index array.  Every caller shares the cached arrays, so they are
+    read-only."""
+    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1) != 0
+    size = member.sum(axis=1)
     plan = []
-    for start in range(1, 1 << n, _BLOCK):
-        masks = np.arange(start, min(start + _BLOCK, 1 << n))
-        member = (masks[:, None] & bits) != 0
-        size = member.sum(axis=1)
-        sizes = []
-        for k in range(1, n + 1):
-            rows = np.flatnonzero(size == k)
-            if rows.size:
-                idx = np.nonzero(member[rows])[1].reshape(rows.size, k)
-                rows.flags.writeable = idx.flags.writeable = False
-                sizes.append((rows, idx))
-        plan.append((masks.size, tuple(sizes)))
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(size == k)
+        idx = np.nonzero(member[rows])[1].reshape(rows.size, k)
+        rows.flags.writeable = idx.flags.writeable = False
+        plan.append((rows, idx))
     return tuple(plan)
 
 

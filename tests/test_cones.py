@@ -279,6 +279,16 @@ def test_boundary_zeros_of_horn_plus_identity_17_stay_on_the_horn_block():
         assert np.abs((a @ z)[z > 0]).max() <= 1e-12
 
 
+def test_boundary_zeros_of_horn_plus_zeros_17_hit_the_enumeration_limit():
+    # Horn plus a zero block is copositive, but the twelve zero-diagonal
+    # rows can carry zeros and are kept: 17 indices to enumerate.
+    a = np.zeros((17, 17))
+    a[:5, :5] = horn_matrix()
+    assert is_copositive(a).answer is Answer.IN
+    with pytest.raises(ValueError, match=r"^support enumeration is limited to order 16$"):
+        copositive_boundary_zeros(a)
+
+
 def test_boundary_zeros_keep_a_nonnegative_row_with_zero_diagonal():
     # Row 0 is nonnegative but a_00 = 0, so its vertex is a zero.
     zeros = copositive_boundary_zeros(np.array([[0.0, 1.0], [1.0, 1.0]]))

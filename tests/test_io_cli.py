@@ -225,6 +225,13 @@ ROWS = [
         {"result.best_interval": [6, 12]}, "wall time"),
     Row("verify-orth", ("verify-orth", "w6.json", "hornplus0.json"), 0,
         {"result.column_check": True, "result.anti_dd_all_pass": True}, "wall time"),
+    # e1 e1' + 1.9e-9 J has numerical rank 2, and the one column e1
+    # reproduces it within tolerance: the upper bound 1 undercuts the rank
+    Row("inconsistent-bounds", ("bounds", "m.json", "--factor", "f.json"), 1,
+        {"result.error": "INCONSISTENT_BOUNDS", "result.message": "minimal upper bound undercuts the rank lower bound"},
+        "wall time",
+        {"m.json": json.dumps({"n": 3, "data": (np.diag([1.0, 0.0, 0.0]) + 1.9e-9).tolist()}),
+         "f.json": json.dumps({"n": 3, "factor": [[1.0], [0.0], [0.0]]})}),
     # usage rules: combinations argparse accepts that no command reads
     Row("bounds-without-input", ("bounds",), 64, None, "error: either a matrix file or --n is required"),
     Row("bounds-n-and-file", ("bounds", "--n", "6", "w6.json"), 64, None, N_ALONE),

@@ -217,11 +217,14 @@ def oracle_matrices():
     h2[:5, :5] = h
     mats.append(h2)
     a = random_sym(rng, 11)
-    mats += [np.round(2.0 * a), np.eye(11) + 0.05 * a]  # 2047 masks: two blocks
+    mats += [np.round(2.0 * a), np.eye(11) + 0.05 * a]  # 2047 masks
     mats.append(random_sym(rng, 1))  # one mask, one support size
     a = random_sym(rng, 10, scale=2.0)
-    mats += [a, np.round(a)]  # 1023 masks: one block holding every size
-    mats.append(random_sym(rng, 12))  # 4095 masks: four blocks
+    mats += [a, np.round(a)]  # 1023 masks
+    mats.append(random_sym(rng, 12))  # 4095 masks
+    # 8191 masks: the C(13, 6) = 1716 supports of size 6, and as many of
+    # size 7, are each one stacked solve
+    mats.append(random_sym(rng, 13))
     return mats
 
 
@@ -245,21 +248,18 @@ def test_form_min_is_the_first_least_stationary_point(a):
 
 
 def test_support_plan_holds_only_integer_indices():
-    """The cached plan at the largest order: integer arrays only, one block
+    """The cached plan at the largest order: integer arrays only, one
     position per mask and one index per member of each support, so its size
     is (2**n - 1 + n * 2**(n - 1)) index entries, 4.7 MB at order 16."""
     n = kernel.ENUMERATION_MAX_ORDER
     plan = kernel._support_plan(n)
     assert kernel._support_plan(n) is plan
-    arrays = [arr for _, sizes in plan for pair in sizes for arr in pair]
+    arrays = [arr for pair in plan for arr in pair]
     assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
     bound = (2**n - 1 + n * 2 ** (n - 1)) * np.dtype(np.intp).itemsize
     assert sum(arr.nbytes for arr in arrays) <= bound <= 5_000_000
-    assert len(plan) == -(-(2**n - 1) // kernel._BLOCK)
-    for count, sizes in plan:
-        rows = np.concatenate([rows for rows, _ in sizes])
-        assert np.array_equal(np.sort(rows), np.arange(count))
-        assert [idx.shape[1] for _, idx in sizes] == sorted({idx.shape[1] for _, idx in sizes})
+    rows = np.concatenate([rows for rows, _ in plan])
+    assert np.array_equal(np.sort(rows), np.arange(2**n - 1))
 
 
 def test_stationary_points_order_limit():
