@@ -23,7 +23,6 @@ _EXPORTS = {
         "djl_lower",
         "known_pn_interval",
         "witness_bound",
-        "zero_entry_bound",
     ),
     "cones": (
         "Answer",
@@ -42,11 +41,9 @@ _EXPORTS = {
         "anti_dd_check",
         "classify_rank12",
         "horn_orbit_recognize",
-        "nonneg_extreme_check",
         "orth_column_check",
         "orth_nullspace_check",
         "rank3_witness_check",
-        "zero_diag_reduce",
     ),
     "factor": (
         "ContinuationResult",
@@ -58,7 +55,6 @@ _EXPORTS = {
         "horn_orthogonal_factorize",
         "perturb_positify",
         "positive_dd_factorize",
-        "support_split",
     ),
     "kernel": ("DEFAULT_TOL", "Tolerance"),
     "special": ("e12", "horn_block6", "horn_generators", "horn_matrix"),

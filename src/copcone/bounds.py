@@ -29,7 +29,6 @@ __all__ = [
     "babe",
     "known_pn_interval",
     "witness_bound",
-    "zero_entry_bound",
     "cp_rank_interval",
 ]
 
@@ -115,14 +114,10 @@ def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:
     return entries
 
 
-def zero_entry_bound(m, tol: Tolerance = DEFAULT_TOL) -> BoundEntry | None:
-    """Upper bound 2 U(n-1) when M has a zero entry, U being the best known
-    upper bound one order down.  Not emitted for entrywise positive M."""
-    return _zero_entry(*kernel.as_sym(m, tol), tol)
-
-
 def _zero_entry(m: np.ndarray, scale: float, tol: Tolerance) -> BoundEntry | None:
-    """:func:`zero_entry_bound` of a validated ``m`` of scale ``scale``."""
+    """Upper bound 2 U(n-1) when a validated ``m`` of scale ``scale`` has a
+    zero entry, U being the best known upper bound one order down.  Not
+    emitted for entrywise positive M."""
     n = m.shape[0]
     if n < 2 or np.abs(m).min() > tol.scaled(scale):
         return None

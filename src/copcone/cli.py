@@ -177,6 +177,7 @@ def cmd_verify_orth(args, tol, inputs) -> tuple[dict, int]:
         "column_check": col.passed,
         "anti_dd_rows": list(anti.rows),
         "anti_dd_all_pass": anti.all_pass,
+        "rank3_witness": extremal.rank3_witness_check(m, a, tol),
     }
     if args.factor:
         v = inputs.nonneg_factor(args.factor)

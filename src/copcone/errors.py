@@ -43,10 +43,6 @@ class NotDnnError(CopconeError):
     tag = "NOT_DNN"
 
 
-class KOutOfRangeError(CopconeError):
-    tag = "K_OUT_OF_RANGE"
-
-
 class NewtonDivergedError(CopconeError):
     tag = "NEWTON_DIVERGED"
 
@@ -73,10 +69,6 @@ class InconsistentBoundsError(CopconeError):
 
 class ZeroRowError(CopconeError):
     tag = "ZERO_ROW"
-
-
-class SingularError(CopconeError):
-    tag = "SINGULAR"
 
 
 class DataError(CopconeError):

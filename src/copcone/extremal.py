@@ -1,7 +1,7 @@
 """Extreme-ray structure tools: orbit recognition under positive diagonal
-scaling and permutation, zero-diagonal reduction, rank-based classification
-of extreme copositive matrices, and the orthogonality / anti-diagonal-
-dominance checks for orthogonal cone pairs.
+scaling and permutation, rank-based classification of extreme copositive
+matrices, and the orthogonality, anti-diagonal-dominance and rank-3 witness
+checks for orthogonal cone pairs.
 
 Extremality of a general copositive matrix is never decided here; the
 classification operations take it as a caller assertion and verify only its
@@ -16,21 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, special
-from .cones import Answer, _negative_entry, is_copositive
-from .errors import (
-    NotCopositiveError,
-    NotNonnegativeError,
-    NotOrthogonalError,
-    NotPositiveError,
-    SingularError,
-    ZeroRowError,
-)
+from .cones import Answer, is_copositive
+from .errors import NotCopositiveError, NotOrthogonalError, ZeroRowError
 from .kernel import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "OrbitWitness",
     "ExtremeClass",
-    "ZeroDiagReduction",
     "OrthColumnResult",
     "AntiDdResult",
     "PASS",
@@ -39,10 +31,8 @@ __all__ = [
     "orth_column_check",
     "orth_nullspace_check",
     "anti_dd_check",
-    "zero_diag_reduce",
     "classify_rank12",
     "horn_orbit_recognize",
-    "nonneg_extreme_check",
     "rank3_witness_check",
 ]
 
@@ -157,19 +147,14 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     return AntiDdResult(tuple((d <= off + thr).tolist()))
 
 
-def zero_diag_reduce(a, tol: Tolerance = DEFAULT_TOL) -> ZeroDiagReduction:
-    """Strip the zero-diagonal indices of a copositive matrix.
+def _zero_diag(a: np.ndarray, thr: float) -> ZeroDiagReduction:
+    """Strip the zero-diagonal indices, the diagonal entries <= thr, of a
+    validated copositive matrix ``a``.
 
     For an extreme copositive matrix with a negative entry, the rows and
     columns through its zero diagonal entries must vanish entirely;
     ``structure_ok`` tells whether they do.
     """
-    a, scale = kernel.as_sym(a, tol)
-    return _zero_diag(a, tol.scaled(scale))
-
-
-def _zero_diag(a: np.ndarray, thr: float) -> ZeroDiagReduction:
-    """:func:`zero_diag_reduce` of a validated ``a``; its zeros are the diagonal entries <= thr."""
     zero = np.diag(a) <= thr
     structure_ok = bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
     return ZeroDiagReduction(a[np.ix_(~zero, ~zero)], tuple(np.flatnonzero(zero).tolist()), structure_ok)
@@ -258,29 +243,20 @@ def classify_rank12(a, tol: Tolerance = DEFAULT_TOL) -> ExtremeClass:
     return ExtremeClass("UNKNOWN_EXTREME_CLASS")
 
 
-def nonneg_extreme_check(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Check the extreme pattern for nonnegative matrices: at most one
-    positive entry on or above the diagonal (a squared basis vector, or an
-    E12-orbit matrix)."""
-    a, scale = kernel.as_sym(a, tol)
-    if _negative_entry(a, scale, tol) is not None:
-        raise NotNonnegativeError("matrix is not nonnegative")
-    return int(np.count_nonzero(np.triu(a) > tol.scaled(scale))) == 1
-
-
-def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> str:
     """Consequence check for an extreme copositive matrix orthogonal to a
     positive nonsingular boundary matrix: rank at least 3 and no 2x2
-    principal submatrix in the E12 orbit."""
+    principal submatrix in the E12 orbit.
+
+    Returns PASS/FAIL when M is entrywise positive and nonsingular, and SKIP
+    otherwise.
+    """
     m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
-    if m.min() <= tol.scaled(mscale):
-        raise NotPositiveError("boundary matrix must be entrywise positive")
-    n = m.shape[0]
-    if kernel.num_rank(m, tol) != n:
-        raise SingularError("boundary matrix must be nonsingular")
+    if m.min() <= tol.scaled(mscale) or kernel.num_rank(m, tol) != m.shape[0]:
+        return SKIP
     if kernel.num_rank(a, tol) < 3:
-        return False
+        return FAIL
     thr = tol.scaled(ascale)
     zero = _zero_diag(a, thr).zero_indices
     # an E12-orbit 2x2 block: a positive pair between two zero diagonal entries
-    return not (a[np.ix_(zero, zero)] > thr).any()
+    return FAIL if (a[np.ix_(zero, zero)] > thr).any() else PASS

@@ -19,7 +19,6 @@ from . import kernel, special
 from .cones import InteriorCertificate, cp_interior_certificate, is_dnn, Answer
 from .errors import (
     ColumnOutsideConesError,
-    KOutOfRangeError,
     NewtonDivergedError,
     NotDiagonallyDominantError,
     NotDnnError,
@@ -38,7 +37,6 @@ __all__ = [
     "dd_factorize",
     "positive_dd_factorize",
     "perturb_positify",
-    "support_split",
     "horn_orthogonal_factorize",
     "cp3_factorize",
     "factor_continuation",
@@ -206,20 +204,6 @@ def perturb_positify(
     vout = v0.v + delta * np.outer(v0.v @ x, x)
     m = m0 + eps * np.outer(v, v)
     return m, NonnegFactor(vout, tol)
-
-
-def support_split(
-    v: NonnegFactor, index: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[NonnegFactor, NonnegFactor]:
-    """Split columns by whether coordinate ``index`` is in their support.
-
-    The two parts regroup the rank-1 terms, so V1 V1.T + V2 V2.T = V V.T
-    exactly.
-    """
-    if not 0 <= index < v.n:
-        raise KOutOfRangeError("index out of range")
-    mask = v.v[index, :] > tol.scaled(v.scale)
-    return NonnegFactor(v.v[:, mask], tol), NonnegFactor(v.v[:, ~mask], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +414,12 @@ def heuristic_min_factor(
     random restarts; the first restart index to succeed wins.  The search
     runs with ``p_target`` columns, but columns that end up exactly zero are
     dropped by :class:`NonnegFactor`, so fewer may come back.  ``None``
-    means the search failed, which is not a proof of impossibility.
+    means the search failed, which is not a proof of impossibility.  A
+    negative ``p_target`` is a ValueError; a zero matrix gets the factor with
+    no columns.
     """
+    if p_target < 0:
+        raise ValueError("p_target must be nonnegative")
     m, scale = kernel.as_sym(m, tol)
     if is_dnn(m, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
@@ -439,6 +427,8 @@ def heuristic_min_factor(
     rank = kernel._rank(w, tol)
     if p_target < rank:
         return None  # cp-rank is bounded below by rank
+    if rank == 0:
+        return NonnegFactor(np.zeros((m.shape[0], 0)), tol)
     w = np.maximum(w[:rank], 0.0)
     b = q[:, :rank] * np.sqrt(w)[None, :]  # n x r root of m
     scale = max(scale, np.finfo(float).tiny)

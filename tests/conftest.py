@@ -94,6 +94,20 @@ def random_admissible_factor(rng, p, full6=False):
     return NonnegFactor(w @ x)
 
 
+def positive_horn_partner():
+    """Entrywise positive nonsingular matrix orthogonal to the Horn block:
+    every generator cone contributes, all coefficients positive."""
+    w = horn_generators()
+    rng = np.random.default_rng(3)
+    x = np.zeros((6, 10))
+    for j in range(10):
+        i = j % 5
+        x[i, j] = rng.random() + 0.2
+        x[(i + 1) % 5, j] = rng.random() + 0.2
+        x[5, j] = rng.random() + 0.2
+    return (w @ x) @ (w @ x).T
+
+
 def simplex_grid_min(a, starts=96, iters=250, seed=0):
     """Independent estimate of min x'Ax over the standard simplex: projected
     gradient descent from vertices, edge midpoints and random starts, run in

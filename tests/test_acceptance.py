@@ -122,8 +122,9 @@ def test_06_bounds_table():
     v = random_admissible_factor(np.random.default_rng(5), 6, full6=True)
     entries = cc.witness_bound(v.product(), cc.horn_block6())
     ok &= min(e.value for e in entries) == 15
-    ze = cc.zero_entry_bound(np.eye(6))
-    ok &= ze is not None and ze.value == 12
+    ze = [e.value for e in cc.cp_rank_interval(np.eye(6)).uppers if e.rule == "ZERO_ENTRY"]
+    ok &= ze == [12]
+    ok &= all(e.rule != "ZERO_ENTRY" for e in cc.cp_rank_interval(np.ones((6, 6)) + np.eye(6)).uppers)
     report("06 bounds table", ok)
 
 

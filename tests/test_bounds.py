@@ -11,7 +11,6 @@ from copcone import (
     horn_matrix,
     known_pn_interval,
     witness_bound,
-    zero_entry_bound,
 )
 from copcone.errors import (
     NotCopositiveWitnessError,
@@ -72,11 +71,13 @@ def test_witness_bound_guards():
         witness_bound(np.diag([1.0, 0.0]), np.diag([0.0, -1.0]))
 
 
+def zero_entries(m):
+    return [e for e in cp_rank_interval(m).uppers if e.rule == "ZERO_ENTRY"]
+
+
 def test_zero_entry_bound():
-    m = np.eye(6)
-    entry = zero_entry_bound(m)
-    assert entry is not None and entry.value == 12
-    assert zero_entry_bound(np.ones((4, 4)) + np.eye(4)) is None
+    assert [e.value for e in zero_entries(np.eye(6))] == [12]
+    assert zero_entries(np.ones((4, 4)) + np.eye(4)) == []
 
 
 def test_cp_rank_interval_identity():

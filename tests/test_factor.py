@@ -19,11 +19,9 @@ from copcone import (
     horn_matrix,
     perturb_positify,
     positive_dd_factorize,
-    support_split,
 )
 from copcone.errors import (
     ColumnOutsideConesError,
-    KOutOfRangeError,
     NewtonDivergedError,
     NotDiagonallyDominantError,
     NotDnnError,
@@ -236,22 +234,6 @@ class TestPerturbPositify:
             perturb_positify(NonnegFactor(np.ones((2, 1))), -1.0)
 
 
-class TestSupportSplit:
-    def test_support_split(self, rng):
-        v = NonnegFactor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
-        with_i, without_i = support_split(v, 0)
-        assert with_i.p == 2 and without_i.p == 1
-        total = with_i.product() + without_i.product()
-        assert np.abs(total - v.product()).max() <= 1e-12
-
-    @pytest.mark.parametrize("index", [-1, 2])
-    def test_index_outside_the_order(self, index):
-        # -1 would index the last row
-        v = NonnegFactor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
-        with pytest.raises(KOutOfRangeError, match="index out of range"):
-            support_split(v, index)
-
-
 class TestCp3:
     def test_diagonal(self):
         v = cp3_factorize(np.diag([1.0, 2.0, 3.0]))
@@ -430,6 +412,16 @@ class TestHeuristic:
 
     def test_below_rank_returns_none(self):
         assert heuristic_min_factor(np.eye(3), 2) is None
+
+    def test_rejects_a_negative_target(self):
+        # a negative target fell under the rank test and read as a failed search
+        with pytest.raises(ValueError, match="p_target must be nonnegative"):
+            heuristic_min_factor(np.eye(3), -1)
+
+    def test_zero_matrix_target_zero_has_no_columns(self):
+        # the projection loop reduced over an n x 0 product
+        v = heuristic_min_factor(np.zeros((3, 3)), 0)
+        assert v.v.shape == (3, 0)
 
     def test_deterministic(self):
         m = np.eye(3) + 1.0

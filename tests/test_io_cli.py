@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import checkout_env, run_cli
+from conftest import checkout_env, positive_horn_partner, run_cli
 from copcone.errors import DataError
 from copcone.io import canonical_json, load_factor, load_matrix
 
@@ -225,6 +225,13 @@ ROWS = [
         {"result.best_interval": [6, 12]}, "wall time"),
     Row("verify-orth", ("verify-orth", "w6.json", "hornplus0.json"), 0,
         {"result.column_check": True, "result.anti_dd_all_pass": True}, "wall time"),
+    # the rank-3 witness relation, on a positive nonsingular M: Horn ⊕ 0 has
+    # rank 5 and no E12 block, and diag(1, -1, 0) has rank 2
+    Row("rank3-witness-pass", ("verify-orth", "m.json", "hornplus0.json"), 0, {"result.rank3_witness": "PASS"},
+        "wall time", {"m.json": json.dumps({"n": 6, "data": positive_horn_partner().tolist()})}),
+    Row("rank3-witness-fail", ("verify-orth", "m.json", "a.json"), 0, {"result.rank3_witness": "FAIL"}, "wall time",
+        {"m.json": json.dumps({"n": 3, "data": (np.ones((3, 3)) + np.eye(3)).tolist()}),
+         "a.json": json.dumps({"n": 3, "data": np.diag([1.0, -1.0, 0.0]).tolist()})}),
     # e1 e1' + 1.9e-9 J has numerical rank 2, and the one column e1
     # reproduces it within tolerance: the upper bound 1 undercuts the rank
     Row("inconsistent-bounds", ("bounds", "m.json", "--factor", "f.json"), 1,
