@@ -8,10 +8,11 @@ MATRIX is an input file the report names, as JSON or as plain text; a
 report that read no file, as `copcone bounds --n N` does, needs none.
 Exits 0 if the certificate holds; 3 if it does not, if the report is
 malformed (a field missing or of the wrong type), if it is an error
-report or carries no factor, if MATRIX is missing or not one of its
-inputs, or if REPORT or MATRIX cannot be read; 4 if it cannot be
-verified, which includes the orbit class UNKNOWN_EXTREME_CLASS and the
-result of any other command (docs/format.md gives the rule).  An orbit
+report or carries no factor, if MATRIX is not one of its inputs or is
+missing where a certificate needs it, or if REPORT or MATRIX cannot be
+read; 4 if it cannot be verified, which includes the orbit class
+UNKNOWN_EXTREME_CLASS and the result of any other command, with or
+without MATRIX (docs/format.md gives the rule).  An orbit
 report of class HORN_ORBIT, E12_ORBIT or PSD_RANK1 exits 0 or 3.
 """
 import argparse
@@ -140,11 +141,14 @@ def verify(report: dict, path: str | None) -> None:
     NotVerifiable for a claim without a certificate, or one that holds only
     at the looser tolerance the report was made at."""
     if path is None:
+        # a report without a certificate is not verifiable whether or not it read files
+        screen(report)
         checks.require(not report["inputs"], "the report read files: give one of them as MATRIX")
         m = file_factor = None
     else:
         m, file_factor, digest = load(path)
         checks.require(digest in report["inputs"].values(), f"{path} is not an input of the report")
+        screen(report)
     try:
         certify(report, m, file_factor)
     except checks.CheckError as exc:
@@ -167,14 +171,21 @@ def verify(report: dict, path: str | None) -> None:
         ) from exc
 
 
+def screen(report: dict) -> None:
+    """Fail an error report of a command other than check and factorize;
+    raise NotVerifiable for a bounds or verify-orth result, which carries no
+    certificate yet."""
+    result, command = report["result"], report["command"][0]
+    if command not in ("check", "factorize"):
+        checks.require("error" not in result, f"{command} reported the error {result.get('error')}")
+        if command != "orbit":
+            raise NotVerifiable(f"{command} results carry no checkable certificate yet")
+
+
 def certify(report: dict, m: np.ndarray, file_factor) -> None:
     """Check the report's certificate for ``m`` at checks.py's thresholds."""
     result = report["result"]
     command = report["command"][0]
-    if command not in ("check", "factorize"):
-        checks.require("error" not in result, f"{command} reported the error {result.get('error')}")
-        if command != "orbit":  # bounds and verify-orth results carry no certificate yet
-            raise NotVerifiable(f"{command} results carry no checkable certificate yet")
     n = m.shape[0]
     factorize = command == "factorize"
     if command == "orbit":  # keyed by its class; the witness is the certificate

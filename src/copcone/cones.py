@@ -4,10 +4,13 @@ complete positivity.
 
 Every negative verdict carries a certificate that re-verifies with plain
 arithmetic.  Copositivity is decided exactly: after deleting nonnegative
-rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form,
-and otherwise one exact simplex minimization of the remaining block (block
-principal pivoting if it is positive definite, a KKT enumeration if not)
-settles the decision and supplies the boundary certificate.
+rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form;
+on a block that is not positive definite, the 3x3 (triple) check picks the
+principal triple with the lowest closed-form interior value and refutes by
+that 3x3 block's exact minimum; and otherwise one exact simplex minimization
+of the remaining block (block principal pivoting if it is positive definite,
+a KKT enumeration if not) settles the decision and supplies the boundary
+certificate.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def _psd_violation(a, scale, tol) -> ViolationVector | None:
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
-    """Exact copositivity test: vertex and edge checks, then one enumeration.
+    """Exact copositivity test: vertex, edge and triple checks, then one
+    enumeration.
 
     The input is validated once, and the threshold comes from the scale
     found by that pass.  Then every index whose row, restricted to the
@@ -138,14 +142,23 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     win a tie.  It is O(k^2) Python operations, not a dozen numpy calls of
     fixed cost: up to order 12 the loop is the faster, and beyond it the
     enumeration of at least 2^13 supports, or UNDECIDED, follows anyway.
-    Otherwise one call of ``kernel.simplex_form_min`` finds the exact
-    minimum of the form on the simplex of B: by block principal pivoting
-    with a strict KKT check when B is positive definite, by one KKT support
-    enumeration otherwise.  It refutes with its minimizer, or decides IN
-    and supplies the ``BoundaryZero`` when the minimum vanishes.
-    ``minimum``, reported on IN answers only, is the smaller of the
-    smallest diagonal entry of A and that exact minimum.  UNDECIDED means
-    that B exceeds order 16, the limit of the enumeration.
+
+    If B has order >= 3 and ``np.linalg.cholesky`` rejects it, the triple
+    check follows (3 is the last order with a closed-form test, Hadeler
+    1983): over the triples with two or more negative pairs, the one whose
+    face has the lowest interior stationary value below -thr (see
+    :func:`_worst_triple`) gets one ``kernel.simplex_form_min`` call on its
+    3x3 principal block, and its zero-padded minimizer refutes if its form
+    on B is below -thr.  A positive definite B is strictly copositive, so
+    it skips this check.  Otherwise one call of ``kernel.simplex_form_min``
+    finds the exact minimum of the form on the simplex of B: by block
+    principal pivoting with a strict KKT check when B is positive definite,
+    by one KKT support enumeration otherwise.  It refutes with its
+    minimizer, or decides IN and supplies the ``BoundaryZero`` when the
+    minimum vanishes.  ``minimum``, reported on IN answers only, is the
+    smaller of the smallest diagonal entry of A and that exact minimum.
+    UNDECIDED means that B exceeds order 16, the limit of the enumeration,
+    and no vertex, edge or triple of it refutes.
     """
     a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
@@ -178,12 +191,15 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
         # Each Python float operation rounds as numpy's elementwise one does,
         # so the edge values keep their bits.
         rows = b.tolist()
+        nbrs = [[] for _ in rows]  # the negative pairs, for the triple check
         best = math.inf
         for p, row in enumerate(rows):
             bpp = row[p]
             for q in range(p + 1, k):
                 bpq = row[q]
                 if bpq < 0:
+                    nbrs[p].append(q)
+                    nbrs[q].append(p)
                     bqq = rows[q][q]
                     den = bpp + bqq - 2.0 * bpq
                     if den > 0:
@@ -198,6 +214,16 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             value = x @ b @ x
             if value < -thr:
                 return refute(x, value)
+        if k >= 3 and not _positive_definite(b):
+            triple = _worst_triple(rows, nbrs, thr)
+            if triple is not None:
+                idx = np.array(triple)
+                lam = kernel.simplex_form_min(b[idx[:, None], idx])[1]
+                x = np.zeros(k)
+                x[idx] = lam
+                value = x @ b @ x
+                if value < -thr:
+                    return refute(x, value)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         val, lam = kernel.simplex_form_min(b)
@@ -212,6 +238,59 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
         i = int(np.argmin(np.diag(a)))
         certificate = BoundaryZero(np.eye(n)[i], float(a[i, i]))
     return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum)
+
+
+def _positive_definite(b) -> bool:
+    """True when LAPACK's Cholesky factorization of ``b`` succeeds."""
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _worst_triple(rows, nbrs, thr):
+    """The principal triple (i, j, l), i < j < l, of the block ``rows`` (a
+    list of row lists) whose face has the lowest interior stationary value
+    below -thr, the first in lexicographic order on ties; ``None`` if none
+    is below it.
+
+    Only the triples with two or more negative pairs are scanned, the paths
+    p - q - r of the graph joining p and q when b_pq < 0, p != q; ``nbrs[q]``
+    lists the neighbours of q in that graph in increasing order.  On any other
+    triple some vertex r has a coupling >= 0 to the rest, so the form at
+    t y + (1 - t) e_r is never below the least of 0 and its values at y
+    and e_r: a negative face minimum there is a vertex's or an edge's,
+    which the earlier checks have seen.
+
+    The stationary point is x ~ adj(B_T) 1, since B_T adj(B_T) = det(B_T) I,
+    kept when its three entries have one sign.  Its form value is summed
+    from x on Python floats, not taken as det / (1' adj 1), whose product
+    of three entries can overflow.
+    """
+    best, found = -thr, ()
+    for q, around in enumerate(nbrs):
+        for s, p in enumerate(around):
+            for r in around[s + 1:]:  # p < r
+                if q > p and rows[p][r] < 0:
+                    continue  # a triangle is scanned once, from its least index
+                i, j, l = (q, p, r) if q < p else (p, q, r) if q < r else (p, r, q)
+                bi, bj, bl = rows[i], rows[j], rows[l]
+                a, d, f, u, v, w = bi[i], bj[j], bl[l], bi[j], bi[l], bj[l]
+                cij, cil, cjl = v * w - u * f, u * w - v * d, u * v - a * w
+                yi = (d * f - w * w) + cij + cil
+                yj = cij + (a * f - v * v) + cjl
+                yl = cil + cjl + (a * d - u * u)
+                total = yi + yj + yl
+                if not total:
+                    continue
+                xi, xj, xl = yi / total, yj / total, yl / total
+                if xi > 0 and xj > 0 and xl > 0:
+                    value = (a * xi * xi + d * xj * xj + f * xl * xl
+                             + 2.0 * (u * xi * xj + v * xi * xl + w * xj * xl))
+                    if value < best or value == best and (i, j, l) < found:
+                        best, found = value, (i, j, l)
+    return found or None
 
 
 def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

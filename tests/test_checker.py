@@ -56,6 +56,9 @@ POSDD_CERT = json.loads((GOLDEN / "factorize-posdd-dd_example.json").read_text()
 NEAR_PSD = ("near-psd.txt", "2\n1 0\n0 -1e-6\n")
 PSD_LOOSE = ("check", "--cone", "psd", "--tol", "1e-3", "MATRIX")
 COP_LOOSE = ("check", "--cone", "copositive", "--tol", "1e-3", "MATRIX")
+# Horn + I_2 with its (0, 2) entry at 1 - 5e-3: not copositive on the face {0, 1, 2} alone.
+PUSHED_HORN = ("pushed-horn.txt", "7\n1 -1 0.995 1 -1 0 0\n-1 1 -1 1 1 0 0\n0.995 -1 1 -1 1 0 0\n"
+               "1 1 -1 1 -1 0 0\n-1 1 1 -1 1 0 0\n0 0 0 0 0 1 0\n0 0 0 0 0 0 1\n")
 OTHER_TOL = "tolerance (abs 1e-09, rel 1e-09), but not at the report's (abs 0.001, rel 0.001)"
 
 FLIPPED = {"result.certificate.value": operator.neg}
@@ -119,6 +122,13 @@ ROWS = [
     Row("no-matrix-read-none", BOUNDS, None, 4, "bounds results carry no checkable certificate yet"),
     Row("matrix-read-none", BOUNDS, W6, 3, "w6.json is not an input of the report"),
     Row("no-matrix-read-one", PSD_HORN, None, 3, "the report read files: give one of them as MATRIX"),
+    # a report that read files but carries no certificate is not verifiable, with MATRIX or without it
+    *(
+        Row(f"{name}-{'with' if matrix else 'without'}-matrix", argv, matrix, 4,
+            f"{argv[0]} results carry no checkable certificate yet")
+        for name, argv in (("verify-orth", ("verify-orth", W6, HORN_PLUS_0)), ("bounds-file", ("bounds", W6)))
+        for matrix in (W6, None)
+    ),
     # dd_example is copositive too, so only the input digest tells them apart
     Row("matrix-not-an-input", "check-copositive-identity6", DD, 3, "dd_example.json is not an input of the report"),
     Row("report-missing", None, None, 3, "cannot read missing.json: No such file or directory"),
@@ -146,6 +156,8 @@ ROWS = [
     Row("copositive-zero", COP_NEGDIAG, NEGDIAG, 3, "violation vector: sum 0 is not 1", ZERO_X, 0),
     Row("copositive-answer-swapped", COP_NEGDIAG, NEGDIAG, 3, "certificate kind violation_vector does not fit IN",
         {"result.answer": "IN"}, 0),
+    # refuted on the face {0, 1, 2}, where no vertex or edge is negative
+    Row("copositive-triple", ("check", "--cone", "copositive", "MATRIX"), PUSHED_HORN, 0, "certificate OK"),
     # boundary_zero
     Row("boundary-zero-scaled", ("check", "--cone", "copositive", "MATRIX"), matrix_file("dhd.json", scaled_horn()), 3,
         "boundary zero: |x'Ax| =", {"result.certificate.x": off_the_zero}, 4),
@@ -176,7 +188,7 @@ ROWS = [
         {"result.certificate": None}, 0),
     Row("posdd-without-certificate", POSDD, DD, 3, "certificate kind None does not fit posdd",
         {"result.certificate": None}, 0),
-    # I_17 - 0.01 (J - I) keeps all 17 rows and no vertex or edge refutes it: UNDECIDED
+    # I_17 - 0.01 (J - I) keeps all 17 rows and no vertex, edge or triple refutes it: UNDECIDED
     Row("undecided-order-17", ("check", "--cone", "copositive", "MATRIX"),
         matrix_file("near-identity-17.json", 1.01 * np.eye(17) - 0.01), 0, "certificate OK"),
     # no certificate: a factor

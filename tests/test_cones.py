@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sym, simplex_grid_min
-from copcone import kernel
+from copcone import cones, kernel
 from copcone import (
     Answer,
     NonnegFactor,
@@ -149,8 +151,8 @@ def form_min_calls(monkeypatch):
 
 @pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
 def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
-    """A call the vertex and edge checks cannot refute solves the simplex
-    minimum once (by pivoting on a positive definite block, by one
+    """A call the vertex, edge and triple checks cannot refute solves the
+    simplex minimum once (by pivoting on a positive definite block, by one
     enumeration otherwise); that solve decides the call, supplies any
     BoundaryZero, and its value is the reported minimum."""
     a = make(rng)
@@ -200,6 +202,89 @@ def test_vertex_and_edge_violations_need_no_enumeration(form_min_calls, rng, mak
     assert_certificate_holds(v, a)
 
 
+@pytest.fixture
+def triple_scans(monkeypatch):
+    """The block order of every scan for a refuting triple, in call order."""
+    inner = cones._worst_triple
+    orders = []
+
+    def counting(rows, nbrs, thr):
+        orders.append(len(rows))
+        return inner(rows, nbrs, thr)
+
+    monkeypatch.setattr(cones, "_worst_triple", counting)
+    return orders
+
+
+def test_a_triple_violation_solves_one_3x3_block(form_min_calls, triple_scans, rng):
+    # Horn + I_2 with the +1 pair (0, 2) pushed down: no vertex or edge is
+    # negative, the face {0, 1, 2} is, and the two rows of I_2 are deleted.
+    a = _pushed_horn(rng, 7, (0, 2), 6e-3)
+    v = is_copositive(a)
+    assert v.answer is Answer.NOT_IN
+    assert triple_scans == [5]
+    assert [lam.shape for _, lam in form_min_calls] == [(3,)]
+    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
+    assert_certificate_holds(v, a)
+
+
+def test_a_positive_definite_block_scans_no_triple(form_min_calls, triple_scans, rng):
+    a = _near_identity_12(rng)
+    assert is_copositive(a).answer is Answer.IN
+    assert triple_scans == []
+    assert len(form_min_calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_triple_refutes_where_the_global_minimizer_is_elsewhere(seed):
+    a = verdict_family("triple-not-minimizer", seed)
+    v = is_copositive(a)
+    assert np.count_nonzero(v.certificate.x) == 3
+    val, lam = kernel.simplex_form_min(kernel.as_sym(a)[0])
+    assert val < v.certificate.value and np.count_nonzero(lam) > 3
+    assert_certificate_holds(v, a)
+
+
+def test_a_triple_tie_goes_to_the_first_in_lexicographic_order():
+    # The triangles {0, 1, 2} and {3, 4, 5} of -0.6 entries have the same
+    # value, bit for bit; the positive coupling keeps the minimum on one.
+    a = np.full((6, 6), 0.5)
+    a[:3, :3] = a[3:, 3:] = 1.6 * np.eye(3) - 0.6
+    v = is_copositive(a)
+    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
+    assert_same_verdicts(a)
+
+
+def test_a_stationary_point_off_the_simplex_is_no_triple_value():
+    # The plane of {1, 2, 3} is stationary at (-1, 0.75, 1.25), off the
+    # simplex, with form -0.25, while that face's minimum is 0.  The face
+    # {0, 2, 4} refutes at its interior point, form -0.1748; the simplex
+    # minimum, -0.1785, has the support {0, 1, 2, 4}.
+    a = np.array([
+        [4, -3, -4, 4, -3],
+        [-3, 4, -1, 3, 2],
+        [-4, -1, 4, -4, -2],
+        [4, 3, -4, 4, -2],
+        [-3, 2, -2, -2, 4],
+    ]) / 4.0
+    v = is_copositive(a)
+    assert set(np.flatnonzero(v.certificate.x)) == {0, 2, 4}
+    assert_certificate_holds(v, a)
+    assert_same_verdicts(a)
+
+
+def test_a_negative_triangle_decides_past_the_enumeration():
+    # Order 18 keeps every row, and no vertex or edge is negative; the
+    # triangle {0, 1, 2} of -0.6 entries is.
+    a = 1.01 * np.eye(18) - 0.01
+    a[:3, :3] = 1.6 * np.eye(3) - 0.6
+    v = is_copositive(a)
+    assert v.answer is Answer.NOT_IN
+    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
+    assert_certificate_holds(v, a)
+    assert_same_verdicts(a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(-30, 30),
@@ -219,13 +304,13 @@ def test_2x2_answer_matches_the_closed_form(a, b, c, scale):
 
 
 def test_reduced_order_beyond_the_enumeration_is_undecided():
-    # No row of I_17 - 0.01 (J - I) is nonnegative and no vertex or edge
-    # is negative, so the order-17 block is left to an enumeration that
-    # the order-16 limit rules out.
-    a = 1.01 * np.eye(17) - 0.01
-    v = is_copositive(a)
-    assert v.answer is Answer.UNDECIDED
-    assert v.certificate is None
+    # No row of I_17 - 0.01 (J - I) is nonnegative and no vertex, edge or
+    # triple is negative, so the order-17 block is left to an enumeration
+    # that the order-16 limit rules out.  The same holds across its family.
+    for a in [1.01 * np.eye(17) - 0.01, *(verdict_family("undecided-17", seed) for seed in range(6))]:
+        v = is_copositive(a)
+        assert v.answer is Answer.UNDECIDED
+        assert v.certificate is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,7 +498,8 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
     """The straightforward copositivity test that ``is_copositive`` must
     reproduce bit for bit: the scale computed again for the threshold, the
     reduction by ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full
-    k x k edge table and ``minimum`` computed on every path."""
+    k x k edge table, the 3x3 check over every triple and ``minimum``
+    computed on every path."""
     a = reference_as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
@@ -449,6 +535,31 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
             x = np.zeros(keep.size)
             x[[i, j]] = np.maximum([d[j] - b[i, j], d[i] - b[i, j]], 0.0)
             x /= x.sum()
+            if x @ b @ x < -thr:
+                return refute(x)
+        # Every triple with two or more negative pairs, in lexicographic
+        # order: the stationary point x ~ adj(B_T) 1 when its entries have
+        # one sign, and the lowest form value below -thr.  The library skips
+        # positive definite blocks, where no value is negative.
+        best, triple = -thr, None
+        for t in itertools.combinations(range(keep.size), 3):
+            (a_, u, v), (_, d_, w), (_, _, f) = b[np.ix_(t, t)].tolist()
+            if (u < 0) + (v < 0) + (w < 0) < 2:
+                continue
+            cij, cil, cjl = v * w - u * f, u * w - v * d_, u * v - a_ * w
+            y = [(d_ * f - w * w) + cij + cil, cij + (a_ * f - v * v) + cjl, cil + cjl + (a_ * d_ - u * u)]
+            total = y[0] + y[1] + y[2]
+            if total == 0:
+                continue
+            xi, xj, xl = (yi / total for yi in y)
+            if min(xi, xj, xl) <= 0:
+                continue
+            value = a_ * xi * xi + d_ * xj * xj + f * xl * xl + 2.0 * (u * xi * xj + v * xi * xl + w * xj * xl)
+            if value < best:
+                best, triple = value, list(t)
+        if triple is not None:
+            x = np.zeros(keep.size)
+            x[triple] = kernel.simplex_form_min(b[np.ix_(triple, triple)])[1]
             if x @ b @ x < -thr:
                 return refute(x)
         if keep.size > kernel.ENUMERATION_MAX_ORDER:
@@ -543,7 +654,11 @@ def verdict_family(kind, seed):
         return _pushed_horn(rng, 5 + n % 4, (0, 1), rng.uniform(4e-3, 8e-3))
     if kind == "minus-identity-18":  # past the enumeration limit
         return -np.eye(18)
-    if kind == "undecided-17":  # no vertex or edge refutes; order 17 is left
+    if kind == "triple-not-minimizer":  # triples refute; the simplex minimum has a larger support
+        m, c = 4 + n % 6, rng.uniform(0.55, 0.85)
+        e = rng.uniform(-0.02, 0.02, (m, m))
+        return ((1.0 + c) * np.eye(m) - c + e + e.T) * np.outer(*2 * [rng.uniform(0.5, 2.0, m)])
+    if kind == "undecided-17":  # no vertex, edge or triple refutes; order 17 is left
         return (1.0 + 0.01 * rng.random()) * np.eye(17) - 0.01
     return zero_family(kind, seed)  # Horn orbits and Horn + I_12
 
@@ -558,6 +673,7 @@ VERDICT_FAMILIES = [
     "scaled",
     "horn-push-plus",
     "horn-push-minus",
+    "triple-not-minimizer",
     "minus-identity-18",
     "undecided-17",
 ]

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import checkout_env, positive_horn_partner, run_cli
+from copcone import horn_matrix
 from copcone.errors import DataError
 from copcone.io import canonical_json, load_factor, load_matrix
 
@@ -152,6 +153,13 @@ OVERFLOWING = {
 N_ALONE = "--n reads no matrix file, --witness or --factor"
 
 
+def pushed_horn() -> np.ndarray:
+    a = np.eye(7)
+    a[:5, :5] = horn_matrix()
+    a[0, 2] = a[2, 0] = 1.0 - 5e-3
+    return a
+
+
 def w6_with_factor(v: np.ndarray) -> str:
     return json.dumps(dict(W6, factor=v.tolist()))
 
@@ -166,9 +174,13 @@ class Row(NamedTuple):
 
 
 ROWS = [
-    # I_17 - 0.01 (J - I): past the order-16 enumeration, and no vertex or edge refutes it
+    # I_17 - 0.01 (J - I): past the order-16 enumeration, and no vertex, edge or triple refutes it
     Row("undecided", ("check", "--cone", "copositive", "m.json"), 2, {"result.answer": "UNDECIDED"}, "wall time",
         {"m.json": json.dumps({"n": 17, "data": (1.01 * np.eye(17) - 0.01).tolist()})}),
+    # Horn + I_2 with its (0, 2) entry at 1 - 5e-3: no vertex or edge is negative, the face {0, 1, 2} is
+    Row("triple-violation", ("check", "--cone", "copositive", "m.json"), 1,
+        {"result.certificate.kind": "violation_vector", **{f"result.certificate.x.{i}": 0.0 for i in range(3, 7)}},
+        "wall time", {"m.json": json.dumps({"n": 7, "data": pushed_horn().tolist()})}),
     Row("trailing-tokens", ("check", "--cone", "psd", "m.txt"), 65, None,
         "could not convert string to float: 'junk'", {"m.txt": "2\n1 0\n0 2\n7 8 9 junk\n"}),
     Row("trailing-token", ("check", "--cone", "psd", "m.txt"), 65, None,
