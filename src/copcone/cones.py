@@ -7,7 +7,8 @@ arithmetic.  Copositivity is decided exactly: after deleting nonnegative
 rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form;
 on a block that is not positive definite, the 3x3 (triple) check picks the
 principal triple with the lowest closed-form interior value and refutes by
-that 3x3 block's exact minimum; and otherwise one exact simplex minimization
+the stationary point of that one face, solved by the kernel (one KKT system,
+not the triple's seven supports); and otherwise one exact simplex minimization
 of the remaining block (block principal pivoting if it is positive definite,
 a KKT enumeration if not) settles the decision and supplies the boundary
 certificate.
@@ -148,12 +149,17 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     1983): over the triples with two or more negative pairs, the one whose
     face has the lowest interior stationary value below -thr (see
     :func:`_worst_triple`) gets one ``kernel.simplex_form_min`` call on its
-    3x3 principal block, and its zero-padded minimizer refutes if its form
-    on B is below -thr.  A positive definite B is strictly copositive, so
-    it skips this check.  Otherwise one call of ``kernel.simplex_form_min``
-    finds the exact minimum of the form on the simplex of B: by block
-    principal pivoting with a strict KKT check when B is positive definite,
-    by one KKT support enumeration otherwise.  It refutes with its
+    3x3 principal block with ``supports=[0b111]``, which solves that face
+    alone, and the zero-padded stationary point refutes if its form on B is
+    below -thr.  Every vertex and edge of the triple is >= -thr and the
+    face's closed-form value is below it, so that point is the block's
+    simplex minimum, the one a walk over all seven supports would return;
+    a face without a stationary point (``None``) refutes nothing.  A
+    positive definite B is strictly copositive, so it skips this check.
+    Otherwise one call of ``kernel.simplex_form_min`` finds the exact
+    minimum of the form on the simplex of B: by block principal pivoting
+    with a strict KKT check when B is positive definite, by one KKT support
+    enumeration otherwise.  It refutes with its
     minimizer, or decides IN and supplies the ``BoundaryZero`` when the
     minimum vanishes.  ``minimum``, reported on IN answers only, is the
     smaller of the smallest diagonal entry of A and that exact minimum.
@@ -218,12 +224,13 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             triple = _worst_triple(rows, nbrs, thr)
             if triple is not None:
                 idx = np.array(triple)
-                lam = kernel.simplex_form_min(b[idx[:, None], idx])[1]
-                x = np.zeros(k)
-                x[idx] = lam
-                value = x @ b @ x
-                if value < -thr:
-                    return refute(x, value)
+                found = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
+                if found is not None:
+                    x = np.zeros(k)
+                    x[idx] = found[1]
+                    value = x @ b @ x
+                    if value < -thr:
+                        return refute(x, value)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         val, lam = kernel.simplex_form_min(b)

@@ -16,7 +16,11 @@ one per support size.  The integer layout of that walk (per support size,
 the masks' positions and member indices) is built once per order and
 cached.  The enumeration yields its points in increasing mask order, with
 the values a one-support-at-a-time loop gives, bit for bit; the pivoting
-returns the enumeration's minimum, bit for bit.
+returns the enumeration's minimum, bit for bit.  Given a list of support
+bitmasks (bit i for index i), the walk solves only those faces, in the
+same stacked calls, and each point it yields is the full walk's point for
+that mask, bit for bit; the minimum over them skips the pivoting and is
+``None`` when none of the faces has a stationary point.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
@@ -185,7 +189,7 @@ _KKT_MARGIN = 1e-9
 _SUBFACE_GAP = 1e-12
 
 
-def simplex_stationary_points(q):
+def simplex_stationary_points(q, supports=None):
     """Yield ``(value, lam)`` for all KKT points of ``lam.T @ q @ lam`` on the
     standard simplex, enumerated over support sets in increasing bitmask order.
 
@@ -194,21 +198,37 @@ def simplex_stationary_points(q):
     is always among the yielded values.  Supports whose stationarity system
     is inconsistent are skipped: their face attains its minimum on a subface.
 
+    ``supports``, a list of bitmasks in [1, 2**n - 1] where bit i stands for
+    index i, restricts the walk to those faces: their points come in
+    increasing mask order, each bit-identical to the full walk's point for
+    its mask.  A mask outside that range, or not an integer, raises
+    ``ValueError`` (at the first ``next``, as the order limit does).
+
     The KKT systems of each support size are solved in one stacked call,
-    with the index arrays of the cached :func:`_support_plan`.  Each system
-    sees the same LAPACK/BLAS calls as a one-support-at-a-time solve, so the
-    yielded values are bit-identical to it.  ``q`` is a symmetric float
-    matrix as :func:`as_sym` returns it, or a principal block of one.
+    with the index arrays of the cached :func:`_support_plan` (or
+    :func:`_mask_plan` for the given masks).  Each system sees the same
+    LAPACK/BLAS calls as a one-support-at-a-time solve, so the yielded
+    values are bit-identical to it.  ``q`` is a symmetric float matrix as
+    :func:`as_sym` returns it, or a principal block of one.
     """
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         raise ValueError(f"support enumeration is limited to order {ENUMERATION_MAX_ORDER}")
+    if supports is None:
+        plan, count = _support_plan(n), (1 << n) - 1
+    else:
+        try:
+            masks = tuple(sorted({operator.index(mask) for mask in supports}))
+        except TypeError:
+            raise ValueError("support masks must be integers") from None
+        if masks and not 1 <= masks[0] <= masks[-1] < 1 << n:
+            raise ValueError(f"support masks must lie in [1, {(1 << n) - 1}]")
+        plan, count = _mask_plan(masks, n), len(masks)
     scale = max(1.0, np.abs(q).max())
-    count = (1 << n) - 1
     values = np.empty(count)
     lams = np.zeros((count, n))
     found = np.zeros(count, dtype=bool)
-    for rows, idx in _support_plan(n):
+    for rows, idx in plan:
         keep, vals, lam = _face_points(q, idx, scale)
         rows = rows[keep]
         found[rows] = True
@@ -219,18 +239,31 @@ def simplex_stationary_points(q):
 
 @functools.lru_cache(maxsize=None)
 def _support_plan(n):
-    """Integer layout of the enumeration at order ``n``: for each support
-    size k, the positions mask - 1 of the size-k masks and their (m, k)
-    index array.  Every caller shares the cached arrays, so they are
-    read-only."""
-    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1) != 0
+    """:func:`_plan` of every mask at order ``n``, built once per order."""
+    return _plan(np.arange(1, 1 << n), n)
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_plan(masks, n):
+    """:func:`_plan` of the increasing masks of the tuple ``masks``; the
+    triple check of ``is_copositive`` asks for the same face every time."""
+    return _plan(np.array(masks, dtype=np.intp), n)
+
+
+def _plan(masks, n):
+    """Integer layout of a walk over the increasing bitmasks ``masks`` at
+    order ``n``: for each support size k that occurs, the positions in
+    ``masks`` of the size-k masks and their (m, k) index array.  Callers
+    share the cached plans, so the arrays are read-only."""
+    member = (masks[:, None] >> np.arange(n) & 1) != 0
     size = member.sum(axis=1)
     plan = []
     for k in range(1, n + 1):
         rows = np.flatnonzero(size == k)
-        idx = np.nonzero(member[rows])[1].reshape(rows.size, k)
-        rows.flags.writeable = idx.flags.writeable = False
-        plan.append((rows, idx))
+        if rows.size:
+            idx = np.nonzero(member[rows])[1].reshape(rows.size, k)
+            rows.flags.writeable = idx.flags.writeable = False
+            plan.append((rows, idx))
     return tuple(plan)
 
 
@@ -287,7 +320,7 @@ def _solve_kkt(kkt, rhs):
     return sol
 
 
-def simplex_form_min(q) -> tuple[float, np.ndarray]:
+def simplex_form_min(q, supports=None) -> tuple[float, np.ndarray] | None:
     """Global minimum of the quadratic form over the standard simplex.
 
     Returns ``(value, lam)`` with ``lam >= 0``, ``sum(lam) == 1``, exact up
@@ -297,8 +330,15 @@ def simplex_form_min(q) -> tuple[float, np.ndarray]:
     Any other ``q``, or a near tie, goes to the KKT support enumeration,
     which resolves ties by enumeration order.  Both give the enumeration's
     answer bit for bit.
+
+    With ``supports``, a list of bitmasks as for
+    :func:`simplex_stationary_points`, the least point of those faces
+    only, the first in mask order on ties, without pivoting; ``None`` when
+    none of them has a stationary point.
     ``q`` is symmetric, as for :func:`simplex_stationary_points`.
     """
+    if supports is not None:
+        return min(simplex_stationary_points(q, supports), key=operator.itemgetter(0), default=None)
     found = _convex_form_min(q)
     if found is not None:
         return found

@@ -60,6 +60,18 @@ def random_sym(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def cycle_matrix(n, c):
+    """Unit diagonal, ``c`` on the cyclic neighbours (i, i + 1 mod n) and
+    0.2 elsewhere.  At c = -0.75 no vertex, edge or triple is negative but
+    four consecutive indices are (minimum -1/2040); at c = -0.7 the
+    matrix is copositive with minimum 0.022."""
+    a = np.full((n, n), 0.2)
+    np.fill_diagonal(a, 1.0)
+    i = np.arange(n)
+    a[i, (i + 1) % n] = a[(i + 1) % n, i] = c
+    return a
+
+
 def random_dd_nonneg(rng, n):
     """Random entrywise-nonnegative diagonally dominant matrix."""
     a = rng.random((n, n))

@@ -29,7 +29,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ROOT, checkout_env, run, run_cli
+from conftest import ROOT, checkout_env, cycle_matrix, run, run_cli
 from copcone import horn_matrix
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -158,6 +158,9 @@ ROWS = [
         {"result.answer": "IN"}, 0),
     # refuted on the face {0, 1, 2}, where no vertex or edge is negative
     Row("copositive-triple", ("check", "--cone", "copositive", "MATRIX"), PUSHED_HORN, 0, "certificate OK"),
+    # refuted on four consecutive indices by the full walk, where no vertex, edge or triple is negative
+    Row("copositive-full-walk", ("check", "--cone", "copositive", "MATRIX"),
+        matrix_file("cycle-8.json", cycle_matrix(8, -0.75)), 0, "certificate OK"),
     # boundary_zero
     Row("boundary-zero-scaled", ("check", "--cone", "copositive", "MATRIX"), matrix_file("dhd.json", scaled_horn()), 3,
         "boundary zero: |x'Ax| =", {"result.certificate.x": off_the_zero}, 4),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sym, simplex_grid_min
+from conftest import cycle_matrix, random_sym, simplex_grid_min
 from copcone import cones, kernel
 from copcone import (
     Answer,
@@ -137,13 +137,14 @@ def _horn_orbit(rng):
 
 @pytest.fixture
 def form_min_calls(monkeypatch):
-    """Results of every ``kernel.simplex_form_min`` call, in call order."""
+    """``(supports, result)`` of every ``kernel.simplex_form_min`` call, in
+    call order."""
     inner = kernel.simplex_form_min
     calls = []
 
-    def counting(q):
-        calls.append(inner(q))
-        return calls[-1]
+    def counting(q, supports=None):
+        calls.append((supports, inner(q, supports)))
+        return calls[-1][1]
 
     monkeypatch.setattr(kernel, "simplex_form_min", counting)
     return calls
@@ -159,7 +160,8 @@ def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
     v = is_copositive(a)
     assert v.answer is Answer.IN
     assert len(form_min_calls) == 1
-    val, lam = form_min_calls[0]
+    supports, (val, lam) = form_min_calls[0]
+    assert supports is None
     assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
     if v.certificate is not None:
         assert v.certificate.value == val
@@ -223,7 +225,7 @@ def test_a_triple_violation_solves_one_3x3_block(form_min_calls, triple_scans, r
     v = is_copositive(a)
     assert v.answer is Answer.NOT_IN
     assert triple_scans == [5]
-    assert [lam.shape for _, lam in form_min_calls] == [(3,)]
+    assert [(faces, lam.shape) for faces, (_, lam) in form_min_calls] == [([0b111], (3,))]
     assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
     assert_certificate_holds(v, a)
 
@@ -233,6 +235,28 @@ def test_a_positive_definite_block_scans_no_triple(form_min_calls, triple_scans,
     assert is_copositive(a).answer is Answer.IN
     assert triple_scans == []
     assert len(form_min_calls) == 1
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_cycle_no_triple_refutes_is_refuted_by_the_full_walk(form_min_calls, triple_scans, n):
+    a = cycle_matrix(n, -0.75)
+    v = is_copositive(a)
+    assert v.answer is Answer.NOT_IN
+    assert triple_scans == [n]
+    assert [faces for faces, _ in form_min_calls] == [None]
+    assert np.count_nonzero(v.certificate.x) == 4
+    assert abs(v.certificate.value + 1 / 2040) <= 1e-15
+    assert_certificate_holds(v, a)
+    assert_same_verdicts(a)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_cycle_twin_is_copositive(n):
+    a = cycle_matrix(n, -0.7)
+    v = is_copositive(a)
+    assert v.answer is Answer.IN and v.certificate is None
+    assert abs(v.minimum - 0.022) <= 1e-15
+    assert_same_verdicts(a)
 
 
 @pytest.mark.parametrize("seed", range(6))

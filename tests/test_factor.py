@@ -20,6 +20,7 @@ from copcone import (
     perturb_positify,
     positive_dd_factorize,
 )
+from copcone.kernel import pivoted_cholesky
 from copcone.errors import (
     ColumnOutsideConesError,
     NewtonDivergedError,
@@ -269,6 +270,18 @@ class TestCp3:
             f = cp3_factorize(y)
             worst = max(worst, np.abs(f.product() - y).max() / np.abs(y).max())
         assert worst <= 1e-14
+
+    def test_a_rank_1_root_an_ulp_below_the_clip_is_factorized(self):
+        # y_01 = -thr passes the DNN test.  The root's entry y_01 / sqrt(y_00)
+        # rounds one ulp below -thr / max|l| (max|l| = y_00 / sqrt(y_00)
+        # rounds above sqrt(y_00)), so the r = 1 branch is reached.
+        d = 2.72936590562509
+        thr = DEFAULT_TOL.scaled(d)
+        y = np.array([[d, -thr], [-thr, 2.0 * thr * thr / d]])
+        root = pivoted_cholesky(y)
+        assert root.shape[1] == 1 and root.min() < -thr / np.abs(root).max()
+        f = cp3_factorize(y)
+        assert f.p == 1 and f.v.min() >= 0.0
 
     def test_rejects_non_dnn(self):
         with pytest.raises(NotDnnError):

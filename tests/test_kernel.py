@@ -164,6 +164,12 @@ def test_simplex_form_min_quadratic_oracle():
 def reference_stationary_points(q):
     """One KKT solve per support, in mask order: the loop the batched
     enumeration must reproduce bit for bit."""
+    for _, value, lam in reference_tagged_points(q):
+        yield value, lam
+
+
+def reference_tagged_points(q):
+    """``(mask, value, lam)`` of :func:`reference_stationary_points`."""
     assert np.array_equal(q, q.T)  # the kernel's precondition
     n = q.shape[0]
     scale = max(1.0, np.abs(q).max())
@@ -173,7 +179,7 @@ def reference_stationary_points(q):
         lam_full = np.zeros(n)
         if k == 1:
             lam_full[idx[0]] = 1.0
-            yield float(q[idx[0], idx[0]]), lam_full
+            yield mask, float(q[idx[0], idx[0]]), lam_full
             continue
         qs = q[np.ix_(idx, idx)]
         kkt = np.zeros((k + 1, k + 1))
@@ -199,7 +205,7 @@ def reference_stationary_points(q):
             continue
         lam /= total
         lam_full[idx] = lam
-        yield float(lam @ qs @ lam), lam_full
+        yield mask, float(lam @ qs @ lam), lam_full
 
 
 def oracle_matrices():
@@ -245,6 +251,53 @@ def test_form_min_is_the_first_least_stationary_point(a):
     want_val, want_lam = enumerated_min(a)
     assert val == want_val
     assert np.array_equal(lam, want_lam)
+
+
+@pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
+def test_a_support_list_walks_only_its_faces(a):
+    """The walk over a list of masks is the full walk's stream filtered to
+    those masks, bit for bit, and its minimum is the filtered stream's first
+    least point.  The masks come unordered, some repeated, some of faces
+    without a stationary point."""
+    n = a.shape[0]
+    full = list(simplex_stationary_points(a))
+    tags = [mask for mask, _, _ in reference_tagged_points(a)]
+    assert len(tags) == len(full)  # the kernel's stream is the reference's
+    rng = np.random.default_rng(n)
+    for size in (1, 3, 40):
+        chosen = rng.choice(np.arange(1, 1 << n), min(size, (1 << n) - 1), replace=False).tolist()
+        chosen += chosen[:1]
+        want = [point for mask, point in zip(tags, full) if mask in chosen]
+        got = list(simplex_stationary_points(a, chosen))
+        assert len(got) == len(want)
+        for (v1, x1), (v2, x2) in zip(got, want):
+            assert v1 == v2
+            assert np.array_equal(x1, x2)
+        least = min(want, key=lambda point: point[0], default=None)
+        found = simplex_form_min(a, chosen)
+        if least is None:
+            assert found is None
+        else:
+            assert found[0] == least[0]
+            assert np.array_equal(found[1], least[1])
+
+
+def test_a_support_list_without_stationary_points_gives_none():
+    # The edge's plane is stationary at (1.5, -0.5), off the simplex.
+    q = np.array([[1.0, 2.0], [2.0, 5.0]])
+    assert [lam.tolist() for _, lam in simplex_stationary_points(q)] == [[1.0, 0.0], [0.0, 1.0]]
+    for supports in ([0b11], []):
+        assert list(simplex_stationary_points(q, supports)) == []
+        assert simplex_form_min(q, supports) is None
+
+
+@pytest.mark.parametrize("mask", [0, 1 << 3, -1, 1.0, "7"], ids=repr)
+def test_a_support_mask_outside_the_order_is_rejected(mask):
+    q = horn_matrix()[:3, :3]
+    with pytest.raises(ValueError):
+        next(simplex_stationary_points(q, [0b111, mask]))
+    with pytest.raises(ValueError):
+        simplex_form_min(q, [mask])
 
 
 def test_support_plan_holds_only_integer_indices():
@@ -442,9 +495,9 @@ def enumerations(monkeypatch):
     inner = kernel.simplex_stationary_points
     orders = []
 
-    def counting(q):
+    def counting(q, *args, **kwargs):
         orders.append(np.shape(q)[0])
-        return inner(q)
+        return inner(q, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "simplex_stationary_points", counting)
     return orders
