@@ -189,12 +189,15 @@ def cmd_verify_orth(args, tol, inputs) -> tuple[dict, int]:
 
 def _misuse(args) -> str | None:
     """The message of the usage rule the parsed arguments break, or None:
-    the rules that tie one option to another, which argparse cannot state."""
+    the rules argparse cannot state, which tie one option to another or
+    bound the counts ``--n`` and ``--target``."""
     if args.command == "bounds":
         if args.n is None and args.path is None:
             return "either a matrix file or --n is required"
         if args.n is not None and (args.path, args.witness, args.factor) != (None, None, None):
             return "--n reads no matrix file, --witness or --factor"
+        if args.n is not None and args.n < 1:
+            return "--n must be at least 1"
     elif args.command == "factorize":
         if args.method == "heuristic" and args.target is None:
             return "heuristic factorization needs --target"

@@ -5,12 +5,14 @@ complete positivity.
 Every negative verdict carries a certificate that re-verifies with plain
 arithmetic.  Copositivity is decided exactly: after deleting nonnegative
 rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form;
-on a block that is not positive definite, the 3x3 (triple) check picks the
-principal triple with the lowest closed-form interior value and refutes by
-the stationary point of that one face, solved by the kernel (one KKT system,
-not the triple's seven supports); and otherwise one exact simplex minimization
-of the remaining block (block principal pivoting if it is positive definite,
-a KKT enumeration if not) settles the decision and supplies the boundary
+whether the remaining block is positive definite is decided once, by one
+Cholesky factorization, and picks the route: if it is not, the 3x3 (triple)
+check picks the principal triple with the lowest closed-form interior value
+and refutes by the stationary point of that one face, solved by the kernel
+(one KKT system, not the triple's seven supports); and otherwise one exact
+simplex minimization of the block (the kernel's block principal pivoting if
+it is positive definite, the KKT walk over every face if not or if the
+pivoting leaves a near tie) settles the decision and supplies the boundary
 certificate.
 """
 
@@ -124,7 +126,7 @@ def _psd_violation(a, scale, tol) -> ViolationVector | None:
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     """Exact copositivity test: vertex, edge and triple checks, then one
-    enumeration.
+    exact simplex minimization.
 
     The input is validated once, and the threshold comes from the scale
     found by that pass.  Then every index whose row, restricted to the
@@ -144,27 +146,32 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     fixed cost: up to order 12 the loop is the faster, and beyond it the
     enumeration of at least 2^13 supports, or UNDECIDED, follows anyway.
 
-    If B has order >= 3 and ``np.linalg.cholesky`` rejects it, the triple
+    Then ``np.linalg.cholesky`` runs once on B, and its verdict picks the
+    route; the kernel does not test B again.  If it rejects B, the triple
     check follows (3 is the last order with a closed-form test, Hadeler
-    1983): over the triples with two or more negative pairs, the one whose
-    face has the lowest interior stationary value below -thr (see
-    :func:`_worst_triple`) gets one ``kernel.simplex_form_min`` call on its
-    3x3 principal block with ``supports=[0b111]``, which solves that face
-    alone, and the zero-padded stationary point refutes if its form on B is
-    below -thr.  Every vertex and edge of the triple is >= -thr and the
-    face's closed-form value is below it, so that point is the block's
-    simplex minimum, the one a walk over all seven supports would return;
-    a face without a stationary point (``None``) refutes nothing.  A
-    positive definite B is strictly copositive, so it skips this check.
-    Otherwise one call of ``kernel.simplex_form_min`` finds the exact
-    minimum of the form on the simplex of B: by block principal pivoting
-    with a strict KKT check when B is positive definite, by one KKT support
-    enumeration otherwise.  It refutes with its
-    minimizer, or decides IN and supplies the ``BoundaryZero`` when the
-    minimum vanishes.  ``minimum``, reported on IN answers only, is the
-    smaller of the smallest diagonal entry of A and that exact minimum.
+    1983; a block of order 2 has no triple): over the triples with two or
+    more negative pairs, the one whose face has the lowest interior
+    stationary value below -thr (see :func:`_worst_triple`) gets one
+    ``kernel.simplex_form_min`` call on its 3x3 principal block with
+    ``supports=[0b111]``, which solves that face alone, and the zero-padded
+    stationary point refutes if its form on B is below -thr.  Every vertex
+    and edge of the triple is >= -thr and the face's closed-form value is
+    below it, so that point is the block's simplex minimum, the one a walk
+    over all seven supports would return; a face without a stationary
+    point (``None``) refutes nothing.  A positive definite B is strictly
+    copositive, so it skips this check.
+    Then the exact minimum of the form on the simplex of B is found once:
+    ``kernel._convex_form_min``, block principal pivoting with a strict KKT
+    check, when Cholesky accepted B, and ``kernel.simplex_form_min``, the
+    walk over every face, when it rejected B or the pivoting returns
+    ``None`` on a near tie; both give the walk's point bit for bit.  That
+    minimum refutes with its minimizer, or decides IN and supplies the
+    ``BoundaryZero`` when it vanishes.  ``minimum``, reported on IN answers
+    only, is the smaller of the smallest diagonal entry of A and that exact
+    minimum.
     UNDECIDED means that B exceeds order 16, the limit of the enumeration,
-    and no vertex, edge or triple of it refutes.
+    and no vertex, edge or triple of it refutes; that gate comes before
+    both routes.
     """
     a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
@@ -220,7 +227,8 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             value = x @ b @ x
             if value < -thr:
                 return refute(x, value)
-        if k >= 3 and not _positive_definite(b):
+        definite = _positive_definite(b)
+        if not definite:
             triple = _worst_triple(rows, nbrs, thr)
             if triple is not None:
                 idx = np.array(triple)
@@ -233,7 +241,8 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
                         return refute(x, value)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        val, lam = kernel.simplex_form_min(b)
+        found = kernel._convex_form_min(b) if definite else None
+        val, lam = found or kernel.simplex_form_min(b)
         if val < -thr:
             return refute(lam, lam @ b @ lam)
     minimum = min(float(a.diagonal().min()), float(val))

@@ -6,21 +6,23 @@ feasibility test for ``A x = b, x >= 0``.  Orders are small (n <= ~12), so
 robustness and high relative accuracy come first.  The feasibility test
 takes linearly independent columns and solves the normal equations on a
 support that shrinks to the positive weights.  Speed matters in one place, the
-exact simplex minimization.  A positive definite form is convex there:
-block principal pivoting finds its optimal support, in one inversion when
-the support is every index, and that face's point is kept after a strict
-KKT check whose margins are scaled per index.  Any other form, a near
-tie, or pivoting that comes back to a free set it has tried enumerates all
-2**n - 1 supports and solves their KKT systems in stacked LAPACK calls,
-one per support size.  The integer layout of that walk (per support size,
-the masks' positions and member indices) is built once per order and
-cached.  The enumeration yields its points in increasing mask order, with
-the values a one-support-at-a-time loop gives, bit for bit; the pivoting
-returns the enumeration's minimum, bit for bit.  Given a list of support
-bitmasks (bit i for index i), the walk solves only those faces, in the
-same stacked calls, and each point it yields is the full walk's point for
-that mask, bit for bit; the minimum over them skips the pivoting and is
-``None`` when none of the faces has a stationary point.
+exact simplex minimization.  The walk enumerates all 2**n - 1 supports
+and solves their KKT systems in stacked LAPACK calls, one per support size.
+The integer layout of that walk (per support size, the masks' positions and
+member indices) is built once per order and cached.  The enumeration yields
+its points in increasing mask order, with the values a
+one-support-at-a-time loop gives, bit for bit, and ``simplex_form_min`` is
+its first least point.  Given a list of support bitmasks (bit i for index
+i), the walk solves only those faces, in the same stacked calls, and each
+point it yields is the full walk's point for that mask, bit for bit.  A
+positive definite form is convex on the simplex: for a block that Cholesky
+accepted, ``_convex_form_min`` finds the optimal support by block principal
+pivoting, in one inversion when the support is every index, and keeps that
+face's point after a strict KKT check whose margins are scaled per index;
+it returns the walk's minimum bit for bit, or ``None`` on a near tie or
+when pivoting comes back to a free set it has tried.  The kernel does not
+choose between the two: ``cones.is_copositive`` runs the one Cholesky test
+and calls the pivoting first only when it passes.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
@@ -321,34 +323,27 @@ def _solve_kkt(kkt, rhs):
 
 
 def simplex_form_min(q, supports=None) -> tuple[float, np.ndarray] | None:
-    """Global minimum of the quadratic form over the standard simplex.
+    """The first least point ``(value, lam)`` of the walk over the faces
+    ``supports`` (every face by default), a list of bitmasks as for
+    :func:`simplex_stationary_points`; ``None`` when none of them has a
+    stationary point, which never happens over every face.
 
-    Returns ``(value, lam)`` with ``lam >= 0``, ``sum(lam) == 1``, exact up
-    to roundoff.  A positive definite ``q`` is a convex problem (Bomze 1998,
-    J. Glob. Optim. 13): block principal pivoting finds the optimal
-    support, and its face point is kept if it passes a strict KKT check.
-    Any other ``q``, or a near tie, goes to the KKT support enumeration,
-    which resolves ties by enumeration order.  Both give the enumeration's
-    answer bit for bit.
-
-    With ``supports``, a list of bitmasks as for
-    :func:`simplex_stationary_points`, the least point of those faces
-    only, the first in mask order on ties, without pivoting; ``None`` when
-    none of them has a stationary point.
-    ``q`` is symmetric, as for :func:`simplex_stationary_points`.
+    Over every face it is the global minimum of the quadratic form on the
+    standard simplex: ``lam >= 0``, ``sum(lam) == 1``, exact up to
+    roundoff, the first point in mask order on ties.  ``q`` is symmetric,
+    as for :func:`simplex_stationary_points`.
     """
-    if supports is not None:
-        return min(simplex_stationary_points(q, supports), key=operator.itemgetter(0), default=None)
-    found = _convex_form_min(q)
-    if found is not None:
-        return found
-    return min(simplex_stationary_points(q), key=operator.itemgetter(0))
+    return min(simplex_stationary_points(q, supports), key=operator.itemgetter(0), default=None)
 
 
 def _convex_form_min(q):
-    """``simplex_form_min`` of a symmetric positive definite ``q`` without
-    enumerating, or ``None`` when ``q`` is not positive definite or the
-    answer is not certain to be the enumeration's.
+    """``simplex_form_min(q)`` without enumerating, or ``None`` when the
+    answer is not certain to be the walk's.
+
+    Precondition: ``np.linalg.cholesky`` accepted ``q``, so ``q`` is
+    positive definite and the problem convex (Bomze 1998, J. Glob. Optim.
+    13).  :func:`copcone.cones.is_copositive` tests it once per block and
+    calls this only then, falling back to the walk on ``None``.
 
     :func:`_pivot_support` gives the support S of the minimizer and the
     inverse of q_S, or ``None`` when its free sets cycle; ``_face_points``
@@ -359,13 +354,9 @@ def _convex_form_min(q):
     roundoff of the face values (``_SUBFACE_GAP``): then no other face's
     point can match or undercut it.
     """
-    n = q.shape[0]
-    if n > ENUMERATION_MAX_ORDER:
-        return None
     try:
-        np.linalg.cholesky(q)
         found = _pivot_support(q)
-    except np.linalg.LinAlgError:  # not positive definite, or singular in roundoff
+    except np.linalg.LinAlgError:  # singular in roundoff
         return None
     if found is None:
         return None
@@ -375,7 +366,7 @@ def _convex_form_min(q):
     if not keep.size:
         return None
     val = values[0]
-    lam = np.zeros(n)
+    lam = np.zeros(q.shape[0])
     lam[support] = lams[0]
     qlam = q @ lam
     # the multiplier check over all j, then waived on S; a NaN fails it

@@ -127,12 +127,31 @@ def _near_identity_12(rng):
     return np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
 
 
-def _horn_orbit(rng):
+def _horn_plus_i2(rng):
     a = np.eye(7)
     a[:5, :5] = horn_matrix()
+    return a
+
+
+def _horn_orbit(rng):
+    a = _horn_plus_i2(rng)
     perm = rng.permutation(7)
     d = rng.uniform(0.5, 2.0, 7)
     return a[np.ix_(perm, perm)] * np.outer(d, d)
+
+
+def _near_tie(rng):
+    # Positive definite with a negative entry in every row; the minimum
+    # 1/4 lies on the face {0, 1} at (1/2, 1/2), where the multipliers of 2
+    # and 3 are exactly 0, so pivoting leaves the answer to the walk.
+    a = np.array([
+        [1.0, -0.5, 0.25, 0.25],
+        [-0.5, 1.0, 0.25, 0.25],
+        [0.25, 0.25, 2.0, -0.5],
+        [0.25, 0.25, -0.5, 2.0],
+    ])
+    perm = rng.permutation(4)
+    return a[np.ix_(perm, perm)]
 
 
 @pytest.fixture
@@ -150,23 +169,79 @@ def form_min_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("make", [_interior, _near_identity_12, _horn_orbit])
-def test_is_copositive_enumerates_the_simplex_once(form_min_calls, rng, make):
+@pytest.fixture
+def pivot_calls(monkeypatch):
+    """The result of every ``kernel._convex_form_min`` call, in call order."""
+    inner = kernel._convex_form_min
+    calls = []
+
+    def counting(q):
+        calls.append(inner(q))
+        return calls[-1]
+
+    monkeypatch.setattr(kernel, "_convex_form_min", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, routes",
+    [
+        pytest.param(_interior, ["pivot"], id="_interior"),
+        pytest.param(_near_identity_12, ["pivot"], id="_near_identity_12"),
+        pytest.param(_horn_orbit, ["walk"], id="_horn_orbit"),
+        pytest.param(_near_tie, ["tie", "walk"], id="_near_tie"),
+    ],
+)
+def test_is_copositive_enumerates_the_simplex_once(form_min_calls, pivot_calls, rng, make, routes):
     """A call the vertex, edge and triple checks cannot refute solves the
-    simplex minimum once (by pivoting on a positive definite block, by one
-    enumeration otherwise); that solve decides the call, supplies any
-    BoundaryZero, and its value is the reported minimum."""
+    simplex minimum once: by pivoting on a positive definite block, by one
+    walk over every face if the block is not positive definite or the
+    pivoting leaves a near tie (``None``).  That solve decides the call,
+    supplies any BoundaryZero, and its value is the reported minimum."""
     a = make(rng)
     v = is_copositive(a)
     assert v.answer is Answer.IN
-    assert len(form_min_calls) == 1
-    supports, (val, lam) = form_min_calls[0]
-    assert supports is None
+    taken = ["pivot" if found else "tie" for found in pivot_calls] + ["walk"] * len(form_min_calls)
+    assert taken == routes
+    assert all(supports is None for supports, _ in form_min_calls)
+    val, lam = form_min_calls[0][1] if form_min_calls else pivot_calls[0]
     assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
     if v.certificate is not None:
         assert v.certificate.value == val
         assert np.array_equal(v.certificate.x[v.certificate.x > 0], lam[lam > 0])
     assert_certificate_holds(v, a)
+
+
+@pytest.fixture
+def cholesky_orders(monkeypatch):
+    """The order of every ``np.linalg.cholesky`` call, in call order."""
+    inner = np.linalg.cholesky
+    orders = []
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (_near_identity_12, 12),
+        (_horn_plus_i2, 5),
+        (lambda rng: cycle_matrix(8, -0.75), 8),
+    ],
+    ids=["near-identity-12", "horn-plus-i2", "cycle-8"],
+)
+def test_is_copositive_factors_its_block_once(cholesky_orders, rng, make, order):
+    # The reduced block is tested for positive definiteness once, in
+    # is_copositive; the pivoting takes that test as its precondition.  The
+    # near-identity block passes it; Horn, once I_2's rows are deleted, and
+    # the cycle, refuted by the walk, fail it.
+    is_copositive(make(rng))
+    assert cholesky_orders == [order]
 
 
 def _vertex_violation(rng):
@@ -230,11 +305,13 @@ def test_a_triple_violation_solves_one_3x3_block(form_min_calls, triple_scans, r
     assert_certificate_holds(v, a)
 
 
-def test_a_positive_definite_block_scans_no_triple(form_min_calls, triple_scans, rng):
+def test_a_positive_definite_block_scans_no_triple(form_min_calls, pivot_calls, triple_scans, rng):
     a = _near_identity_12(rng)
-    assert is_copositive(a).answer is Answer.IN
+    v = is_copositive(a)
+    assert v.answer is Answer.IN
     assert triple_scans == []
-    assert len(form_min_calls) == 1
+    assert form_min_calls == [] and len(pivot_calls) == 1
+    assert v.minimum == pivot_calls[0][0]
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -684,6 +761,8 @@ def verdict_family(kind, seed):
         return ((1.0 + c) * np.eye(m) - c + e + e.T) * np.outer(*2 * [rng.uniform(0.5, 2.0, m)])
     if kind == "undecided-17":  # no vertex, edge or triple refutes; order 17 is left
         return (1.0 + 0.01 * rng.random()) * np.eye(17) - 0.01
+    if kind == "definite-near-tie":  # the pivoting returns None; the walk decides
+        return _near_tie(rng)
     return zero_family(kind, seed)  # Horn orbits and Horn + I_12
 
 
@@ -700,6 +779,7 @@ VERDICT_FAMILIES = [
     "triple-not-minimizer",
     "minus-identity-18",
     "undecided-17",
+    "definite-near-tie",
 ]
 
 PUBLIC_TESTS = [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros]

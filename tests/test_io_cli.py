@@ -256,6 +256,7 @@ ROWS = [
     Row("bounds-n-and-file", ("bounds", "--n", "6", "w6.json"), 64, None, N_ALONE),
     Row("bounds-n-and-witness", ("bounds", "--n", "6", "--witness", "hornplus0.json"), 64, None, N_ALONE),
     Row("bounds-n-and-factor", ("bounds", "--n", "6", "--factor", "w6.json"), 64, None, N_ALONE),
+    Row("bounds-n-0", ("bounds", "--n", "0"), 64, None, "error: --n must be at least 1"),
     Row("heuristic-without-target", ("factorize", "--method", "heuristic", "dd_example.json"), 64, None,
         "error: heuristic factorization needs --target"),
     Row("target-without-heuristic", ("factorize", "--method", "dd", "--target", "6", "dd_example.json"), 64, None,
