@@ -322,6 +322,8 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     is entrywise >= 0 on the indices kept and whose a_ii > 0 is deleted, to a
     fixpoint, because at a zero x, [A x]_i = 0 on supp(x) while such a row
     gives [A x]_i >= a_ii x_i > 0.  Points are zero-padded back to order n.
+    So Horn plus an identity block of order 12 (order 17) is enumerated on
+    its Horn block and gives the ten Horn zeros.
 
     Raises :class:`NotCopositiveError` unless :func:`is_copositive` answers
     ``IN``, and the kernel's ``ValueError`` ("support enumeration is limited

@@ -152,7 +152,7 @@ def positive_dd_factorize(
     first = np.full((n, 1), np.sqrt(mu))
     factor = NonnegFactor(np.hstack([first, rest]), tol)
     cert = cp_interior_certificate(factor, tol)
-    if cert is None:  # strict dominance guarantees rank n; only roundoff can break this
+    if cert is None:  # rank n in exact arithmetic can still fall under the rank threshold
         raise NotPositiveError("interior certificate unexpectedly failed")
     return factor, cert
 
@@ -232,7 +232,8 @@ def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     most n columns (Maxfield & Minc 1962), and the proof is constructive.
     With the pivoted Cholesky root L of rank r:
 
-    - r = 1: Y = l l.T with l_j l_k >= 0, so ``|l|`` is a factor.
+    - r = 1: Y = l l.T with l_j l_k >= 0 and the pivot entry sqrt(y_jj) > 0,
+      so only roundoff entries of l are negative; they are clipped to 0.
     - r = 2: the rows of L have pairwise inner products y_jk >= 0, so one
       rotation of the plane moves them all into the nonnegative quadrant.
     - r = 3: take i = argmax y_ii and t = 1 / (Y^-1)_ii, the largest t for
@@ -264,7 +265,7 @@ def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:
     if l.min() >= -clip:
         v = l
     elif r == 1:
-        v = np.abs(l)
+        v = np.maximum(l, 0.0)
     elif r == 2:
         v = _quadrant_rotate(l)
     else:

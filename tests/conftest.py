@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import os
 from pathlib import Path
@@ -6,12 +7,26 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from copcone import NonnegFactor, cli, horn_generators
 
+# Hypothesis's built-in "ci" profile: examples derived from each test, not
+# drawn at random, and no example database.  Hypothesis loads it by itself
+# where the CI variable is set; loading it here makes every run draw the
+# examples a CI run draws.  Test modules are imported after this file, so
+# their @settings inherit it.
+settings.load_profile("ci")
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+SCRIPT = ROOT / "scripts" / "check_certificate.py"
+
+# the checker is a script, not a module on the path: it is loaded once, as
+# the module its main and its ``checks`` predicates live in
+_spec = importlib.util.spec_from_file_location("check_certificate", SCRIPT)
+checker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checker)
 
 
 class Run(NamedTuple):

@@ -18,7 +18,6 @@ here: one valid report, and one edit per property its predicate checks.
 
 import functools
 import hashlib
-import importlib.util
 import json
 import operator
 import subprocess
@@ -29,16 +28,10 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ROOT, checkout_env, cycle_matrix, run, run_cli
+from conftest import ROOT, SCRIPT, checker, checkout_env, cycle_matrix, run, run_cli
 from copcone import horn_matrix
 
 GOLDEN = ROOT / "tests" / "golden"
-SCRIPT = ROOT / "scripts" / "check_certificate.py"
-
-# a script, not a module on the path: load it once, as the module its main lives in
-_spec = importlib.util.spec_from_file_location("check_certificate", SCRIPT)
-checker = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checker)
 
 PREFIX = {0: "certificate OK", 3: "certificate FAILED", 4: "certificate not verifiable"}
 DROP = object()

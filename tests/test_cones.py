@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_matrix, random_sym, simplex_grid_min
+from conftest import checker, cycle_matrix, random_sym, simplex_grid_min
 from copcone import cones, kernel
 from copcone import (
     Answer,
@@ -819,16 +819,25 @@ def test_verdicts_match_the_reference_on_every_family(kind, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(VERDICT_FAMILIES + ZERO_FAMILIES), st.integers(0, 10_000))
-def test_verdicts_respect_simultaneous_permutation(kind, seed):
-    a = verdict_family(kind, seed)
+@given(st.sampled_from(VERDICT_FAMILIES + ZERO_FAMILIES), st.integers(0, 10_000), st.sampled_from([-6, 0, 6]))
+def test_verdicts_respect_simultaneous_permutation(kind, seed, s):
+    """At the scale 10**s, a simultaneous permutation keeps the answer and
+    the certificate's kind; each verdict is the reference's bit for bit, and
+    its certificate passes the checker script's predicates."""
+    a = verdict_family(kind, seed) * 10.0**s
     perm = np.random.default_rng([seed, 1]).permutation(a.shape[0])
     pa = a[np.ix_(perm, perm)]
     v, pv = is_copositive(a), is_copositive(pa)
     assert pv.answer is v.answer
     assert type(pv.certificate) is type(v.certificate)
-    if pv.answer is not Answer.UNDECIDED:  # which carries no certificate
-        assert_certificate_holds(pv, pa)
+    for m, verdict in ((a, v), (pa, pv)):
+        assert verdict_key(verdict) == verdict_key(reference_is_copositive(m))
+        if verdict.answer is Answer.UNDECIDED:  # which carries no certificate
+            continue
+        assert_certificate_holds(verdict, m)
+        if verdict.certificate is not None:  # as the checker reads a report: symmetrized
+            holds = checker.checks.violation if verdict.answer is Answer.NOT_IN else checker.checks.boundary_zero
+            holds(0.5 * (m + m.T), verdict.certificate.x, verdict.certificate.value)
 
 
 @pytest.mark.parametrize("a", MALFORMED, ids=range(len(MALFORMED)))

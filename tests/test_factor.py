@@ -65,6 +65,9 @@ class TestNonnegFactor:
         with pytest.raises(ValueError, match="2-d array of columns"):
             NonnegFactor(np.ones(3))
 
+    def test_repr_gives_the_shape(self):
+        assert repr(NonnegFactor(np.ones((3, 2)))) == "NonnegFactor(n=3, p=2)"
+
     def test_product(self, rng):
         raw = rng.random((3, 5))
         v = NonnegFactor(raw)
@@ -181,6 +184,15 @@ class TestPositiveDd:
         with pytest.raises(NotDiagonallyDominantError, match="diagonal dominance fails"):
             positive_dd_factorize(np.ones((3, 3)) + 0.5 * np.eye(3))
 
+    def test_a_least_eigenvalue_inside_the_rank_threshold_has_no_certificate(self):
+        # Positive, and dominant with equality in rows 0 and 1: e_0 - e_1 has
+        # the eigenvalue mu = 2.5e-9, under the rank threshold 1e-9 (1 + 2 + mu),
+        # so the factor has numerical rank 2 and no interior certificate.
+        mu = 2.5e-9
+        m = np.array([[1.0 + mu, 1.0, mu], [1.0, 1.0 + mu, mu], [mu, mu, 1.0]])
+        with pytest.raises(NotPositiveError, match="interior certificate unexpectedly failed"):
+            positive_dd_factorize(m)
+
 
 class TestPerturbPositify:
     def test_j2_example(self):
@@ -234,6 +246,19 @@ class TestPerturbPositify:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             perturb_positify(NonnegFactor(np.ones((2, 1))), -1.0)
 
+    def test_a_perron_coordinate_below_the_threshold_is_rejected(self):
+        # The path 0 - 1 - 2 has entries 1e-4 and 1e-8, both above the
+        # threshold 2e-9, so it is connected; the Perron vector's last
+        # coordinate is about 1e-4 * 1e-8 and reads as zero.
+        v0 = NonnegFactor(np.array([[1.0, 0.0], [1e-4, 1e-4], [0.0, 1e-4]]))
+        with pytest.raises(PerronNotPositiveError, match="Perron vector has a vanishing coordinate"):
+            perturb_positify(v0, 0.5)
+
+    def test_a_factor_without_columns_is_rejected(self):
+        # order 1 is connected, but the zero product's Perron vector meets no column
+        with pytest.raises(PerronNotPositiveError, match="factor columns do not all meet the Perron vector"):
+            perturb_positify(NonnegFactor(np.zeros((1, 0))), 0.5)
+
 
 class TestCp3:
     def test_diagonal(self):
@@ -282,6 +307,8 @@ class TestCp3:
         assert root.shape[1] == 1 and root.min() < -thr / np.abs(root).max()
         f = cp3_factorize(y)
         assert f.p == 1 and f.v.min() >= 0.0
+        # clipped, not flipped: the product moves by thr, not 2 thr
+        assert np.abs(f.product() - y).max() <= DEFAULT_TOL.scaled(np.abs(y).max())
 
     def test_rejects_non_dnn(self):
         with pytest.raises(NotDnnError):
@@ -290,6 +317,14 @@ class TestCp3:
     def test_rejects_large_order(self):
         with pytest.raises(ValueError):
             cp3_factorize(np.eye(4))
+
+    def test_a_rank_3_matrix_whose_rotated_root_stays_negative_is_rejected(self):
+        # is_dnn accepts the (1, 2) pair -1.9e-9 > -thr, but against the
+        # diagonal 1e-8 it puts the rows of the rank-2 remainder 101 degrees
+        # apart: rotated, one root entry is about -2e-5, far below the clip.
+        y = np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, -1.9e-9], [0.0, -1.9e-9, 1e-8]])
+        with pytest.raises(NotDnnError, match="no nonnegative factor within tolerance"):
+            cp3_factorize(y)
 
 
 class TestHorn6:
@@ -399,6 +434,23 @@ class TestContinuation:
         with pytest.raises(PositivityLostError, match="pushed a factor entry to zero"):
             factor_continuation(vbar, np.zeros((2, 0)), vbar @ vbar.T - 2e-3 * e12)
 
+    def test_a_residual_that_falls_too_slowly_diverges(self):
+        # vbar = J + I / 2 has the singular value 1/2 on w = (1, -1, 1, -1) / 2.
+        # The residual c w w', c = 0.95, has max entry c / 4, inside the radius
+        # 1/4; the Newton step along w leaves -c^2 w w', c times the first
+        # residual: above 0.9 times it.
+        vbar = np.ones((4, 4)) + 0.5 * np.eye(4)
+        w = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        with pytest.raises(NewtonDivergedError, match="Newton residual stopped decreasing"):
+            factor_continuation(vbar, np.zeros((4, 0)), vbar @ vbar.T + 0.95 * np.outer(w, w))
+
+    def test_a_target_reached_only_in_the_limit_hits_the_iteration_cap(self):
+        # v^2 = 0 from v = 1: each Newton step halves v exactly, so the
+        # residual falls by 4 per step and stays above 1e-12 times the tiny
+        # scale of the zero target after 30 steps
+        with pytest.raises(NewtonDivergedError, match="iteration cap reached without convergence"):
+            factor_continuation(np.ones((1, 1)), np.zeros((1, 0)), np.zeros((1, 1)))
+
 
 class TestHeuristic:
     def test_finds_known_factorization(self, rng):
@@ -445,6 +497,17 @@ class TestHeuristic:
     def test_rejects_non_dnn(self):
         with pytest.raises(NotDnnError):
             heuristic_min_factor(horn_matrix(), 5)
+
+    def test_a_clipped_root_that_misses_the_fit_is_not_returned(self):
+        # At scale 1e6 the entries clipped under the floor 1e-9 * scale move
+        # the product by more than the fit 1e-7 * scale, so the search gives
+        # up that rotation and restarts: 19 of its 20 restarts with numpy 2.4
+        # on x86-64, where the last one fits.
+        m = 1e6 * (np.ones((3, 3)) + 2.0 * np.eye(3))
+        v = heuristic_min_factor(m, 4)
+        if v is not None:
+            assert v.p <= 4 and v.v.min() >= 0.0
+            assert np.abs(v.product() - m).max() <= 1e-7 * 1e6
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import checkout_env, positive_horn_partner, run_cli
+from conftest import SCRIPT, checkout_env, positive_horn_partner, run_cli
 from copcone import horn_matrix
 from copcone.errors import DataError
 from copcone.io import canonical_json, load_factor, load_matrix
@@ -341,7 +341,7 @@ class TestProcessBoundary:
             stderr=subprocess.DEVNULL,
         ) as copcone:
             chk = subprocess.run(
-                [sys.executable, str(FIXTURES.parent / "scripts" / "check_certificate.py"), "/dev/stdin", "horn.json"],
+                [sys.executable, str(SCRIPT), "/dev/stdin", "horn.json"],
                 cwd=FIXTURES,
                 stdin=copcone.stdout,
                 capture_output=True,

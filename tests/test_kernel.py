@@ -457,6 +457,26 @@ def test_near_tie_is_left_to_the_enumeration(n, seed):
     assert np.array_equal(lam, want_lam)
 
 
+def test_a_weight_zero_in_exact_arithmetic_is_left_to_the_enumeration():
+    # q was built so that q v = 1 for v proportional to (0.76, 0.24, 0):
+    # index 2's weight is 0 up to roundoff, and a condition number of 3e7
+    # makes both roundings of it about 1e-10.  If pivoting drops index 2, its multiplier is 0; if it
+    # keeps it, its subface gap is 0, or the face solve of {0, 1, 2} puts the
+    # weight below the floor (-1.6e-10 with numpy 2.4 on x86-64) and that
+    # face has no point.  Each way there is no margin: the walk decides.
+    q = np.array([
+        [0.8916728132604592, 0.38459053945364174, 0.050595987885161786],
+        [0.38459053945364174, 1.9861236744669108, 3.0409886714922263],
+        [0.050595987885161786, 3.0409886714922263, 5.010640065588195],
+    ])
+    np.linalg.cholesky(q)
+    assert kernel._convex_form_min(q) is None
+    val, lam = simplex_form_min(q)
+    want_val, want_lam = enumerated_min(q)
+    assert val == want_val
+    assert np.array_equal(lam, want_lam)
+
+
 def diagonally_scaled(kind, n, seed):
     """D q D with log10 d_i uniform on (-4, 4) for a ``positive_definite``
     kind, or a diagonal matrix with entries 10**U(-8, 8) for "wide_diagonal":
