@@ -3,17 +3,20 @@ copositive, doubly nonnegative, plus the sufficient interior certificate for
 complete positivity.
 
 Every negative verdict carries a certificate that re-verifies with plain
-arithmetic.  Copositivity is decided exactly: after deleting nonnegative
-rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in closed form;
-whether the remaining block is positive definite is decided once, by one
-Cholesky factorization, and picks the route: if it is not, the 3x3 (triple)
-check picks the principal triple with the lowest closed-form interior value
-and refutes by the stationary point of that one face, solved by the kernel
-(one KKT system, not the triple's seven supports); and otherwise one exact
-simplex minimization of the block (the kernel's block principal pivoting if
-it is positive definite, the KKT walk over every face if not or if the
-pivoting leaves a near tie) settles the decision and supplies the boundary
-certificate.
+arithmetic.  Copositivity is decided exactly, in stages: after deleting
+nonnegative rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in
+closed form; whether the remaining block is positive definite is decided
+once, by one Cholesky factorization, and picks the route.  If it is not, the
+3x3 (triple) check picks the principal triple with the lowest closed-form
+interior value and refutes by the stationary point of that one face, solved
+by the kernel (one KKT system, not the triple's seven supports); if no
+triple is negative and the block has order 5, the Horn check accepts it when
+it lies within the threshold thr of the Horn orbit D P'HP D, where the form
+is >= -thr (1 - sum x_i^2) > -thr, and the kernel solves the five faces of
+its cycle edges only.  Otherwise one exact simplex minimization of the block
+(the kernel's block principal pivoting if it is positive definite, the KKT
+walk over every face if not or if the pivoting leaves a near tie) settles the
+decision and supplies the boundary certificate.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ def _psd_violation(a, scale, tol) -> ViolationVector | None:
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
-    """Exact copositivity test: vertex, edge and triple checks, then one
-    exact simplex minimization.
+    """Exact copositivity test in stages: vertex, edge, Cholesky, triple,
+    Horn, then one exact simplex minimization (the walk).
 
     The input is validated once, and the threshold comes from the scale
     found by that pass.  Then every index whose row, restricted to the
@@ -160,15 +163,23 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     over all seven supports would return; a face without a stationary
     point (``None``) refutes nothing.  A positive definite B is strictly
     copositive, so it skips this check.
-    Then the exact minimum of the form on the simplex of B is found once:
-    ``kernel._convex_form_min``, block principal pivoting with a strict KKT
-    check, when Cholesky accepted B, and ``kernel.simplex_form_min``, the
-    walk over every face, when it rejected B or the pivoting returns
-    ``None`` on a near tie; both give the walk's point bit for bit.  That
-    minimum refutes with its minimizer, or decides IN and supplies the
-    ``BoundaryZero`` when it vanishes.  ``minimum``, reported on IN answers
-    only, is the smaller of the smallest diagonal entry of A and that exact
-    minimum.
+    If no triple is below -thr and B has order 5, the Horn check follows
+    (see :func:`_horn_cycle`): when B = D S D + E, S a permuted Horn matrix,
+    D = diag(sqrt(b_pp)) and every |E_pq| <= thr, then on the simplex
+    x'Bx >= -thr (1 - sum x_i^2) > -thr, as the Horn form is >= 0, so B
+    is copositive within the threshold.  One ``kernel.simplex_form_min`` call
+    with the five masks of the cycle's edges, the negative pairs, gives the
+    least point of those faces, each the walk's point for its mask bit for
+    bit; it is within 2 thr of the simplex minimum.
+    Otherwise the exact minimum of the form on the simplex of B is found
+    once: ``kernel._convex_form_min``, block principal pivoting with a
+    strict KKT check, when Cholesky accepted B, and
+    ``kernel.simplex_form_min``, the walk over every face, when it rejected
+    B or the pivoting returns ``None`` on a near tie; both give the walk's
+    point bit for bit.  That minimum (or the Horn check's) refutes with its
+    minimizer, or decides IN and supplies the ``BoundaryZero`` when it
+    vanishes.  ``minimum``, reported on IN answers only, is the smaller of
+    the smallest diagonal entry of A and that minimum.
     UNDECIDED means that B exceeds order 16, the limit of the enumeration,
     and no vertex, edge or triple of it refutes; that gate comes before
     both routes.
@@ -228,20 +239,26 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             if value < -thr:
                 return refute(x, value)
         definite = _positive_definite(b)
+        found = None
         if not definite:
             triple = _worst_triple(rows, nbrs, thr)
             if triple is not None:
                 idx = np.array(triple)
-                found = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
-                if found is not None:
+                face = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
+                if face is not None:
                     x = np.zeros(k)
-                    x[idx] = found[1]
+                    x[idx] = face[1]
                     value = x @ b @ x
                     if value < -thr:
                         return refute(x, value)
+            elif k == 5 and (cycle := _horn_cycle(rows, nbrs, thr)):
+                # B = D S D + E, S a permuted Horn matrix and |E_pq| <= thr, so
+                # x'Bx >= -thr (1 - sum x_i^2) > -thr: no walk can refute
+                found = kernel.simplex_form_min(b, cycle)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        found = kernel._convex_form_min(b) if definite else None
+        if definite:
+            found = kernel._convex_form_min(b)
         val, lam = found or kernel.simplex_form_min(b)
         if val < -thr:
             return refute(lam, lam @ b @ lam)
@@ -307,6 +324,33 @@ def _worst_triple(rows, nbrs, thr):
                     if value < best or value == best and (i, j, l) < found:
                         best, found = value, (i, j, l)
     return found or None
+
+
+def _horn_cycle(rows, nbrs, thr):
+    """The support masks of the five cycle edges when the order-5 block
+    ``rows`` lies within ``thr`` of the Horn orbit, else ``None``.
+
+    The block is accepted when every b_pp > thr, every index has exactly two
+    negative neighbours in ``nbrs`` (so the negative graph is a 5-cycle),
+    and every off-diagonal entry is -d_p d_q on the cycle and +d_p d_q off
+    it within ``thr``, with d_p = sqrt(b_pp), the scaling that
+    :func:`copcone.extremal.horn_orbit_recognize` takes.  Since d_p d_q >
+    thr, a Horn pattern within ``thr`` must put its -1 entries on the
+    negative pairs, so this is that recognition at the threshold ``thr``.
+    """
+    if any(len(around) != 2 for around in nbrs):
+        return None
+    d = []
+    for p, row in enumerate(rows):
+        if not row[p] > thr:
+            return None
+        d.append(math.sqrt(row[p]))
+    for p, row in enumerate(rows):
+        for q in range(p + 1, 5):
+            dpq = d[p] * d[q]
+            if abs(row[q] + dpq if q in nbrs[p] else row[q] - dpq) > thr:
+                return None
+    return [1 << p | 1 << q for p, around in enumerate(nbrs) for q in around if p < q]
 
 
 def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

@@ -152,8 +152,10 @@ def positive_dd_factorize(
     first = np.full((n, 1), np.sqrt(mu))
     factor = NonnegFactor(np.hstack([first, rest]), tol)
     cert = cp_interior_certificate(factor, tol)
-    if cert is None:  # rank n in exact arithmetic can still fall under the rank threshold
-        raise NotPositiveError("interior certificate unexpectedly failed")
+    if cert is None:  # mu > thr puts the first column above the factor's threshold: the rank fell short
+        raise NotPositiveError(
+            f"the factor's numerical rank is below the order {n}: no interior certificate"
+        )
     return factor, cert
 
 

@@ -13,6 +13,7 @@ from copcone import (
     copositive_boundary_zeros,
     cp_interior_certificate,
     horn_matrix,
+    horn_orbit_recognize,
     is_copositive,
     is_dnn,
     is_nonneg,
@@ -20,7 +21,8 @@ from copcone import (
 )
 from copcone.cones import BoundaryZero, ConeVerdict, NegativeEntry, ViolationVector
 from copcone.errors import NotCopositiveError
-from copcone.kernel import DEFAULT_TOL, MAX_ENTRY
+from copcone.kernel import DEFAULT_TOL, MAX_ENTRY, Tolerance
+from test_kernel import reference_tagged_points
 
 
 def test_horn_memberships():
@@ -140,6 +142,24 @@ def _horn_orbit(rng):
     return a[np.ix_(perm, perm)] * np.outer(d, d)
 
 
+def _horn(rng):
+    return horn_matrix()
+
+
+def _horn_plus_0_2(rng):
+    a = np.zeros((7, 7))
+    a[:5, :5] = horn_matrix()
+    return a
+
+
+def _horn_3_thr_off(rng):
+    # Horn with its +1 pair (0, 2) raised by 3 thr: copositive, outside the
+    # orbit's tolerance band, and no triple is negative.
+    a = horn_matrix()
+    a[0, 2] = a[2, 0] = 1.0 + 3.0 * DEFAULT_TOL.scaled(1.0)
+    return a
+
+
 def _near_tie(rng):
     # Positive definite with a negative entry in every row; the minimum
     # 1/4 lies on the face {0, 1} at (1/2, 1/2), where the multipliers of 2
@@ -183,27 +203,40 @@ def pivot_calls(monkeypatch):
     return calls
 
 
+def negative_pair_masks(a):
+    """The support masks of the negative pairs of ``a``'s reduced block."""
+    keep = np.flatnonzero((a < 0).any(axis=1))
+    b = a[np.ix_(keep, keep)]
+    return sorted(1 << int(i) | 1 << int(j) for i, j in zip(*np.nonzero(np.triu(b < 0))))
+
+
 @pytest.mark.parametrize(
     "make, routes",
     [
         pytest.param(_interior, ["pivot"], id="_interior"),
         pytest.param(_near_identity_12, ["pivot"], id="_near_identity_12"),
-        pytest.param(_horn_orbit, ["walk"], id="_horn_orbit"),
+        pytest.param(_horn_orbit, ["cycle"], id="_horn_orbit"),
+        pytest.param(_horn, ["cycle"], id="_horn"),
+        pytest.param(_horn_plus_0_2, ["cycle"], id="_horn_plus_0_2"),
+        pytest.param(_horn_3_thr_off, ["walk"], id="_horn_3_thr_off"),
         pytest.param(_near_tie, ["tie", "walk"], id="_near_tie"),
     ],
 )
 def test_is_copositive_enumerates_the_simplex_once(form_min_calls, pivot_calls, rng, make, routes):
     """A call the vertex, edge and triple checks cannot refute solves the
-    simplex minimum once: by pivoting on a positive definite block, by one
-    walk over every face if the block is not positive definite or the
+    simplex minimum once: by pivoting on a positive definite block, by the
+    five cycle edges of an order-5 block within thr of the Horn orbit, by
+    one walk over every face if the block is not positive definite or the
     pivoting leaves a near tie (``None``).  That solve decides the call,
     supplies any BoundaryZero, and its value is the reported minimum."""
     a = make(rng)
     v = is_copositive(a)
     assert v.answer is Answer.IN
-    taken = ["pivot" if found else "tie" for found in pivot_calls] + ["walk"] * len(form_min_calls)
+    taken = ["pivot" if found else "tie" for found in pivot_calls]
+    taken += ["walk" if supports is None else "cycle" for supports, _ in form_min_calls]
     assert taken == routes
-    assert all(supports is None for supports, _ in form_min_calls)
+    for supports, _ in form_min_calls:
+        assert supports is None or sorted(supports) == negative_pair_masks(a)
     val, lam = form_min_calls[0][1] if form_min_calls else pivot_calls[0]
     assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
     if v.certificate is not None:
@@ -599,8 +632,9 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
     """The straightforward copositivity test that ``is_copositive`` must
     reproduce bit for bit: the scale computed again for the threshold, the
     reduction by ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full
-    k x k edge table, the 3x3 check over every triple and ``minimum``
-    computed on every path."""
+    k x k edge table, the 3x3 check over every triple, the Horn-orbit test
+    of ``extremal`` on an order-5 block, and ``minimum`` computed on every
+    path."""
     a = reference_as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
@@ -658,14 +692,29 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
             value = a_ * xi * xi + d_ * xj * xj + f * xl * xl + 2.0 * (u * xi * xj + v * xi * xl + w * xj * xl)
             if value < best:
                 best, triple = value, list(t)
+        orbit = None
         if triple is not None:
             x = np.zeros(keep.size)
             x[triple] = kernel.simplex_form_min(b[np.ix_(triple, triple)])[1]
             if x @ b @ x < -thr:
                 return refute(x)
+        elif keep.size == 5:
+            # The 120-permutation Horn-orbit test at the whole matrix's
+            # threshold; on the orbit, the least point of the five faces
+            # that the permuted Horn matrix's -1 pairs span.
+            orbit = horn_orbit_recognize(b, Tolerance(abs=thr, rel=0.0))
         if keep.size > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        val, lam = kernel.simplex_form_min(b)
+        if orbit is None:
+            val, lam = kernel.simplex_form_min(b)
+        else:
+            signs = horn_matrix()[np.ix_(orbit.perm, orbit.perm)]
+            cycle = {1 << int(i) | 1 << int(j) for i, j in zip(*np.nonzero(np.triu(signs < 0)))}
+            assert len(cycle) == 5
+            val, lam = min(
+                ((value, lam) for mask, value, lam in reference_tagged_points(b) if mask in cycle),
+                key=lambda point: point[0],
+            )
         if val < -thr:
             return refute(lam)
         minimum = min(minimum, float(val))
@@ -763,6 +812,18 @@ def verdict_family(kind, seed):
         return (1.0 + 0.01 * rng.random()) * np.eye(17) - 0.01
     if kind == "definite-near-tie":  # the pivoting returns None; the walk decides
         return _near_tie(rng)
+    if kind == "horn-orbit-noise":  # both sides of the Horn stage's threshold
+        k = n % 4
+        a = np.eye(5 + k) if rng.random() < 0.5 else np.zeros((5 + k, 5 + k))
+        a[:5, :5] = horn_matrix()
+        perm = rng.permutation(5 + k)
+        d = rng.uniform(0.5, 2.0, 5 + k) * 10.0 ** (0.5 * rng.uniform(-3, 3))
+        a = a[np.ix_(perm, perm)] * np.outer(d, d)
+        # the Horn block's off-diagonal entries move by c thr U(-1, 1)
+        horn = perm < 5
+        e = np.triu(rng.uniform(-1.0, 1.0, a.shape), 1) * np.outer(horn, horn)
+        c = rng.choice([0.0, 0.3, 0.9, 3.0, 30.0])
+        return a + c * DEFAULT_TOL.scaled(np.abs(a).max()) * (e + e.T)
     return zero_family(kind, seed)  # Horn orbits and Horn + I_12
 
 
@@ -780,6 +841,7 @@ VERDICT_FAMILIES = [
     "minus-identity-18",
     "undecided-17",
     "definite-near-tie",
+    "horn-orbit-noise",
 ]
 
 PUBLIC_TESTS = [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros]
