@@ -254,7 +254,7 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             elif k == 5 and (cycle := _horn_cycle(rows, nbrs, thr)):
                 # B = D S D + E, S a permuted Horn matrix and |E_pq| <= thr, so
                 # x'Bx >= -thr (1 - sum x_i^2) > -thr: no walk can refute
-                found = kernel.simplex_form_min(b, cycle)
+                found = kernel.simplex_form_min(b, [1 << cycle[i - 1] | 1 << cycle[i] for i in range(5)])
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         if definite:
@@ -327,30 +327,31 @@ def _worst_triple(rows, nbrs, thr):
 
 
 def _horn_cycle(rows, nbrs, thr):
-    """The support masks of the five cycle edges when the order-5 block
-    ``rows`` lies within ``thr`` of the Horn orbit, else ``None``.
+    """The indices of the negative 5-cycle of the order-5 block ``rows`` in
+    cycle order, from 0 to its lesser neighbour on, when the block lies
+    within ``thr`` of the Horn orbit, else ``None``: the one Horn-orbit
+    test, :func:`copcone.extremal.horn_orbit_recognize` included.
 
     The block is accepted when every b_pp > thr, every index has exactly two
     negative neighbours in ``nbrs`` (so the negative graph is a 5-cycle),
     and every off-diagonal entry is -d_p d_q on the cycle and +d_p d_q off
-    it within ``thr``, with d_p = sqrt(b_pp), the scaling that
-    :func:`copcone.extremal.horn_orbit_recognize` takes.  Since d_p d_q >
-    thr, a Horn pattern within ``thr`` must put its -1 entries on the
-    negative pairs, so this is that recognition at the threshold ``thr``.
+    it within ``thr``, with d_p = sqrt(b_pp).  Where d_p d_q > thr, a Horn
+    pattern within ``thr`` must put its -1 entries on the negative pairs.
     """
     if any(len(around) != 2 for around in nbrs):
         return None
-    d = []
-    for p, row in enumerate(rows):
-        if not row[p] > thr:
-            return None
-        d.append(math.sqrt(row[p]))
+    if not all(row[p] > thr for p, row in enumerate(rows)):
+        return None
+    d = [math.sqrt(row[p]) for p, row in enumerate(rows)]
     for p, row in enumerate(rows):
         for q in range(p + 1, 5):
             dpq = d[p] * d[q]
             if abs(row[q] + dpq if q in nbrs[p] else row[q] - dpq) > thr:
                 return None
-    return [1 << p | 1 << q for p, around in enumerate(nbrs) for q in around if p < q]
+    cycle = [0, nbrs[0][0]]
+    while len(cycle) < 5:  # the next index is the neighbour not just left
+        cycle.append(sum(nbrs[cycle[-1]]) - cycle[-2])
+    return cycle
 
 
 def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

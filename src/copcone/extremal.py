@@ -10,13 +10,12 @@ checkable consequences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, special
-from .cones import Answer, is_copositive
+from . import kernel
+from .cones import Answer, _horn_cycle, is_copositive
 from .errors import NotCopositiveError, NotOrthogonalError, ZeroRowError
 from .kernel import DEFAULT_TOL, Tolerance
 
@@ -168,19 +167,14 @@ def _horn_block_orbit(a: np.ndarray, thr: float, tol: Tolerance) -> OrbitWitness
     return horn_orbit_recognize(red.s, tol)
 
 
-# The 120 permutations of order 5 in itertools order, and the Horn matrix
-# under each: _HORN_UNDER[k][i, j] = H[p_i, p_j] for p = _PERMS[k].
-_PERMS = np.array(list(itertools.permutations(range(5))))
-_HORN_UNDER = special.horn_matrix()[_PERMS[:, :, None], _PERMS[:, None, :]]
-_PERMS.flags.writeable = _HORN_UNDER.flags.writeable = False
-
-
 def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None:
     """Recognize membership of an order-5 matrix in the Horn orbit.
 
-    The Horn matrix has unit diagonal, so the scaling is forced to
-    d_i = sqrt(A_ii); all 120 permutations are tested at once and the first
-    match within tolerance, in itertools order, is returned, or ``None``.
+    The scaling is forced to d_i = sqrt(A_ii), and ``cones._horn_cycle``
+    finds the negative 5-cycle c_0 = 0, c_1, ..., c_4 that the Horn matrix's
+    -1 entries 0-1-2-3-4 must match; |A_ii - d_i^2| <= thr is checked too.
+    Of the ten permutations p_{c_k} = +-k mod 5 that fit, the least, the one
+    with the smaller p_1, is returned, or ``None``.
     """
     a, scale = kernel.as_sym(a, tol)
     if a.shape[0] != 5:
@@ -189,11 +183,15 @@ def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None
     diag = np.diag(a)
     if diag.min() <= thr:
         return None
+    rows = a.tolist()
+    # the diagonal is positive, so a row's negative entries are off it
+    cycle = _horn_cycle(rows, [[q for q, x in enumerate(row) if x < 0] for row in rows], thr)
     d = np.sqrt(diag)
-    match = np.abs(a - np.outer(d, d) * _HORN_UNDER).max(axis=(1, 2)) <= thr
-    if not match.any():
+    if cycle is None or np.abs(diag - d * d).max() > thr:
         return None
-    return OrbitWitness(d, _PERMS[match.argmax()].copy())
+    # sorted, not np.argsort: a numpy sort maps its code into memory on first use
+    pos = np.array(sorted(range(5), key=cycle.__getitem__))
+    return OrbitWitness(d, pos if pos[1] < 3 else -pos % 5)
 
 
 def _e12_recognize(a: np.ndarray, thr: float) -> OrbitWitness | None:

@@ -395,8 +395,8 @@ def factor_continuation(
 # heuristic minimal factorization
 
 # A rotated root B Q counts as nonnegative when no entry is below
-# -_ROOT_FLOOR * max|M|, the roundoff of the product; its entries are then
-# clipped to 0 ...
+# -_ROOT_FLOOR * sqrt(max|M|), the roundoff at the root's own scale (so 4 M
+# gets 2 V bit for bit); its entries are then clipped to 0 ...
 _ROOT_FLOOR = 1e-9
 # ... and the clipped factor is accepted when V V.T matches M within this
 # times max|M|, which leaves room for the error the clipping adds.
@@ -442,7 +442,7 @@ def heuristic_min_factor(
         rot = qr[:, :rank].T  # r x p with orthonormal rows
         for _ in range(500):
             prod = b @ rot
-            if prod.min() >= -_ROOT_FLOOR * scale:
+            if prod.min() >= -_ROOT_FLOOR * math.sqrt(scale):
                 v = NonnegFactor(np.maximum(prod, 0.0), tol)
                 if np.abs(v.product() - m).max() <= _FACTOR_FIT * scale:
                     return v

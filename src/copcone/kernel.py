@@ -249,8 +249,8 @@ def _support_plan(n):
 
 @functools.lru_cache(maxsize=64)
 def _mask_plan(masks, n):
-    """:func:`_plan` of the increasing masks of the tuple ``masks``; the
-    triple check of ``is_copositive`` asks for the same face every time."""
+    """:func:`_plan` of the increasing masks of the tuple ``masks``; from
+    ``is_copositive``, the face 0b111 or the edges of one of twelve 5-cycles."""
     return _plan(np.array(masks, dtype=np.intp), n)
 
 

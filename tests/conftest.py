@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from copcone import NonnegFactor, cli, horn_generators
+from copcone import NonnegFactor, cli, horn_generators, horn_matrix, kernel
 
 # Hypothesis's built-in "ci" profile: examples derived from each test, not
 # drawn at random, and no example database.  Hypothesis loads it by itself
@@ -73,6 +74,26 @@ def rng():
 def random_sym(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return 0.5 * (a + a.T)
+
+
+def reference_horn_orbit(a, tol=kernel.DEFAULT_TOL):
+    """Horn-orbit recognition as a loop over the 120 permutations of order
+    5 in itertools order: the first p with |a_ij - d_i d_j H[p_i, p_j]| <=
+    thr for every i and j, d_i = sqrt(a_ii), as ``(d, p)``; ``None`` when
+    a diagonal entry is <= thr or no p matches."""
+    a, scale = kernel.as_sym(a, tol)
+    thr = tol.scaled(scale)
+    diag = np.diag(a)
+    if diag.min() <= thr:
+        return None
+    d = np.sqrt(diag)
+    h = horn_matrix()
+    gram = np.outer(d, d)
+    for perm in itertools.permutations(range(5)):
+        p = np.array(perm)
+        if np.abs(a - gram * h[p[:, None], p]).max() <= thr:
+            return d, p
+    return None
 
 
 def cycle_matrix(n, c):

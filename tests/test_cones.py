@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checker, cycle_matrix, random_sym, simplex_grid_min
+from conftest import checker, cycle_matrix, random_sym, reference_horn_orbit, simplex_grid_min
 from copcone import cones, kernel
 from copcone import (
     Answer,
@@ -13,7 +13,6 @@ from copcone import (
     copositive_boundary_zeros,
     cp_interior_certificate,
     horn_matrix,
-    horn_orbit_recognize,
     is_copositive,
     is_dnn,
     is_nonneg,
@@ -632,9 +631,9 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
     """The straightforward copositivity test that ``is_copositive`` must
     reproduce bit for bit: the scale computed again for the threshold, the
     reduction by ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full
-    k x k edge table, the 3x3 check over every triple, the Horn-orbit test
-    of ``extremal`` on an order-5 block, and ``minimum`` computed on every
-    path."""
+    k x k edge table, the 3x3 check over every triple, the 120-permutation
+    Horn-orbit loop of ``conftest`` on an order-5 block, and ``minimum``
+    computed on every path."""
     a = reference_as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
@@ -699,16 +698,16 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
             if x @ b @ x < -thr:
                 return refute(x)
         elif keep.size == 5:
-            # The 120-permutation Horn-orbit test at the whole matrix's
+            # The 120-permutation Horn-orbit loop at the whole matrix's
             # threshold; on the orbit, the least point of the five faces
             # that the permuted Horn matrix's -1 pairs span.
-            orbit = horn_orbit_recognize(b, Tolerance(abs=thr, rel=0.0))
+            orbit = reference_horn_orbit(b, Tolerance(abs=thr, rel=0.0))
         if keep.size > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
         if orbit is None:
             val, lam = kernel.simplex_form_min(b)
         else:
-            signs = horn_matrix()[np.ix_(orbit.perm, orbit.perm)]
+            signs = horn_matrix()[np.ix_(orbit[1], orbit[1])]
             cycle = {1 << int(i) | 1 << int(j) for i, j in zip(*np.nonzero(np.triu(signs < 0)))}
             assert len(cycle) == 5
             val, lam = min(

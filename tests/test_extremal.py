@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import positive_horn_partner, random_admissible_factor, random_sym
+from conftest import positive_horn_partner, random_admissible_factor, random_sym, reference_horn_orbit
 from copcone import (
     NonnegFactor,
     anti_dd_check,
@@ -64,30 +62,22 @@ class TestHornOrbit:
     def test_identity_not_in_orbit(self):
         assert horn_orbit_recognize(np.eye(5)) is None
 
+    def test_a_threshold_at_the_entries_scale_leaves_no_sign_pattern(self):
+        # thr = 1 = d_p d_q: every 0 is within thr of both -1 and +1, so the
+        # 120-permutation loop matched the identity; no negative cycle exists
+        a = np.nextafter(1.0, 2.0) * np.eye(5)
+        assert reference_horn_orbit(a, kernel.Tolerance(1.0, 0.0))[1].tolist() == [0, 1, 2, 3, 4]
+        assert horn_orbit_recognize(a, kernel.Tolerance(1.0, 0.0)) is None
+
     def test_a_returned_perm_is_a_fresh_array(self):
         horn_orbit_recognize(horn_matrix()).perm[:] = 4
         assert horn_orbit_recognize(horn_matrix()).perm.tolist() == [0, 1, 2, 3, 4]
 
 
-def reference_horn_orbit(a):
-    """The recognizer as a loop over the 120 permutations in itertools
-    order, stopping at the first within the threshold: ``(d, perm)``."""
-    a, scale = kernel.as_sym(a, kernel.DEFAULT_TOL)
-    thr = kernel.DEFAULT_TOL.scaled(scale)
-    diag = np.diag(a)
-    if diag.min() <= thr:
-        return None
-    d = np.sqrt(diag)
-    h = horn_matrix()
-    gram = np.outer(d, d)
-    for perm in itertools.permutations(range(5)):
-        p = np.array(perm)
-        if np.abs(a - gram * h[p[:, None], p]).max() <= thr:
-            return d, p
-    return None
+ZERO_TOL, LOOSE_TOL = kernel.Tolerance(0.0, 0.0), kernel.Tolerance(0.0, 1e-3)
 
 
-def horn_orbit_case(kind, scale, seed):
+def horn_orbit_case(kind, scale, seed, tol=kernel.DEFAULT_TOL):
     """A Horn-orbit member d d' o H_p, d in [0.5, 2] times ``scale``; the same
     with one symmetric off-diagonal pair pushed by 10 thr; or a random
     symmetric matrix, with its diagonal made positive half of the time."""
@@ -101,23 +91,78 @@ def horn_orbit_case(kind, scale, seed):
     a = horn_matrix()[np.ix_(p, p)] * np.outer(d, d)
     if kind == "pushed":
         i, j = rng.choice(5, size=2, replace=False)
-        push = 10 * kernel.DEFAULT_TOL.scaled(np.abs(a).max()) * rng.choice([-1.0, 1.0])
+        push = 10 * tol.scaled(np.abs(a).max()) * rng.choice([-1.0, 1.0])
         a[i, j] += push
         a[j, i] += push
     return a
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["orbit", "pushed", "random"]), st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 10_000))
-def test_horn_orbit_recognize_matches_the_loop_bit_for_bit(kind, scale, seed):
-    a = horn_orbit_case(kind, scale, seed)
-    want, got = reference_horn_orbit(a), horn_orbit_recognize(a)
-    if kind != "random":  # the case is what it was built to be
-        assert (want is None) == (kind == "pushed")
+def assert_matches_the_loop(a, tol=kernel.DEFAULT_TOL):
+    """``horn_orbit_recognize`` is the 120-permutation loop bit for bit:
+    the same d bytes and permutation, or ``None`` for both."""
+    want, got = reference_horn_orbit(a, tol), horn_orbit_recognize(a, tol)
     if want is None:
         assert got is None
     else:
         assert (got.d.tobytes(), got.perm.tolist()) == (want[0].tobytes(), want[1].tolist())
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["orbit", "pushed", "random"]), st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 10_000))
+def test_horn_orbit_recognize_matches_the_loop_bit_for_bit(kind, scale, seed):
+    want = assert_matches_the_loop(horn_orbit_case(kind, scale, seed))
+    if kind != "random":  # the case is what it was built to be
+        assert (want is None) == (kind == "pushed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([ZERO_TOL, LOOSE_TOL]),
+    st.sampled_from(["orbit", "pushed", "random"]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.integers(0, 10_000),
+)
+def test_horn_orbit_recognize_matches_the_loop_at_zero_and_loose_tolerance(tol, kind, scale, seed):
+    # at thr = 0 a built member may miss by roundoff, |a_ii - d_i^2| included
+    want = assert_matches_the_loop(horn_orbit_case(kind, scale, seed, tol), tol)
+    if kind != "random" and tol is LOOSE_TOL:
+        assert (want is None) == (kind == "pushed")
+
+
+@pytest.mark.parametrize("tol", [kernel.DEFAULT_TOL, ZERO_TOL, LOOSE_TOL], ids=["default", "zero", "loose"])
+@pytest.mark.parametrize("entry", ["pair", "diagonal"])
+@pytest.mark.parametrize("factor", [-1.1, -0.9, 0.9, 1.1])
+def test_horn_orbit_recognize_matches_the_loop_at_the_threshold(tol, entry, factor):
+    """One off-diagonal pair, or one diagonal entry, pushed by 0.9 thr or
+    1.1 thr either way; a pushed pair is in the orbit iff it stays within thr."""
+    for seed in range(8):
+        a = horn_orbit_case("orbit", 1.0, seed)
+        i, j = np.random.default_rng([seed, 28]).choice(5, size=2, replace=False)
+        push = factor * tol.scaled(np.abs(a).max())
+        if entry == "pair":
+            a[i, j] += push
+            a[j, i] += push
+        else:
+            a[i, i] += push
+        want = assert_matches_the_loop(a, tol)
+        if entry == "pair" and tol is not ZERO_TOL:
+            assert (want is None) == (abs(factor) > 1)
+
+
+def test_every_dihedral_image_of_a_scaled_horn_matrix_gives_the_least_permutation():
+    """The ten images a[s][:, s] of a scaled permuted Horn matrix a under the
+    symmetries s of the 5-cycle give d = sqrt(diag) and, of the ten
+    permutations t o p o s that carry them onto Horn, the least."""
+    d, p = np.array([0.6, 1.7, 1.1, 0.9, 1.4]), np.array([3, 0, 2, 4, 1])
+    a = horn_matrix()[np.ix_(p, p)] * np.outer(d, d)
+    dihedral = [(shift + sign * np.arange(5)) % 5 for shift in range(5) for sign in (1, -1)]
+    for s in dihedral:
+        image = a[np.ix_(s, s)]
+        w = horn_orbit_recognize(image)
+        assert w.d.tobytes() == np.sqrt(np.diag(image)).tobytes()
+        assert w.perm.tolist() == min(t[p[s]].tolist() for t in dihedral)
+        assert_matches_the_loop(image)
 
 
 class TestClassify:

@@ -500,15 +500,42 @@ class TestHeuristic:
             heuristic_min_factor(horn_matrix(), 5)
 
     def test_a_clipped_root_that_misses_the_fit_is_not_returned(self):
-        # At scale 1e6 the entries clipped under the floor 1e-9 * scale move
-        # the product by more than the fit 1e-7 * scale, so the search gives
-        # up that rotation and restarts: 19 of its 20 restarts with numpy 2.4
-        # on x86-64, where the last one fits.
+        # A rotation whose clipped root misses the fit 1e-7 * scale is given
+        # up for the next restart, so whatever comes back fits.
         m = 1e6 * (np.ones((3, 3)) + 2.0 * np.eye(3))
         v = heuristic_min_factor(m, 4)
         if v is not None:
             assert v.p <= 4 and v.v.min() >= 0.0
             assert np.abs(v.product() - m).max() <= 1e-7 * 1e6
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6, 1e9, 1e12])
+def test_heuristic_takes_one_restart_at_every_scale(monkeypatch, scale):
+    # the root floor grows like the root, sqrt(scale), so the first rotation
+    # of J + 2I fits at every scale; each restart draws one QR
+    qr, restarts = np.linalg.qr, []
+
+    def counting_qr(g):
+        restarts.append(g)
+        return qr(g)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    m = scale * (np.ones((3, 3)) + 2.0 * np.eye(3))
+    v = heuristic_min_factor(m, 4)
+    assert len(restarts) == 1
+    assert v.v.min() >= 0.0 and np.abs(v.product() - m).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("n, p", [(4, 5), (5, 6), (5, 8), (6, 8)])
+def test_heuristic_factor_of_4_to_the_k_m_is_2_to_the_k_times_m_s(n, p):
+    # the benchmark's heuristic items: M = V V' with V uniform on [0.05, 1]
+    for seed in range(10):
+        rng = np.random.default_rng([seed, n, p])
+        v = rng.uniform(0.05, 1.0, (n, p))
+        m = v @ v.T
+        k = int(rng.choice([-5, -2, -1, 1, 3, 6, 9]))
+        base = heuristic_min_factor(m, p)
+        assert np.array_equal(heuristic_min_factor(4.0**k * m, p).v, 2.0**k * base.v)
 
 
 @settings(max_examples=30, deadline=None)

@@ -80,12 +80,12 @@ START = ["cli", "cones", "errors", "io", "kernel"]
         (["--help"], START),
         (["check", "--cone", "copositive", "fixtures/horn.json"], START),
         (["factorize", "--method", "dd", "fixtures/dd_example.json"], [*START, "factor", "special"]),
-        (["orbit", "fixtures/e12.json"], [*START, "extremal", "special"]),
+        (["orbit", "fixtures/e12.json"], [*START, "extremal"]),
         (
             ["verify-orth", "fixtures/w6.json", "fixtures/hornplus0.json", "--factor", "fixtures/w6.json"],
             [*START, "extremal", "factor", "special"],
         ),
-        (["bounds", "--n", "6"], [*START, "bounds", "extremal", "special"]),
+        (["bounds", "--n", "6"], [*START, "bounds", "extremal"]),
         (
             ["bounds", "fixtures/w6.json", "--witness", "fixtures/hornplus0.json", "--factor", "fixtures/w6.json"],
             [*START, "bounds", "extremal", "factor", "special"],
