@@ -3,20 +3,10 @@ copositive, doubly nonnegative, plus the sufficient interior certificate for
 complete positivity.
 
 Every negative verdict carries a certificate that re-verifies with plain
-arithmetic.  Copositivity is decided exactly, in stages: after deleting
-nonnegative rows, the 1x1 (vertex) and 2x2 (edge) principal checks refute in
-closed form; whether the remaining block is positive definite is decided
-once, by one Cholesky factorization, and picks the route.  If it is not, the
-3x3 (triple) check picks the principal triple with the lowest closed-form
-interior value and refutes by the stationary point of that one face, solved
-by the kernel (one KKT system, not the triple's seven supports); if no
-triple is negative and the block has order 5, the Horn check accepts it when
-it lies within the threshold thr of the Horn orbit D P'HP D, where the form
-is >= -thr (1 - sum x_i^2) > -thr, and the kernel solves the five faces of
-its cycle edges only.  Otherwise one exact simplex minimization of the block
-(the kernel's block principal pivoting if it is positive definite, the KKT
-walk over every face if not or if the pivoting leaves a near tie) settles the
-decision and supplies the boundary certificate.
+arithmetic.  Copositivity is decided exactly, in stages, by
+:func:`is_copositive`, whose docstring gives the stages, their order and the
+routes; :func:`_worst_triple` and :func:`_horn_cycle` are its triple and
+Horn checks.
 """
 
 from __future__ import annotations
@@ -171,18 +161,18 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     with the five masks of the cycle's edges, the negative pairs, gives the
     least point of those faces, each the walk's point for its mask bit for
     bit; it is within 2 thr of the simplex minimum.
-    Otherwise the exact minimum of the form on the simplex of B is found
-    once: ``kernel._convex_form_min``, block principal pivoting with a
-    strict KKT check, when Cholesky accepted B, and
-    ``kernel.simplex_form_min``, the walk over every face, when it rejected
-    B or the pivoting returns ``None`` on a near tie; both give the walk's
-    point bit for bit.  That minimum (or the Horn check's) refutes with its
-    minimizer, or decides IN and supplies the ``BoundaryZero`` when it
-    vanishes.  ``minimum``, reported on IN answers only, is the smaller of
-    the smallest diagonal entry of A and that minimum.
-    UNDECIDED means that B exceeds order 16, the limit of the enumeration,
-    and no vertex, edge or triple of it refutes; that gate comes before
-    both routes.
+    Then the order gate: UNDECIDED means that B exceeds order 16, the limit
+    of the enumeration, and no vertex, edge or triple of it refutes.
+    Past it, one minimizer is chosen: the Horn check's five-face call if it
+    accepted B; else ``kernel._convex_form_min``, block principal pivoting
+    with a strict KKT check, if Cholesky accepted B; else, or when the
+    pivoting returns ``None`` on a near tie, ``kernel.simplex_form_min``, the
+    walk over every face.  The pivoting gives the walk's point bit for bit,
+    which is the exact minimum of the form on the simplex of B.  The point
+    chosen refutes with its value below -thr, or decides IN and supplies
+    the ``BoundaryZero`` when that value vanishes.  ``minimum``, reported on
+    IN answers only, is the smaller of the smallest diagonal entry of A and
+    that value.
     """
     a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
@@ -202,10 +192,10 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
 
     val = np.inf
     if k:
+        x = np.zeros(k)  # the point of the vertex, edge and triple checks
         d = b.diagonal()
         i = int(d.argmin())
         if d[i] < -thr:
-            x = np.zeros(k)
             x[i] = 1.0
             return refute(x, d[i])  # x @ b @ x, exactly
         # Edge {p, q} minimum (b_pp b_qq - b_pq^2) / (b_pp + b_qq - 2 b_pq),
@@ -231,35 +221,41 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
                         if edge < best:  # strict: the first pair wins a tie
                             best, i, j, bij = edge, p, q, bpq
         if best < math.inf:
-            x = np.zeros(k)
             x[i] = max(rows[j][j] - bij, 0.0)
             x[j] = max(rows[i][i] - bij, 0.0)
             x /= x[i] + x[j]
             value = x @ b @ x
             if value < -thr:
                 return refute(x, value)
-        definite = _positive_definite(b)
-        found = None
+        try:
+            np.linalg.cholesky(b)
+            definite = True
+        except np.linalg.LinAlgError:
+            definite = False
+        cycle = None
         if not definite:
             triple = _worst_triple(rows, nbrs, thr)
             if triple is not None:
                 idx = np.array(triple)
                 face = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
                 if face is not None:
-                    x = np.zeros(k)
+                    x[:] = 0.0
                     x[idx] = face[1]
                     value = x @ b @ x
                     if value < -thr:
                         return refute(x, value)
-            elif k == 5 and (cycle := _horn_cycle(rows, nbrs, thr)):
-                # B = D S D + E, S a permuted Horn matrix and |E_pq| <= thr, so
-                # x'Bx >= -thr (1 - sum x_i^2) > -thr: no walk can refute
-                found = kernel.simplex_form_min(b, [1 << cycle[i - 1] | 1 << cycle[i] for i in range(5)])
+            elif k == 5:
+                # a cycle means B = D S D + E, S a permuted Horn matrix and
+                # |E_pq| <= thr, so x'Bx >= -thr (1 - sum x_i^2) > -thr: no
+                # walk can refute
+                cycle = _horn_cycle(rows, nbrs, thr)
         if k > kernel.ENUMERATION_MAX_ORDER:
             return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        if definite:
-            found = kernel._convex_form_min(b)
-        val, lam = found or kernel.simplex_form_min(b)
+        # the least point: the Horn cycle's five edges, else the pivoting if
+        # Cholesky accepted B, else (or on the pivoting's near tie) the walk
+        val, lam = (cycle and kernel.simplex_form_min(b, [1 << cycle[i - 1] | 1 << cycle[i] for i in range(5)])
+                    or definite and kernel._convex_form_min(b)
+                    or kernel.simplex_form_min(b))
         if val < -thr:
             return refute(lam, lam @ b @ lam)
     minimum = min(float(a.diagonal().min()), float(val))
@@ -271,15 +267,6 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
         i = int(np.argmin(np.diag(a)))
         certificate = BoundaryZero(np.eye(n)[i], float(a[i, i]))
     return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum)
-
-
-def _positive_definite(b) -> bool:
-    """True when LAPACK's Cholesky factorization of ``b`` succeeds."""
-    try:
-        np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _worst_triple(rows, nbrs, thr):

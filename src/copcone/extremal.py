@@ -62,13 +62,6 @@ class ExtremeClass:
 
 
 @dataclass(frozen=True)
-class ZeroDiagReduction:
-    s: np.ndarray
-    zero_indices: tuple[int, ...]
-    structure_ok: bool
-
-
-@dataclass(frozen=True)
 class OrthColumnResult:
     defect: float
     passed: bool
@@ -146,25 +139,14 @@ def anti_dd_check(m, a, tol: Tolerance = DEFAULT_TOL) -> AntiDdResult:
     return AntiDdResult(tuple((d <= off + thr).tolist()))
 
 
-def _zero_diag(a: np.ndarray, thr: float) -> ZeroDiagReduction:
-    """Strip the zero-diagonal indices, the diagonal entries <= thr, of a
-    validated copositive matrix ``a``.
-
-    For an extreme copositive matrix with a negative entry, the rows and
-    columns through its zero diagonal entries must vanish entirely;
-    ``structure_ok`` tells whether they do.
-    """
-    zero = np.diag(a) <= thr
-    structure_ok = bool(np.abs(a[zero, :]).max(initial=0.0) <= thr)
-    return ZeroDiagReduction(a[np.ix_(~zero, ~zero)], tuple(np.flatnonzero(zero).tolist()), structure_ok)
-
-
 def _horn_block_orbit(a: np.ndarray, thr: float, tol: Tolerance) -> OrbitWitness | None:
-    """Horn-orbit witness of ``a`` less its zero-diagonal rows, which must vanish."""
-    red = _zero_diag(a, thr)
-    if not red.structure_ok or red.s.shape[0] != 5:
+    """Horn-orbit witness of a validated ``a`` less its zero-diagonal rows,
+    those with a_ii <= thr, which must vanish: in an extreme copositive
+    matrix with a negative entry the rows through a zero diagonal entry do."""
+    zero = np.diag(a) <= thr
+    if np.abs(a[zero]).max(initial=0.0) > thr or np.count_nonzero(~zero) != 5:
         return None
-    return horn_orbit_recognize(red.s, tol)
+    return horn_orbit_recognize(a[np.ix_(~zero, ~zero)], tol)
 
 
 def horn_orbit_recognize(a, tol: Tolerance = DEFAULT_TOL) -> OrbitWitness | None:
@@ -255,6 +237,6 @@ def rank3_witness_check(m, a, tol: Tolerance = DEFAULT_TOL) -> str:
     if kernel.num_rank(a, tol) < 3:
         return FAIL
     thr = tol.scaled(ascale)
-    zero = _zero_diag(a, thr).zero_indices
+    zero = np.diag(a) <= thr
     # an E12-orbit 2x2 block: a positive pair between two zero diagonal entries
     return FAIL if (a[np.ix_(zero, zero)] > thr).any() else PASS

@@ -244,16 +244,18 @@ def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
       for Q an orthonormal basis of the complement of u.  Rotate that root
       as for r = 2 and append the column sqrt(t) e_i.
 
-    Entries down to -tol.scaled(max|Y|) / max|L| are roundoff and are
-    clipped, which moves the product by at most the tolerance; a root that
-    is already nonnegative within that bound is returned as is.
+    The entries of Y in [-thr, 0), thr = tol.scaled(max|Y|), which the DNN
+    test accepts, are clipped to 0 first, so y_jk >= 0 holds exactly.  Root
+    entries down to -thr / max|L| are roundoff and are clipped, which moves
+    the product by at most the tolerance; a root that is already nonnegative
+    within that bound is returned as is.
     """
     y, scale = kernel.as_sym(y, tol)
     if y.shape[0] > 3:
         raise ValueError("cp3_factorize handles orders up to 3")
     if is_dnn(y, tol).answer is not Answer.IN:
         raise NotDnnError("matrix is not doubly nonnegative")
-    return _cp3_factor(y, scale, tol)
+    return _cp3_factor(np.maximum(y, 0.0), scale, tol)
 
 
 def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import positive_horn_partner, random_admissible_factor, random_sym, reference_horn_orbit
 from copcone import (
+    Answer,
     NonnegFactor,
     anti_dd_check,
     classify_rank12,
@@ -12,13 +13,14 @@ from copcone import (
     horn_block6,
     horn_matrix,
     horn_orbit_recognize,
+    is_copositive,
     kernel,
     orth_column_check,
     orth_nullspace_check,
     rank3_witness_check,
 )
 from copcone.errors import NotOrthogonalError, ZeroRowError
-from copcone.extremal import FAIL, PASS, SKIP, _zero_diag
+from copcone.extremal import FAIL, PASS, SKIP
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -192,6 +194,19 @@ class TestClassify:
         a, _, _ = random_orbit_of_horn(rng)
         assert classify_rank12(a).tag == "HORN_ORBIT"
 
+    def test_horn_block_less_its_zero_row(self):
+        cls = classify_rank12(horn_block6())
+        assert cls.tag == "HORN_ORBIT"
+        assert cls.witness.reconstruct(horn_matrix()).tobytes() == horn_matrix().tobytes()
+
+    def test_a_zero_diagonal_row_that_does_not_vanish_is_unknown(self):
+        # still copositive (row 5 is >= 0), but a zero diagonal entry with
+        # mass off it rules out an extreme matrix with a negative entry
+        a = horn_block6()
+        a[0, 5] = a[5, 0] = 0.5
+        assert is_copositive(a).answer is Answer.IN
+        assert classify_rank12(a).tag == "UNKNOWN_EXTREME_CLASS"
+
     def test_unknown_for_generic_copositive(self):
         cls = classify_rank12(np.eye(5) + 0.5)
         assert "UNKNOWN" in cls.tag
@@ -286,33 +301,6 @@ class TestOrthChecks:
         m = np.zeros((2, 2))
         with pytest.raises(ZeroRowError):
             anti_dd_check(m, np.zeros((2, 2)))
-
-
-class TestZeroDiagReduce:
-    # _zero_diag takes a validated matrix and its zero threshold
-    THR = 1e-9
-
-    def test_horn_block(self):
-        red = _zero_diag(horn_block6(), self.THR)
-        assert red.structure_ok
-        assert list(red.zero_indices) == [5]
-        assert np.abs(red.s - horn_matrix()).max() == 0.0
-
-    def test_structure_violation(self):
-        # negative entry plus off-diagonal mass in a zero-diagonal row:
-        # incompatible with an extremality claim
-        a = np.zeros((3, 3))
-        a[0, 0] = 1.0
-        a[1, 2] = a[2, 1] = -1.0
-        red = _zero_diag(a, self.THR)
-        assert not red.structure_ok
-
-    def test_nonneg_matrix_not_flagged(self):
-        a = np.zeros((3, 3))
-        a[0, 0] = 1.0
-        a[1, 2] = a[2, 1] = 1.0
-        red = _zero_diag(a, self.THR)
-        assert not red.structure_ok
 
 
 def test_rank3_witness_check():

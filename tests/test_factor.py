@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_admissible_factor, random_dd_nonneg, random_positive_dd
 from copcone import (
     DEFAULT_TOL,
+    Answer,
     NonnegFactor,
     Tolerance,
     cp_interior_certificate,
@@ -17,6 +18,7 @@ from copcone import (
     heuristic_min_factor,
     horn_block6,
     horn_matrix,
+    is_dnn,
     perturb_positify,
     positive_dd_factorize,
 )
@@ -319,13 +321,39 @@ class TestCp3:
         with pytest.raises(ValueError):
             cp3_factorize(np.eye(4))
 
-    def test_a_rank_3_matrix_whose_rotated_root_stays_negative_is_rejected(self):
-        # is_dnn accepts the (1, 2) pair -1.9e-9 > -thr, but against the
-        # diagonal 1e-8 it puts the rows of the rank-2 remainder 101 degrees
-        # apart: rotated, one root entry is about -2e-5, far below the clip.
+    def test_a_negative_pair_inside_the_tolerance_is_clipped_before_factoring(self):
+        # is_dnn accepts the (1, 2) pair -1.9e-9 > -thr; against the diagonal
+        # 1e-8 it would put the rows of the rank-2 remainder 101 degrees apart,
+        # beyond any rotation into the quadrant, were it not clipped to 0.
         y = np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, -1.9e-9], [0.0, -1.9e-9, 1e-8]])
-        with pytest.raises(NotDnnError, match="no nonnegative factor within tolerance"):
-            cp3_factorize(y)
+        f = cp3_factorize(y)
+        assert f.p <= 3
+        assert np.abs(f.product() - y).max() <= DEFAULT_TOL.scaled(1.0)
+
+    def test_every_near_dnn_matrix_is_factorized(self):
+        # D B B' D with B sparse and nonnegative, every zero off-diagonal pair
+        # moved to -U(0, 1) thr: doubly nonnegative within the tolerance.
+        # Clipping Y moves the product by less than thr, clipping the root by
+        # at most thr more.
+        rng = np.random.default_rng(41)
+        tried = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 4))
+            b = rng.random((n, 3)) * (rng.random((n, 3)) < 0.5)
+            b *= 10.0 ** rng.uniform(-5, 0, (n, 1))
+            y = b @ b.T
+            if not y.any():
+                continue
+            thr = DEFAULT_TOL.scaled(np.abs(y).max())
+            e = np.triu(y == 0, 1) * rng.uniform(0.0, 1.0, (n, n)) * thr
+            y -= e + e.T
+            if is_dnn(y).answer is not Answer.IN:
+                continue
+            tried += 1
+            f = cp3_factorize(y)
+            assert f.p <= 3
+            assert np.abs(f.product() - y).max() <= 2.0 * thr
+        assert tried >= 300
 
 
 class TestHorn6:
