@@ -86,17 +86,6 @@ def _certificate_dict(cert):
     return out
 
 
-def _verdict_dict(verdict: cones.ConeVerdict):
-    out = {
-        "cone": verdict.cone,
-        "answer": verdict.answer.value,
-        "certificate": _certificate_dict(verdict.certificate),
-    }
-    if verdict.minimum is not None:
-        out["minimum"] = verdict.minimum
-    return out
-
-
 # Each command returns its report's ``result`` and the exit code.
 
 
@@ -104,7 +93,14 @@ def cmd_check(args, tol, inputs) -> tuple[dict, int]:
     mf = inputs.matrix(args.path)
     # looked up per call: the --cone choices are the one list of cones
     verdict = getattr(cones, f"is_{args.cone}")(mf.data, tol)
-    return _verdict_dict(verdict), {"IN": 0, "NOT_IN": 1, "UNDECIDED": 2}[verdict.answer.value]
+    result = {
+        "cone": verdict.cone,
+        "answer": verdict.answer.value,
+        "certificate": _certificate_dict(verdict.certificate),
+    }
+    if verdict.minimum is not None:
+        result["minimum"] = verdict.minimum
+    return result, {"IN": 0, "NOT_IN": 1, "UNDECIDED": 2}[verdict.answer.value]
 
 
 def cmd_factorize(args, tol, inputs) -> tuple[dict, int]:
@@ -217,30 +213,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="cone membership test", parents=[common])
     p.add_argument("--cone", required=True, choices=["nonneg", "psd", "copositive", "dnn"])
     p.add_argument("path")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("factorize", help="constructive cp factorization", parents=[common])
     p.add_argument("--method", required=True, choices=["dd", "posdd", "horn6", "cp3", "heuristic"])
     p.add_argument("--target", type=int, default=None, help="column count for --method heuristic")
     p.add_argument("path")
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("bounds", help="cp-rank bound interval", parents=[common])
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None, help="table mode: known bracket for this order")
     p.add_argument("--witness", action="append", default=None, help="orthogonal copositive witness file")
     p.add_argument("--factor", default=None, help="factor file providing a column-count upper bound")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("orbit", help="extreme-ray classification / orbit recognition", parents=[common])
     p.add_argument("path")
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("verify-orth", help="orthogonal-pair structure checks", parents=[common])
     p.add_argument("path_m")
     p.add_argument("path_a")
     p.add_argument("--factor", default=None)
-    p.set_defaults(func=cmd_verify_orth)
     return parser
 
 
@@ -255,7 +246,9 @@ def main(argv=None) -> int:
     try:
         tol = Tolerance() if args.tol is None else Tolerance(abs=args.tol, rel=args.tol)
         inputs = _Inputs(tol)
-        result, code = args.func(args, tol, inputs)
+        # looked up per call, as cmd_check looks up its cone: the
+        # subparser names are the one list of commands
+        result, code = globals()[f"cmd_{args.command.replace('-', '_')}"](args, tol, inputs)
     except (DataError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
@@ -272,7 +265,3 @@ def main(argv=None) -> int:
     sys.stdout.write(canonical_json(report))
     sys.stderr.write(f"wall time: {time.perf_counter() - started:.3f}s\n")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

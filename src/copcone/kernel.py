@@ -209,17 +209,16 @@ def simplex_stationary_points(q, supports=None):
     ``ValueError`` (at the first ``next``, as the order limit does).
 
     The KKT systems of each support size are solved in one stacked call,
-    with the index arrays of the cached :func:`_support_plan` (or
-    :func:`_mask_plan` for the given masks).  Each system sees the same
-    LAPACK/BLAS calls as a one-support-at-a-time solve, so the yielded
-    values are bit-identical to it.  ``q`` is a symmetric float matrix as
-    :func:`as_sym` returns it, or a principal block of one.
+    with the index arrays of the cached :func:`_plan`.  Each system sees
+    the same LAPACK/BLAS calls as a one-support-at-a-time solve, so the
+    yielded values are bit-identical to it.  ``q`` is a symmetric float
+    matrix as :func:`as_sym` returns it, or a principal block of one.
     """
     n = q.shape[0]
     if n > ENUMERATION_MAX_ORDER:
         raise ValueError(f"support enumeration is limited to order {ENUMERATION_MAX_ORDER}")
     if supports is None:
-        plan, count = _support_plan(n), (1 << n) - 1
+        plan, count = _plan(None, n), (1 << n) - 1
     else:
         try:
             masks = tuple(sorted({operator.index(mask) for mask in supports}))
@@ -227,7 +226,7 @@ def simplex_stationary_points(q, supports=None):
             raise ValueError("support masks must be integers") from None
         if masks and not 1 <= masks[0] <= masks[-1] < 1 << n:
             raise ValueError(f"support masks must lie in [1, {(1 << n) - 1}]")
-        plan, count = _mask_plan(masks, n), len(masks)
+        plan, count = _plan(masks, n), len(masks)
     scale = max(1.0, np.abs(q).max())
     values = np.empty(count)
     lams = np.zeros((count, n))
@@ -241,24 +240,16 @@ def simplex_stationary_points(q, supports=None):
     yield from zip(values[found].tolist(), lams[found])
 
 
-@functools.lru_cache(maxsize=None)
-def _support_plan(n):
-    """:func:`_plan` of every mask at order ``n``, built once per order."""
-    return _plan(np.arange(1, 1 << n), n)
-
-
 @functools.lru_cache(maxsize=64)
-def _mask_plan(masks, n):
-    """:func:`_plan` of the increasing masks of the tuple ``masks``; from
-    ``is_copositive``, the face 0b111 or the edges of one of twelve 5-cycles."""
-    return _plan(np.array(masks, dtype=np.intp), n)
-
-
 def _plan(masks, n):
-    """Integer layout of a walk over the increasing bitmasks ``masks`` at
-    order ``n``: for each support size k that occurs, the positions in
-    ``masks`` of the size-k masks and their (m, k) index array.  Callers
-    share the cached plans, so the arrays are read-only."""
+    """Integer layout of a walk over the increasing bitmasks of the tuple
+    ``masks`` at order ``n``, or over every mask when ``masks`` is ``None``:
+    for each support size k that occurs, the positions in the masks of the
+    size-k masks and their (m, k) index array.  Callers share the cached
+    plans, so the arrays are read-only.  Its 64 entries hold the full walks
+    of all 16 orders and, from ``is_copositive``, the face 0b111 and the
+    edges of the twelve 5-cycles."""
+    masks = np.arange(1, 1 << n) if masks is None else np.array(masks, dtype=np.intp)
     member = (masks[:, None] >> np.arange(n) & 1) != 0
     size = member.sum(axis=1)
     plan = []

@@ -97,19 +97,59 @@ def test_04_order6_fifteen_column_factorization():
     report("04 order-6 fifteen-column factorization", ok)
 
 
+def _horn_zero_pairs(count, seed=12):
+    """Pairs (V, A): A a scaled Horn matrix plus a zero block of order k <= 2,
+    simultaneously permuted, and V's columns positive multiples of some of
+    A's boundary zeros, so that M = V V' is orthogonal to A."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = 5 + int(rng.integers(0, 3))
+        a = np.zeros((n, n))
+        a[:5, :5] = cc.horn_matrix()
+        perm = rng.permutation(n)
+        d = rng.random(n) + 0.25
+        a = a[np.ix_(perm, perm)] * np.outer(d, d)
+        zeros = np.array(cc.copositive_boundary_zeros(a))
+        pick = rng.permutation(len(zeros))[: int(rng.integers(1, len(zeros) + 1))]
+        out.append((cc.NonnegFactor(zeros[pick].T * (rng.random(pick.size) + 0.1)), a))
+    return out
+
+
+def _psd_kernel_pairs(count, seed=13):
+    """Pairs (V, A): A = B B' of order 3..7 with r nonnegative vectors in its
+    kernel, and V those vectors times positive weights, so that A V = 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        r = int(rng.integers(1, n))
+        u = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
+        u[rng.integers(0, n, r), np.arange(r)] += 0.1  # no zero vector
+        # the last n - r right singular vectors of u' are orthogonal to u
+        b = np.linalg.svd(u.T)[2][r:].T @ rng.standard_normal((n - r, n - r))
+        out.append((cc.NonnegFactor(u * (rng.random(r) + 0.1)), b @ b.T))
+    return out
+
+
 def test_05_orthogonal_pair_property_suite():
+    """The paper's relations on orthogonal pairs (M = V V', A): the order-6
+    factors against the Horn block, and the two generated families."""
     hb = cc.horn_block6()
+    pairs = [(v, hb) for v in _order6_pairs(200)] + _horn_zero_pairs(200) + _psd_kernel_pairs(200)
     ok = True
-    for v0 in _order6_pairs(200):
-        m = v0.product()
-        col = cc.orth_column_check(m, hb)
-        ok &= col.defect <= 1e-10
-        if np.diag(m).min() > 1e-12:
-            ok &= cc.anti_dd_check(m, hb).all_pass
-        thr = 1e-12 * max(v0.v.max(), 1.0)
-        common = [i for i in range(6) if np.all(v0.v[i, :] > thr)]
-        for i in common:
-            ok &= cc.orth_nullspace_check(m, hb, v0, i) == "PASS"
+    for v, a in pairs:
+        m = v.product()
+        col = cc.orth_column_check(m, a)
+        ok &= col.passed and col.defect <= 1e-10
+        if np.diag(m).min() > cc.DEFAULT_TOL.scaled(np.abs(m).max()):
+            ok &= cc.anti_dd_check(m, a).all_pass
+        # a row of V positive in every column makes the nullspace check PASS
+        thr = 1e-12 * max(v.v.max(), 1.0)
+        for i in range(v.n):
+            got = cc.orth_nullspace_check(m, a, v, i)
+            ok &= got == "PASS" if np.all(v.v[i, :] > thr) else got != "FAIL"
+        ok &= cc.rank3_witness_check(m, a) != "FAIL"
     report("05 orthogonal pair property suite", ok)
 
 

@@ -219,6 +219,8 @@ ROWS = [
         "factor entries must be nonnegative", {"neg.json": w6_with_factor(F6_NEGATIVE)}),
     Row("factor-file-negative", ("bounds", "w6.json", "--factor", "neg.json"), 65, None,
         "factor entries must be nonnegative", {"neg.json": w6_with_factor(F6_NEGATIVE)}),
+    Row("horn6-factor-order-5", ("factorize", "--method", "horn6", "f5.json"), 65, None,
+        "order-6 input required", {"f5.json": json.dumps({"n": 5, "data": np.eye(5).tolist(), "factor": [[1.0]] * 5})}),
     # The factor loses its zero column, and with no columns left every index
     # is in the support of all of them: PASS or FAIL, never SKIP.
     Row("all-zero-factor", ("verify-orth", "w6.json", "hornplus0.json", "--factor", "z.json"), 0,

@@ -301,18 +301,20 @@ def test_a_support_mask_outside_the_order_is_rejected(mask):
 
 
 def test_support_plan_holds_only_integer_indices():
-    """The cached plan at the largest order: integer arrays only, one
-    position per mask and one index per member of each support, so its size
-    is (2**n - 1 + n * 2**(n - 1)) index entries, 4.7 MB at order 16."""
-    n = kernel.ENUMERATION_MAX_ORDER
-    plan = kernel._support_plan(n)
-    assert kernel._support_plan(n) is plan
-    arrays = [arr for pair in plan for arr in pair]
-    assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
-    bound = (2**n - 1 + n * 2 ** (n - 1)) * np.dtype(np.intp).itemsize
-    assert sum(arr.nbytes for arr in arrays) <= bound <= 5_000_000
-    rows = np.concatenate([rows for rows, _ in plan])
-    assert np.array_equal(np.sort(rows), np.arange(2**n - 1))
+    """The cached plans of the full walk at the largest order and of one
+    face: integer arrays only, one position per mask and one index per
+    member of each support, so the full walk's size is
+    (2**n - 1 + n * 2**(n - 1)) index entries, 4.7 MB at order 16."""
+    for masks, n in ((None, kernel.ENUMERATION_MAX_ORDER), ((0b111,), 3)):
+        plan = kernel._plan(masks, n)
+        assert kernel._plan(masks, n) is plan
+        arrays = [arr for pair in plan for arr in pair]
+        assert all(arr.dtype == np.intp and not arr.flags.writeable for arr in arrays)
+        listed = range(1, 1 << n) if masks is None else masks
+        bound = (len(listed) + sum(bin(mask).count("1") for mask in listed)) * np.dtype(np.intp).itemsize
+        assert sum(arr.nbytes for arr in arrays) <= bound <= 5_000_000
+        rows = np.concatenate([rows for rows, _ in plan])
+        assert np.array_equal(np.sort(rows), np.arange(len(listed)))
 
 
 def test_stationary_points_order_limit():
