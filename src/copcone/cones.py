@@ -118,8 +118,8 @@ def _psd_violation(a, scale, tol) -> ViolationVector | None:
 
 
 def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
-    """Exact copositivity test in stages: vertex, edge, Cholesky, triple,
-    Horn, then one exact simplex minimization (the walk).
+    """Exact copositivity test in stages: vertex, edge, Horn, Cholesky (then
+    the pivoting) or triple, then one exact simplex minimization (the walk).
 
     The input is validated once, and the threshold comes from the scale
     found by that pass.  Then every index whose row, restricted to the
@@ -136,43 +136,46 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     its minimizer.  That check is one loop over the pairs in row-major
     order on Python floats, and a strict comparison lets the first minimum
     win a tie.  It is O(k^2) Python operations, not a dozen numpy calls of
-    fixed cost: up to order 12 the loop is the faster, and beyond it the
-    enumeration of at least 2^13 supports, or UNDECIDED, follows anyway.
+    fixed cost: up to order 12, the benchmark corpora's largest, the loop is
+    the faster.
 
-    Then ``np.linalg.cholesky`` runs once on B, and its verdict picks the
-    route; the kernel does not test B again.  If it rejects B, the triple
-    check follows (3 is the last order with a closed-form test, Hadeler
-    1983; a block of order 2 has no triple): over the triples with two or
-    more negative pairs, the one whose face has the lowest interior
-    stationary value below -thr (see :func:`_worst_triple`) gets one
-    ``kernel.simplex_form_min`` call on its 3x3 principal block with
-    ``supports=[0b111]``, which solves that face alone, and the zero-padded
-    stationary point refutes if its form on B is below -thr.  Every vertex
-    and edge of the triple is >= -thr and the face's closed-form value is
-    below it, so that point is the block's simplex minimum, the one a walk
-    over all seven supports would return; a face without a stationary
-    point (``None``) refutes nothing.  A positive definite B is strictly
-    copositive, so it skips this check.
-    If no triple is below -thr and B has order 5, the Horn check follows
-    (see :func:`_horn_cycle`): when B = D S D + E, S a permuted Horn matrix,
-    D = diag(sqrt(b_pp)) and every |E_pq| <= thr, then on the simplex
-    x'Bx >= -thr (1 - sum x_i^2) > -thr, as the Horn form is >= 0, so B
-    is copositive within the threshold.  One ``kernel.simplex_form_min`` call
-    with the five masks of the cycle's edges, the negative pairs, gives the
-    least point of those faces, each the walk's point for its mask bit for
-    bit; it is within 2 thr of the simplex minimum.
-    Then the order gate: UNDECIDED means that B exceeds order 16, the limit
-    of the enumeration, and no vertex, edge or triple of it refutes.
-    Past it, one minimizer is chosen: the Horn check's five-face call if it
-    accepted B; else ``kernel._convex_form_min``, block principal pivoting
-    with a strict KKT check, if Cholesky accepted B; else, or when the
-    pivoting returns ``None`` on a near tie, ``kernel.simplex_form_min``, the
-    walk over every face.  The pivoting gives the walk's point bit for bit,
-    which is the exact minimum of the form on the simplex of B.  The point
-    chosen refutes with its value below -thr, or decides IN and supplies
-    the ``BoundaryZero`` when that value vanishes.  ``minimum``, reported on
-    IN answers only, is the smaller of the smallest diagonal entry of A and
-    that value.
+    An order-5 B then gets the Horn check (see :func:`_horn_cycle`): when
+    B = D S D + E, S a permuted Horn matrix, D = diag(sqrt(b_pp)) and every
+    |E_pq| <= thr, then on the simplex x'Bx >= -thr (1 - sum x_i^2) > -thr,
+    as the Horn form is >= 0, so B is copositive within the threshold, and
+    no triple can refute it (on a triple face the bound is -2 thr / 3).  One
+    ``kernel.simplex_form_min`` call with the five masks of the cycle's
+    edges, the negative pairs, gives the least point of those faces, each
+    the walk's point for its mask bit for bit; it is within 2 thr of the
+    simplex minimum.
+
+    Any other B gets one ``np.linalg.cholesky`` call, and its verdict picks
+    the route; the kernel does not test B again.  If it accepts B, B is
+    strictly copositive and ``kernel._convex_form_min``, block principal
+    pivoting, gives the minimum at any order: the last pivoting step's
+    point, which meets the KKT conditions within roundoff, and its form
+    value, the walk's minimum up to roundoff (not bit for bit).  If it
+    rejects B, the triple check follows (3 is the last order with a
+    closed-form test, Hadeler 1983; a block of order 2 has no triple): over
+    the triples with two or more negative pairs, the one whose face has the
+    lowest interior stationary value below -thr (see :func:`_worst_triple`)
+    gets one ``kernel.simplex_form_min`` call on its 3x3 principal block
+    with ``supports=[0b111]``, which solves that face alone, and the
+    zero-padded stationary point refutes if its form on B is below -thr.
+    Every vertex and edge of the triple is >= -thr and the face's
+    closed-form value is below it, so that point is the block's simplex
+    minimum, the one a walk over all seven supports would return; a face
+    without a stationary point (``None``) refutes nothing.
+
+    Then the order gate, for a B that got neither minimum (Cholesky
+    rejected it, or the pivoting came back to a free set it had tried):
+    UNDECIDED means that B exceeds order 16, the limit of the enumeration,
+    is not positive definite, and no vertex, edge or triple of it refutes.
+    Past the gate, ``kernel.simplex_form_min``, the walk over every face,
+    gives the exact minimum.  The point found refutes with its value below
+    -thr, or decides IN and supplies the ``BoundaryZero`` when that value
+    vanishes.  ``minimum``, reported on IN answers only, is the smaller of
+    the smallest diagonal entry of A and that value.
     """
     a, scale = kernel.as_sym(a, tol)
     n = a.shape[0]
@@ -227,35 +230,34 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
             value = x @ b @ x
             if value < -thr:
                 return refute(x, value)
-        try:
-            np.linalg.cholesky(b)
-            definite = True
-        except np.linalg.LinAlgError:
-            definite = False
-        cycle = None
-        if not definite:
-            triple = _worst_triple(rows, nbrs, thr)
-            if triple is not None:
-                idx = np.array(triple)
-                face = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
-                if face is not None:
-                    x[:] = 0.0
-                    x[idx] = face[1]
-                    value = x @ b @ x
-                    if value < -thr:
-                        return refute(x, value)
-            elif k == 5:
-                # a cycle means B = D S D + E, S a permuted Horn matrix and
-                # |E_pq| <= thr, so x'Bx >= -thr (1 - sum x_i^2) > -thr: no
-                # walk can refute
-                cycle = _horn_cycle(rows, nbrs, thr)
-        if k > kernel.ENUMERATION_MAX_ORDER:
-            return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        # the least point: the Horn cycle's five edges, else the pivoting if
-        # Cholesky accepted B, else (or on the pivoting's near tie) the walk
-        val, lam = (cycle and kernel.simplex_form_min(b, [1 << cycle[i - 1] | 1 << cycle[i] for i in range(5)])
-                    or definite and kernel._convex_form_min(b)
-                    or kernel.simplex_form_min(b))
+        # a cycle means B = D S D + E, S a permuted Horn matrix and
+        # |E_pq| <= thr, so x'Bx >= -thr (1 - sum x_i^2) > -thr: no triple
+        # or walk can refute
+        cycle = k == 5 and _horn_cycle(rows, nbrs, thr)
+        found = None
+        if cycle:
+            found = kernel.simplex_form_min(b, [1 << cycle[i - 1] | 1 << cycle[i] for i in range(5)])
+        else:
+            try:
+                np.linalg.cholesky(b)
+            except np.linalg.LinAlgError:
+                triple = _worst_triple(rows, nbrs, thr)
+                if triple is not None:
+                    idx = np.array(triple)
+                    face = kernel.simplex_form_min(b[idx[:, None], idx], [0b111])
+                    if face is not None:
+                        x[:] = 0.0
+                        x[idx] = face[1]
+                        value = x @ b @ x
+                        if value < -thr:
+                            return refute(x, value)
+            else:
+                found = kernel._convex_form_min(b)
+        if found is None:  # no Horn cycle, Cholesky rejected B, or the pivoting cycled
+            if k > kernel.ENUMERATION_MAX_ORDER:
+                return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
+            found = kernel.simplex_form_min(b)
+        val, lam = found
         if val < -thr:
             return refute(lam, lam @ b @ lam)
     minimum = min(float(a.diagonal().min()), float(val))

@@ -18,13 +18,13 @@ of support bitmasks (bit i for index i), the walk solves only those faces,
 in the same stacked calls, and each point it yields is the full walk's
 point for that mask, bit for bit.  A positive definite form is convex on
 the simplex: for a block that Cholesky accepted, ``_convex_form_min``
-finds the optimal support by block principal pivoting, in one inversion
-when the support is every index, and keeps that face's point after a
-strict KKT check whose margins are scaled per index; it returns the walk's
-minimum bit for bit, or ``None`` on a near tie or when pivoting comes back
-to a free set it has tried.  The kernel does not choose between the two:
-``cones.is_copositive`` runs the one Cholesky test
-and calls the pivoting first only when it passes.
+finds the minimizer by block principal pivoting, at any order and in one
+solve when the support is every index, and returns its last step's point
+and value, the walk's minimum up to roundoff; it returns ``None`` only when
+pivoting comes back to a free set it has tried (or meets a free block
+singular in roundoff).  The kernel does not choose between the two:
+``cones.is_copositive`` runs the one Cholesky test and calls the pivoting
+only when it passes.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
@@ -173,26 +173,6 @@ _RESIDUAL = 1e-8
 # simplex, and the face is skipped.
 _WEIGHT_FLOOR = -1e-10
 
-# The positive definite fast path keeps its support S only when every j
-# outside S has the multiplier g_j = (q lam)_j - value above this times
-# c_j = q_jj - 2 (q lam)_j + value, the curvature of the form along e_j - lam.
-# On the face S + {j} the form along e_j - lam, minimized over S's own
-# directions, has slope 2 g_j and a curvature between 0 and c_j, so that
-# face's stationary point gives j the weight -g_j / c_j or less: below
-# _WEIGHT_FLOOR ten times over, and the enumeration skips the face.  Both
-# sides are taken along e_j - lam, so a well-resolved multiplier next to a
-# huge entry elsewhere is no tie; a smaller g_j is one, left to the
-# enumeration.
-_KKT_MARGIN = 1e-9
-
-# ... and only when dropping any i from S raises the face minimum by more
-# than this times lam' |q| lam, the size of the terms the face values are
-# summed from and so the scale of their roundoff.  The rise is at least
-# lam_i**2 / (q_S^-1)_ii; a smaller one can round to a tie, which the
-# enumeration gives to the subface (it comes first in mask order).
-_SUBFACE_GAP = 1e-12
-
-
 def simplex_stationary_points(q, supports=None):
     """Yield ``(value, lam)`` for all KKT points of ``lam.T @ q @ lam`` on the
     standard simplex, enumerated over support sets in increasing bitmask order.
@@ -330,58 +310,24 @@ def simplex_form_min(q, supports=None) -> tuple[float, np.ndarray] | None:
 
 
 def _convex_form_min(q):
-    """``simplex_form_min(q)`` without enumerating, or ``None`` when the
-    answer is not certain to be the walk's.
+    """The minimum ``(value, lam)`` of ``lam @ q @ lam`` on the standard
+    simplex, found by block principal pivoting (Judice & Pires 1994)
+    without enumerating; ``None`` the first time a free set repeats, as the
+    steps would then cycle, or when a free block is singular in roundoff.
 
     Precondition: ``np.linalg.cholesky`` accepted ``q``, so ``q`` is
     positive definite and the problem convex (Bomze 1998, J. Glob. Optim.
-    13).  :func:`copcone.cones.is_copositive` tests it once per block and
-    calls this only then, falling back to the walk on ``None``.
+    13): for the minimizer z of ``z @ q @ z - 2 * z.sum()`` over z >= 0,
+    z / z.sum() is the simplex minimizer.  :func:`copcone.cones.is_copositive`
+    tests it once per block and calls this only then.
 
-    :func:`_pivot_support` gives the support S of the minimizer and the
-    inverse of q_S, or ``None`` when its free sets cycle; ``_face_points``
-    then computes S's point exactly as the enumeration does.  It is kept
-    only if every index outside S has a positive KKT multiplier, with a
-    margin scaled by the curvature along that index (``_KKT_MARGIN``), and
-    every index in S a positive subface gap, with a margin scaled by the
-    roundoff of the face values (``_SUBFACE_GAP``): then no other face's
-    point can match or undercut it.
-    """
-    try:
-        found = _pivot_support(q)
-    except np.linalg.LinAlgError:  # singular in roundoff
-        return None
-    if found is None:
-        return None
-    support, inv = found
-    abs_q = np.abs(q)
-    keep, values, lams = _face_points(q, support[None, :], max(1.0, abs_q.max()))
-    if not keep.size:
-        return None
-    val = values[0]
-    lam = np.zeros(q.shape[0])
-    lam[support] = lams[0]
-    qlam = q @ lam
-    # the multiplier check over all j, then waived on S; a NaN fails it
-    settled = qlam - val > _KKT_MARGIN * (q.diagonal() - 2.0 * qlam + val)
-    settled[support] = True
-    rise = lams[0] ** 2 / inv.diagonal()
-    if settled.all() and (rise > _SUBFACE_GAP * (lam @ abs_q @ lam)).all():
-        return float(val), lam
-    return None
-
-
-def _pivot_support(q):
-    """Support of the minimizer z of ``z @ q @ z - 2 * z.sum()`` over
-    z >= 0 for a positive definite ``q`` (z / z.sum() is the minimizer on
-    the simplex), by block principal pivoting (Judice & Pires 1994), and the
-    inverse of ``q`` on that support; ``None`` the first time a free set
-    repeats, as the steps would then cycle.
-
-    Every index starts free.  Each step inverts the free block, solves for
-    its z, and flips every free index with z < 0 and every fixed index with
-    (q z - 1) < 0.  A block whose minimizer has every index in its support
-    settles in one step.
+    Every index starts free.  Each step solves q_F z_F = 1 on the free set
+    F, z = 0 off it, and flips every free index with z < 0 and every fixed
+    index with (q z - 1) < 0.  When nothing flips, lam = z / z.sum() meets
+    the KKT conditions within roundoff: ``(q @ lam)_j`` is the value on the
+    support and no less off it.  That last step's point and its form value
+    are returned; a block whose minimizer has every index in its support
+    settles in one solve.
     """
     n = q.shape[0]
     free = np.ones(n, dtype=bool)
@@ -389,12 +335,15 @@ def _pivot_support(q):
     while (key := free.tobytes()) not in seen:
         seen.add(key)
         idx = np.flatnonzero(free)
-        inv = np.linalg.inv(q[idx[:, None], idx])
         z = np.zeros(n)
-        z[idx] = inv.sum(axis=1)
+        try:
+            z[idx] = np.linalg.solve(q[idx[:, None], idx], np.ones(idx.size))
+        except np.linalg.LinAlgError:  # singular in roundoff
+            return None
         flip = np.where(free, z < 0.0, q @ z < 1.0)
         if not flip.any():
-            return idx, inv
+            lam = z / z.sum()
+            return float(lam @ q @ lam), lam
         free ^= flip
     return None
 

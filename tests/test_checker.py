@@ -184,9 +184,10 @@ ROWS = [
         {"result.certificate": None}, 0),
     Row("posdd-without-certificate", POSDD, DD, 3, "certificate kind None does not fit posdd",
         {"result.certificate": None}, 0),
-    # I_17 - 0.01 (J - I) keeps all 17 rows and no vertex, edge or triple refutes it: UNDECIDED
+    # the indefinite order-17 cycle at c = -0.65 keeps all 17 rows and no vertex, edge or triple
+    # refutes it: UNDECIDED
     Row("undecided-order-17", ("check", "--cone", "copositive", "MATRIX"),
-        matrix_file("near-identity-17.json", 1.01 * np.eye(17) - 0.01), 0, "certificate OK"),
+        matrix_file("cycle-17.json", cycle_matrix(17, -0.65)), 0, "certificate OK"),
     # no certificate: a factor
     Row("factor-dd", "factorize-dd-dd_example", DD, 3, "factor: residual", PERTURBED, 0),
     Row("factor-posdd", "factorize-posdd-dd_example", DD, 3, "factor: residual", PERTURBED, 0),

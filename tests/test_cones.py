@@ -21,7 +21,7 @@ from copcone import (
 from copcone.cones import BoundaryZero, ConeVerdict, NegativeEntry, ViolationVector
 from copcone.errors import NotCopositiveError
 from copcone.kernel import DEFAULT_TOL, MAX_ENTRY, Tolerance
-from test_kernel import reference_tagged_points
+from test_kernel import PIVOT_GAP, assert_pivoting_matches_the_enumeration, reference_nnls, reference_tagged_points
 
 
 def test_horn_memberships():
@@ -162,7 +162,7 @@ def _horn_3_thr_off(rng):
 def _near_tie(rng):
     # Positive definite with a negative entry in every row; the minimum
     # 1/4 lies on the face {0, 1} at (1/2, 1/2), where the multipliers of 2
-    # and 3 are exactly 0, so pivoting leaves the answer to the walk.
+    # and 3 are exactly 0, so faces with them tie; the pivoting decides.
     a = np.array([
         [1.0, -0.5, 0.25, 0.25],
         [-0.5, 1.0, 0.25, 0.25],
@@ -218,20 +218,20 @@ def negative_pair_masks(a):
         pytest.param(_horn, ["cycle"], id="_horn"),
         pytest.param(_horn_plus_0_2, ["cycle"], id="_horn_plus_0_2"),
         pytest.param(_horn_3_thr_off, ["walk"], id="_horn_3_thr_off"),
-        pytest.param(_near_tie, ["tie", "walk"], id="_near_tie"),
+        pytest.param(_near_tie, ["pivot"], id="_near_tie"),
     ],
 )
 def test_is_copositive_enumerates_the_simplex_once(form_min_calls, pivot_calls, rng, make, routes):
     """A call the vertex, edge and triple checks cannot refute solves the
-    simplex minimum once: by pivoting on a positive definite block, by the
-    five cycle edges of an order-5 block within thr of the Horn orbit, by
-    one walk over every face if the block is not positive definite or the
-    pivoting leaves a near tie (``None``).  That solve decides the call,
-    supplies any BoundaryZero, and its value is the reported minimum."""
+    simplex minimum once: by the five cycle edges of an order-5 block within
+    thr of the Horn orbit, by pivoting on a positive definite block, by one
+    walk over every face if the block is neither or the pivoting cycles
+    (``None``).  That solve decides the call, supplies any BoundaryZero, and
+    its value is the reported minimum."""
     a = make(rng)
     v = is_copositive(a)
     assert v.answer is Answer.IN
-    taken = ["pivot" if found else "tie" for found in pivot_calls]
+    taken = ["pivot" if found else "cycled" for found in pivot_calls]
     taken += ["walk" if supports is None else "cycle" for supports, _ in form_min_calls]
     assert taken == routes
     for supports, _ in form_min_calls:
@@ -259,21 +259,27 @@ def cholesky_orders(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, order",
+    "make, routes",
     [
-        (_near_identity_12, 12),
-        (_horn_plus_i2, 5),
-        (lambda rng: cycle_matrix(8, -0.75), 8),
+        (_near_identity_12, ["cholesky-12", "pivot"]),
+        (_horn_plus_i2, ["cycle"]),
+        (lambda rng: cycle_matrix(8, -0.75), ["cholesky-8", "triples-8", "walk"]),
     ],
     ids=["near-identity-12", "horn-plus-i2", "cycle-8"],
 )
-def test_is_copositive_factors_its_block_once(cholesky_orders, rng, make, order):
-    # The reduced block is tested for positive definiteness once, in
+def test_is_copositive_factors_its_block_once(cholesky_orders, triple_scans, pivot_calls, form_min_calls, rng,
+                                              make, routes):
+    # The reduced block is tested for positive definiteness at most once, in
     # is_copositive; the pivoting takes that test as its precondition.  The
-    # near-identity block passes it; Horn, once I_2's rows are deleted, and
-    # the cycle, refuted by the walk, fail it.
+    # near-identity block passes it and is decided by one pivoting.  Horn,
+    # once I_2's rows are deleted, is an order-5 Horn block: its five cycle
+    # edges decide it before any Cholesky call or triple scan.  The cycle
+    # fails the test, and after the triple scan the walk refutes it.
     is_copositive(make(rng))
-    assert cholesky_orders == [order]
+    taken = [f"cholesky-{order}" for order in cholesky_orders] + [f"triples-{order}" for order in triple_scans]
+    taken += ["pivot"] * len(pivot_calls)
+    taken += ["walk" if supports is None else "cycle" for supports, _ in form_min_calls]
+    assert taken == routes
 
 
 def _vertex_violation(rng):
@@ -437,13 +443,29 @@ def test_2x2_answer_matches_the_closed_form(a, b, c, scale):
 
 
 def test_reduced_order_beyond_the_enumeration_is_undecided():
-    # No row of I_17 - 0.01 (J - I) is nonnegative and no vertex, edge or
-    # triple is negative, so the order-17 block is left to an enumeration
-    # that the order-16 limit rules out.  The same holds across its family.
-    for a in [1.01 * np.eye(17) - 0.01, *(verdict_family("undecided-17", seed) for seed in range(6))]:
+    # No row of the order-17 cycle with c in [-0.7, -0.6] is nonnegative, it
+    # is not positive definite, and no vertex, edge or triple is negative,
+    # so the block is left to an enumeration that the order-16 limit rules
+    # out.  The same holds across its family.
+    for a in [cycle_matrix(17, -0.7), cycle_matrix(17, -0.6),
+              *(verdict_family("undecided-17", seed) for seed in range(6))]:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
         v = is_copositive(a)
         assert v.answer is Answer.UNDECIDED
         assert v.certificate is None
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_a_positive_definite_block_is_decided_past_the_enumeration(form_min_calls, n):
+    # I_n - 0.01 (J - I) keeps every row and Cholesky accepts it: the
+    # pivoting gives its minimum 1.01 / n - 0.01 at the centre, with no walk.
+    a = 1.01 * np.eye(n) - 0.01
+    v = is_copositive(a)
+    assert v.answer is Answer.IN and v.certificate is None
+    assert abs(v.minimum - (1.01 / n - 0.01)) <= 1e-15
+    assert form_min_calls == []
+    assert_same_verdicts(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,11 +651,13 @@ def reference_as_sym(a, tol=DEFAULT_TOL):
 
 def reference_is_copositive(a, tol=DEFAULT_TOL):
     """The straightforward copositivity test that ``is_copositive`` must
-    reproduce bit for bit: the scale computed again for the threshold, the
-    reduction by ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full
-    k x k edge table, the 3x3 check over every triple, the 120-permutation
-    Horn-orbit loop of ``conftest`` on an order-5 block, and ``minimum``
-    computed on every path."""
+    reproduce: the scale computed again for the threshold, the reduction by
+    ``np.ix_`` rounds to a fixpoint, the 2x2 check over a full k x k edge
+    table, the 120-permutation Horn-orbit loop of ``conftest`` on an order-5
+    block, then Cholesky, the 3x3 check over every triple, and ``minimum``
+    computed on every path.  Returns the verdict and whether the reduced
+    block went the positive definite route: there the minimum is the walk's
+    up to order 16, and the Lawson-Hanson active set's past it."""
     a = reference_as_sym(a, tol)
     n = a.shape[0]
     thr = tol.scaled(np.abs(a).max())
@@ -651,10 +675,11 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
         return out
 
     def refute(x):
-        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(x @ b @ x)))
+        return ConeVerdict("COPOSITIVE", Answer.NOT_IN, ViolationVector(pad(x), float(x @ b @ x))), False
 
     minimum = float(np.diag(a).min())
     val = np.inf
+    definite = False
     if keep.size:
         d = np.diag(b)
         i = int(np.argmin(d))
@@ -671,10 +696,19 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
             x /= x.sum()
             if x @ b @ x < -thr:
                 return refute(x)
+        # The 120-permutation Horn-orbit loop at the whole matrix's
+        # threshold comes first on an order-5 block; then Cholesky.
+        orbit = reference_horn_orbit(b, Tolerance(abs=thr, rel=0.0)) if keep.size == 5 else None
+        if orbit is None:
+            try:
+                np.linalg.cholesky(b)
+                definite = True
+            except np.linalg.LinAlgError:
+                pass
         # Every triple with two or more negative pairs, in lexicographic
         # order: the stationary point x ~ adj(B_T) 1 when its entries have
         # one sign, and the lowest form value below -thr.  The library skips
-        # positive definite blocks, where no value is negative.
+        # Horn-orbit and positive definite blocks, where none is below -thr.
         best, triple = -thr, None
         for t in itertools.combinations(range(keep.size), 3):
             (a_, u, v), (_, d_, w), (_, _, f) = b[np.ix_(t, t)].tolist()
@@ -691,22 +725,14 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
             value = a_ * xi * xi + d_ * xj * xj + f * xl * xl + 2.0 * (u * xi * xj + v * xi * xl + w * xj * xl)
             if value < best:
                 best, triple = value, list(t)
-        orbit = None
         if triple is not None:
             x = np.zeros(keep.size)
             x[triple] = kernel.simplex_form_min(b[np.ix_(triple, triple)])[1]
             if x @ b @ x < -thr:
                 return refute(x)
-        elif keep.size == 5:
-            # The 120-permutation Horn-orbit loop at the whole matrix's
-            # threshold; on the orbit, the least point of the five faces
-            # that the permuted Horn matrix's -1 pairs span.
-            orbit = reference_horn_orbit(b, Tolerance(abs=thr, rel=0.0))
-        if keep.size > kernel.ENUMERATION_MAX_ORDER:
-            return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
-        if orbit is None:
-            val, lam = kernel.simplex_form_min(b)
-        else:
+        if orbit is not None:
+            # on the orbit, the least point of the five faces that the
+            # permuted Horn matrix's -1 pairs span
             signs = horn_matrix()[np.ix_(orbit[1], orbit[1])]
             cycle = {1 << int(i) | 1 << int(j) for i, j in zip(*np.nonzero(np.triu(signs < 0)))}
             assert len(cycle) == 5
@@ -714,6 +740,14 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
                 ((value, lam) for mask, value, lam in reference_tagged_points(b) if mask in cycle),
                 key=lambda point: point[0],
             )
+        elif keep.size <= kernel.ENUMERATION_MAX_ORDER:
+            val, lam = kernel.simplex_form_min(b)
+        elif definite:
+            z = reference_nnls(b, np.ones(keep.size))
+            lam = z / z.sum()
+            val = float(lam @ b @ lam)
+        else:
+            return ConeVerdict("COPOSITIVE", Answer.UNDECIDED), False
         if val < -thr:
             return refute(lam)
         minimum = min(minimum, float(val))
@@ -723,7 +757,7 @@ def reference_is_copositive(a, tol=DEFAULT_TOL):
     elif abs(minimum) <= thr:
         i = int(np.argmin(np.diag(a)))
         certificate = BoundaryZero(np.eye(n)[i], float(a[i, i]))
-    return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum)
+    return ConeVerdict("COPOSITIVE", Answer.IN, certificate, minimum=minimum), definite
 
 
 def reference_is_dnn(m, tol=DEFAULT_TOL):
@@ -807,9 +841,9 @@ def verdict_family(kind, seed):
         m, c = 4 + n % 6, rng.uniform(0.55, 0.85)
         e = rng.uniform(-0.02, 0.02, (m, m))
         return ((1.0 + c) * np.eye(m) - c + e + e.T) * np.outer(*2 * [rng.uniform(0.5, 2.0, m)])
-    if kind == "undecided-17":  # no vertex, edge or triple refutes; order 17 is left
-        return (1.0 + 0.01 * rng.random()) * np.eye(17) - 0.01
-    if kind == "definite-near-tie":  # the pivoting returns None; the walk decides
+    if kind == "undecided-17":  # indefinite, and no vertex, edge or triple refutes; order 17 is left
+        return cycle_matrix(17, rng.uniform(-0.7, -0.6))
+    if kind == "definite-near-tie":  # faces tie at the minimum; the pivoting decides
         return _near_tie(rng)
     if kind == "horn-orbit-noise":  # both sides of the Horn stage's threshold
         k = n % 4
@@ -858,19 +892,44 @@ MALFORMED = [
 ]
 
 
+def assert_same_copositive(v, a):
+    """``v``, ``is_copositive(a)``, is the reference's verdict bit for bit,
+    except on a positive definite reduced block: there the answer and the
+    certificate kind are the reference's, ``minimum`` is within
+    ``PIVOT_GAP * max|a|`` of it, and a BoundaryZero, the pivoting's point,
+    passes the checker script's predicates."""
+    want, definite = reference_is_copositive(a)
+    if not definite:
+        assert verdict_key(v) == verdict_key(want)
+        return
+    assert (v.cone, v.answer, type(v.certificate)) == (want.cone, want.answer, type(want.certificate))
+    assert abs(v.minimum - want.minimum) <= PIVOT_GAP * np.abs(a).max()
+    if v.certificate is not None:
+        checker.checks.boundary_zero(0.5 * (a + a.T), v.certificate.x, v.certificate.value)
+
+
 def assert_same_verdicts(a):
     sym = kernel.as_sym(a)[0]
     want = reference_as_sym(a)
     assert sym.shape == want.shape and sym.tobytes() == want.tobytes()
     assert not np.shares_memory(sym, a)
-    assert verdict_key(is_copositive(a)) == verdict_key(reference_is_copositive(a))
+    assert_same_copositive(is_copositive(a), a)
     assert verdict_key(is_dnn(a)) == verdict_key(reference_is_dnn(a))
 
 
 @pytest.mark.parametrize("kind", VERDICT_FAMILIES + ZERO_FAMILIES)
 def test_verdicts_match_the_reference_bit_for_bit(kind):
+    # bit for bit but for a positive definite block's minimum and
+    # BoundaryZero, which match within roundoff (assert_same_copositive)
     for seed in range(6):
         assert_same_verdicts(verdict_family(kind, seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_pivoting_decides_the_near_tie_family(seed):
+    # faces with and without the zero-multiplier indices tie at 1/4: the
+    # pivoting settles at a KKT point with the walk's minimum
+    assert assert_pivoting_matches_the_enumeration(verdict_family("definite-near-tie", seed)) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -883,8 +942,10 @@ def test_verdicts_match_the_reference_on_every_family(kind, seed):
 @given(st.sampled_from(VERDICT_FAMILIES + ZERO_FAMILIES), st.integers(0, 10_000), st.sampled_from([-6, 0, 6]))
 def test_verdicts_respect_simultaneous_permutation(kind, seed, s):
     """At the scale 10**s, a simultaneous permutation keeps the answer and
-    the certificate's kind; each verdict is the reference's bit for bit, and
-    its certificate passes the checker script's predicates."""
+    the certificate's kind; each verdict is the reference's (bit for bit
+    but for a positive definite block's minimum, see
+    ``assert_same_copositive``), and its certificate passes the checker
+    script's predicates."""
     a = verdict_family(kind, seed) * 10.0**s
     perm = np.random.default_rng([seed, 1]).permutation(a.shape[0])
     pa = a[np.ix_(perm, perm)]
@@ -892,7 +953,7 @@ def test_verdicts_respect_simultaneous_permutation(kind, seed, s):
     assert pv.answer is v.answer
     assert type(pv.certificate) is type(v.certificate)
     for m, verdict in ((a, v), (pa, pv)):
-        assert verdict_key(verdict) == verdict_key(reference_is_copositive(m))
+        assert_same_copositive(verdict, m)
         if verdict.answer is Answer.UNDECIDED:  # which carries no certificate
             continue
         assert_certificate_holds(verdict, m)

@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import SCRIPT, checkout_env, positive_horn_partner, run_cli
+from conftest import SCRIPT, checkout_env, cycle_matrix, positive_horn_partner, run_cli
 from copcone import horn_matrix
 from copcone.errors import DataError
 from copcone.io import canonical_json, load_factor, load_matrix
@@ -174,8 +174,13 @@ class Row(NamedTuple):
 
 
 ROWS = [
-    # I_17 - 0.01 (J - I): past the order-16 enumeration, and no vertex, edge or triple refutes it
+    # the order-17 cycle at c = -0.65: indefinite, past the order-16 enumeration, and no vertex,
+    # edge or triple refutes it
     Row("undecided", ("check", "--cone", "copositive", "m.json"), 2, {"result.answer": "UNDECIDED"}, "wall time",
+        {"m.json": json.dumps({"n": 17, "data": cycle_matrix(17, -0.65).tolist()})}),
+    # I_17 - 0.01 (J - I) is positive definite: the pivoting decides it past the enumeration
+    Row("definite-order-17", ("check", "--cone", "copositive", "m.json"), 0,
+        {"result.answer": "IN", "result.certificate": None}, "wall time",
         {"m.json": json.dumps({"n": 17, "data": (1.01 * np.eye(17) - 0.01).tolist()})}),
     # Horn + I_2 with its (0, 2) entry at 1 - 5e-3: no vertex or edge is negative, the face {0, 1, 2} is
     Row("triple-violation", ("check", "--cone", "copositive", "m.json"), 1,
