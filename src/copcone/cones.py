@@ -170,7 +170,9 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     Then the order gate, for a B that got neither minimum (Cholesky
     rejected it, or the pivoting came back to a free set it had tried):
     UNDECIDED means that B exceeds order 16, the limit of the enumeration,
-    is not positive definite, and no vertex, edge or triple of it refutes.
+    got no minimum, and no vertex, edge or triple of it refutes.  B may be
+    positive definite: on exact face ties the pivoting can cycle although
+    Cholesky has shown B strictly copositive.
     Past the gate, ``kernel.simplex_form_min``, the walk over every face,
     gives the exact minimum.  The point found refutes with its value below
     -thr, or decides IN and supplies the ``BoundaryZero`` when that value

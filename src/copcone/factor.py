@@ -234,8 +234,8 @@ def cp3_factorize(y, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     most n columns (Maxfield & Minc 1962), and the proof is constructive.
     With the pivoted Cholesky root L of rank r:
 
-    - r = 1: Y = l l.T with l_j l_k >= 0 and the pivot entry sqrt(y_jj) > 0,
-      so only roundoff entries of l are negative; they are clipped to 0.
+    - r = 1: the root is column j of Y over sqrt(y_jj), and Y >= 0 (clipped
+      here, a product of nonnegative factors in horn6), so it is nonnegative.
     - r = 2: the rows of L have pairwise inner products y_jk >= 0, so one
       rotation of the plane moves them all into the nonnegative quadrant.
     - r = 3: take i = argmax y_ii and t = 1 / (Y^-1)_ii, the largest t for
@@ -268,8 +268,6 @@ def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:
     clip = tol.scaled(scale) / np.abs(l).max()
     if l.min() >= -clip:
         v = l
-    elif r == 1:
-        v = np.maximum(l, 0.0)
     elif r == 2:
         v = _quadrant_rotate(l)
     else:

@@ -51,68 +51,72 @@ def _order(doc) -> int:
     return n
 
 
-def _read(path: str) -> tuple[bytes, str]:
-    """The bytes of a file and their sha256 digest."""
+def _nonnegative(factor: np.ndarray | None) -> np.ndarray | None:
+    """``factor``, or ``None``, once no entry is negative."""
+    if factor is not None and factor.min(initial=0.0) < 0:
+        raise DataError("factor entries must be nonnegative")
+    return factor
+
+
+def _load(path: str, kind: str, parse):
+    """``parse`` of a file's UTF-8 text, and the sha256 digest of its bytes.
+
+    A file that cannot be read, decoded or parsed raises :class:`DataError`;
+    the parse rule's own ``DataError`` passes through unchanged.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
+        return parse(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
+    except DataError:
+        raise
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return blob, hashlib.sha256(blob).hexdigest()
+    except Exception as exc:
+        raise DataError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """A JSON object's n x n ``data`` and optional ``factor``, or the n^2
+    values after the order n of a text file, with no factor."""
+    if text.lstrip().startswith("{"):
+        doc = json.loads(text)
+        n = _order(doc)
+        data, factor = _as_matrix(doc["data"], n, "data"), doc.get("factor")
+        return data, None if factor is None else _as_matrix(factor, n, "factor")
+    tokens = text.split()
+    if not tokens:
+        raise DataError("empty matrix file")
+    n = int(tokens[0])
+    values = [float(t) for t in tokens[1:]]
+    if len(values) != n * n:
+        raise DataError(f"expected n^2 = {n * n} matrix values, got {len(values)}")
+    return np.array(values).reshape(n, n), None
+
+
+def _parse_factor(text: str) -> np.ndarray:
+    """A JSON object's n x p ``factor``, or its ``data`` field without one."""
+    doc = json.loads(text)
+    n = _order(doc)
+    return _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
 
 
 def load_matrix(path: str) -> MatrixFile:
     """Load a matrix file; its data must pass :func:`kernel.as_sym` with a
     1e-12 relative symmetry tolerance."""
-    blob, digest = _read(path)
-    text = blob.decode("utf-8", errors="strict") if blob else ""
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("{"):
-            doc = json.loads(text)
-            n = _order(doc)
-            data = _as_matrix(doc["data"], n, "data")
-            factor = None
-            if doc.get("factor") is not None:
-                factor = _as_matrix(doc["factor"], n, "factor")
-        else:
-            tokens = text.split()
-            if not tokens:
-                raise DataError("empty matrix file")
-            n = int(tokens[0])
-            values = [float(t) for t in tokens[1:]]
-            if len(values) != n * n:
-                raise DataError(f"expected n^2 = {n * n} matrix values, got {len(values)}")
-            data = np.array(values).reshape(n, n)
-            factor = None
-    except DataError:
-        raise
-    except Exception as exc:
-        raise DataError(f"malformed matrix file {path}: {exc}") from exc
+    (data, factor), digest = _load(path, "matrix", _parse_matrix)
     try:
         data, _ = as_sym(data, _SYM_TOL)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if factor is not None and factor.min(initial=0.0) < 0:
-        raise DataError("factor entries must be nonnegative")
-    return MatrixFile(data, factor, digest)
+    return MatrixFile(data, _nonnegative(factor), digest)
 
 
 def load_factor(path: str) -> tuple[np.ndarray, str]:
     """Load an n x p nonnegative factor from a JSON file ("factor" or "data"
     field); returns it with the sha256 digest of the file bytes."""
-    blob, digest = _read(path)
-    try:
-        doc = json.loads(blob.decode("utf-8"))
-        n = _order(doc)
-        factor = _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
-    except DataError:
-        raise
-    except Exception as exc:
-        raise DataError(f"malformed factor file {path}: {exc}") from exc
-    if factor.min(initial=0.0) < 0:
-        raise DataError("factor entries must be nonnegative")
-    return factor, digest
+    factor, digest = _load(path, "factor", _parse_factor)
+    return _nonnegative(factor), digest
 
 
 def _plain(obj):

@@ -326,10 +326,14 @@ def _convex_form_min(q):
     index with (q z - 1) < 0.  When nothing flips, lam = z / z.sum() meets
     the KKT conditions within roundoff: ``(q @ lam)_j`` is the value on the
     support and no less off it.  That last step's point and its form value
-    are returned; a block whose minimizer has every index in its support
-    settles in one solve.
+    on q are returned; a block whose minimizer has every index in its support
+    settles in one solve.  The steps run on q / 2^e, with 2^e the power
+    of two at max|q|: the scaling is exact, so z is 2^e times the unscaled
+    one and no comparison changes, but a block with subnormal entries no
+    longer overflows its solve.
     """
     n = q.shape[0]
+    scaled = np.ldexp(q, -math.frexp(np.abs(q).max())[1])
     free = np.ones(n, dtype=bool)
     seen = set()
     while (key := free.tobytes()) not in seen:
@@ -337,10 +341,10 @@ def _convex_form_min(q):
         idx = np.flatnonzero(free)
         z = np.zeros(n)
         try:
-            z[idx] = np.linalg.solve(q[idx[:, None], idx], np.ones(idx.size))
+            z[idx] = np.linalg.solve(scaled[idx[:, None], idx], np.ones(idx.size))
         except np.linalg.LinAlgError:  # singular in roundoff
             return None
-        flip = np.where(free, z < 0.0, q @ z < 1.0)
+        flip = np.where(free, z < 0.0, scaled @ z < 1.0)
         if not flip.any():
             lam = z / z.sum()
             return float(lam @ q @ lam), lam

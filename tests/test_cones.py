@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,6 +469,20 @@ def test_a_positive_definite_block_is_decided_past_the_enumeration(form_min_call
     assert_same_verdicts(a)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_subnormal_positive_definite_block_is_decided_at_its_minimizer():
+    # Its entries are subnormal: the pivoting runs on the block scaled by a
+    # power of two, so its solve stays finite (unscaled, it overflowed to a
+    # NaN point, and the answer fell back to a vertex and the smallest
+    # diagonal entry).  The minimum is at the centre, within thr of 0.
+    a = (1.01 * np.eye(6) - 0.01) * 1e-310
+    v = is_copositive(a)
+    assert v.answer is Answer.IN and isinstance(v.certificate, BoundaryZero)
+    assert np.abs(v.certificate.x - 1 / 6).max() <= 1e-15
+    exact = sum(map(Fraction, a.ravel())) / 36  # the form's value at the centre
+    assert abs(Fraction(v.minimum) - exact) <= 1e-323
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10_000))
 def test_nonnegative_border_keeps_answer(n, m, seed):
@@ -857,6 +872,12 @@ def verdict_family(kind, seed):
         e = np.triu(rng.uniform(-1.0, 1.0, a.shape), 1) * np.outer(horn, horn)
         c = rng.choice([0.0, 0.3, 0.9, 3.0, 30.0])
         return a + c * DEFAULT_TOL.scaled(np.abs(a).max()) * (e + e.T)
+    if kind == "horn-zero-diagonal":  # a negative 5-cycle whose b_00 = 0 fails the Horn stage
+        a = horn_matrix()
+        a[0, 0] = 0.0
+        a[0, 1] = a[1, 0] = a[0, 4] = a[4, 0] = -rng.uniform(1e-7, 1e-6)
+        perm = rng.permutation(5)
+        return a[np.ix_(perm, perm)]
     return zero_family(kind, seed)  # Horn orbits and Horn + I_12
 
 
@@ -875,6 +896,7 @@ VERDICT_FAMILIES = [
     "undecided-17",
     "definite-near-tie",
     "horn-orbit-noise",
+    "horn-zero-diagonal",
 ]
 
 PUBLIC_TESTS = [is_copositive, is_dnn, is_nonneg, is_psd, copositive_boundary_zeros]

@@ -9,8 +9,8 @@ exit code and stdout bytes.  A row names:
 - stdout: None for empty, {dotted path: value} read from the JSON report,
   or a fragment of the text;
 - a fragment of stderr;
-- optional files, name -> text, written to ``tmp_path``: a word of the
-  argv that names one stands for its path.
+- optional files, name -> text (or bytes), written to ``tmp_path``: a
+  word of the argv that names one stands for its path.
 
 tests/test_golden.py pins the report of every fixture under each
 subcommand byte for byte, and TestProcessBoundary exit codes 0, 1, 64 and
@@ -108,6 +108,13 @@ class TestLoadMatrix:
         with pytest.raises(DataError):
             load_matrix("no_such_file.json")
 
+    @pytest.mark.parametrize("load", [load_matrix, load_factor])
+    def test_rejects_a_file_that_is_not_utf8(self, tmp_path, load):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"n": 1, "data": [[1]]}\xff')
+        with pytest.raises(DataError, match="malformed (matrix|factor) file .*'utf-8' codec"):
+            load(str(p))
+
 
 class TestCanonicalJson:
     def test_sorted_and_newline_terminated(self):
@@ -170,7 +177,7 @@ class Row(NamedTuple):
     code: int
     stdout: Any  # None, {dotted path: value} or a fragment
     stderr: str
-    files: dict | None = None  # name -> text, written to tmp_path
+    files: dict | None = None  # name -> text or bytes, written to tmp_path
 
 
 ROWS = [
@@ -197,6 +204,9 @@ ROWS = [
     Row("empty-text", ("check", "--cone", "psd", "m.txt"), 65, None, "empty matrix file", {"m.txt": " \n\t\n"}),
     Row("factor-not-json", ("bounds", "w6.json", "--factor", "f.json"), 65, None, "malformed factor file",
         {"f.json": "not json"}),
+    Row("not-utf-8", ("check", "--cone", "psd", "m.txt"), 65, None, "malformed matrix file",
+        {"m.txt": b"1\n\xff\n"}),
+    Row("factor-missing", ("bounds", "w6.json", "--factor", "missing.json"), 65, None, "cannot read"),
     Row("orders-differ-bounds", ("bounds", "w6.json", "--witness", "horn.json"), 65, None,
         "matrix orders differ: 6 and 5"),
     Row("orders-differ-verify-orth", ("verify-orth", "w6.json", "horn.json"), 65, None,
@@ -292,7 +302,7 @@ def value_at(doc, path: str):
 def test_cli(tmp_path, row):
     files = row.files or {}
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [tmp_path / arg if arg in files else arg for arg in row.argv]
     r, again = run_cli(*argv, cwd=FIXTURES), run_cli(*argv, cwd=FIXTURES)
     assert (r.returncode, r.stdout) == (again.returncode, again.stdout)
