@@ -3,17 +3,20 @@ bounds, combined into a best-known interval.
 
 The maximum cp-rank over completely positive matrices of a given order is
 unknown for orders above six, so everything here returns tagged intervals,
-never point values; each number names the rule that produced it.
+never point values; each number names the rule that produced it.  Each rule
+is one guarded ``BoundEntry(value, tag, note)``, written where it is
+emitted.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernel
-from .cones import Answer, _negative_entry, is_copositive, is_dnn
+from .cones import Answer, is_copositive, is_dnn
 from .errors import (
     InconsistentBoundsError,
     NotCopositiveWitnessError,
@@ -31,17 +34,6 @@ __all__ = [
     "witness_bound",
     "cp_rank_interval",
 ]
-
-# rule tags
-RANK_LB = "RANK_LB"
-BABE = "BABE"
-BN_K1 = "BN_K1"
-BN_4 = "BN_4"
-ZERO_ENTRY = "ZERO_ENTRY"
-HORN15 = "HORN15"
-KNOWN_PN = "KNOWN_PN"
-FACTOR = "FACTOR"
-
 
 @dataclass(frozen=True)
 class BoundEntry:
@@ -64,16 +56,18 @@ class BoundReport:
 
 def djl_lower(n: int) -> int:
     """Lower bound on the maximum cp-rank at order n: floor(n^2/4) for
-    n >= 5, and n itself below (where the maximum is known exactly)."""
-    if n < 1:
+    n >= 5, and n itself below (where the maximum is known exactly).  An n
+    that is not an integer is a TypeError, one below 1 a ValueError."""
+    if operator.index(n) < 1:
         raise ValueError("order must be >= 1")
     return n if n <= 4 else n * n // 4
 
 
 def babe(r: int) -> int:
     """Rank-based bound: maximum cp-rank of completely positive matrices
-    of rank r.  Equals r for r <= 2 and binom(r+1, 2) - 1 beyond."""
-    if r < 1:
+    of rank r.  Equals r for r <= 2 and binom(r+1, 2) - 1 beyond.  An r
+    that is not an integer is a TypeError, one below 1 a ValueError."""
+    if operator.index(r) < 1:
         raise ValueError("rank must be >= 1")
     if r <= 2:
         return r
@@ -106,23 +100,12 @@ def witness_bound(m, a, tol: Tolerance = DEFAULT_TOL) -> list[BoundEntry]:
     k = int(np.count_nonzero(np.diag(a) > thr))
     bn = babe(n)
     if k >= 2:
-        entries.append(BoundEntry(bn - k + 1, BN_K1, f"witness has {k} positive diagonal entries"))
-    if n >= 5 and _negative_entry(a, scale, tol) is not None:
-        entries.append(BoundEntry(bn - 4, BN_4, "witness has a negative entry"))
+        entries.append(BoundEntry(bn - k + 1, "BN_K1", f"witness has {k} positive diagonal entries"))
+    if n >= 5 and a.min() < -thr:
+        entries.append(BoundEntry(bn - 4, "BN_4", "witness has a negative entry"))
     if n == 6 and _horn_block_orbit(a, thr, tol) is not None:
-        entries.append(BoundEntry(15, HORN15, "witness is a Horn-orbit block plus zeros"))
+        entries.append(BoundEntry(15, "HORN15", "witness is a Horn-orbit block plus zeros"))
     return entries
-
-
-def _zero_entry(m: np.ndarray, scale: float, tol: Tolerance) -> BoundEntry | None:
-    """Upper bound 2 U(n-1) when a validated ``m`` of scale ``scale`` has a
-    zero entry, U being the best known upper bound one order down.  Not
-    emitted for entrywise positive M."""
-    n = m.shape[0]
-    if n < 2 or np.abs(m).min() > tol.scaled(scale):
-        return None
-    upper = 2 * known_pn_interval(n - 1)[1]
-    return BoundEntry(upper, ZERO_ENTRY, "matrix has a zero entry")
 
 
 def cp_rank_interval(
@@ -138,20 +121,20 @@ def cp_rank_interval(
         raise NotDnnError("matrix is not doubly nonnegative")
     n = m.shape[0]
     rank = kernel.num_rank(m, tol)
-    lower = BoundEntry(rank, RANK_LB, "cp-rank is at least the rank")
-    uppers = [BoundEntry(known_pn_interval(n)[1], KNOWN_PN, f"order-{n} bracket")]
+    lower = BoundEntry(rank, "RANK_LB", "cp-rank is at least the rank")
+    uppers = [BoundEntry(known_pn_interval(n)[1], "KNOWN_PN", f"order-{n} bracket")]
     if rank >= 1:
-        uppers.append(BoundEntry(babe(rank), BABE, f"rank {rank}"))
-    ze = _zero_entry(m, scale, tol)
-    if ze is not None:
-        uppers.append(ze)
+        uppers.append(BoundEntry(babe(rank), "BABE", f"rank {rank}"))
+    # a zero entry bounds cp-rank by 2 U(n-1), U the best known upper bound one order down
+    if n >= 2 and np.abs(m).min() <= tol.scaled(scale):
+        uppers.append(BoundEntry(2 * known_pn_interval(n - 1)[1], "ZERO_ENTRY", "matrix has a zero entry"))
     if v is not None:
         if v.n != n:
             raise ValueError(f"factor order {v.n} differs from matrix order {n}")
         resid = float(np.abs(v.product() - m).max())
         if resid > tol.scaled(scale):
             raise InconsistentBoundsError("supplied factor does not reproduce the matrix")
-        uppers.append(BoundEntry(v.p, FACTOR, f"exhibited factor with {v.p} columns"))
+        uppers.append(BoundEntry(v.p, "FACTOR", f"exhibited factor with {v.p} columns"))
     for a in witnesses or ():
         uppers.extend(witness_bound(m, a, tol))
     report = BoundReport(n, lower, tuple(uppers))

@@ -10,6 +10,7 @@ checkable consequences.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,14 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
 
     Returns PASS/FAIL when the support hypothesis holds, as it does vacuously
     for a factor with no columns, and SKIP otherwise.  A
-    factor of another order than M, or an i outside [0, n), is a ValueError.
+    factor of another order than M, or an i outside [0, n), is a ValueError;
+    an i that is not an integer is a TypeError.
     """
     m, mscale, a, ascale, _ = _orthogonal_pair(m, a, tol)
     n = m.shape[0]
     if v.n != n:
         raise ValueError(f"factor order {v.n} differs from matrix order {n}")
-    if not 0 <= i < n:
+    if not 0 <= operator.index(i) < n:
         raise ValueError(f"index {i} is outside [0, {n})")
     if not np.all(v.v[i, :] > tol.scaled(v.scale)):
         return SKIP

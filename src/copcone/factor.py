@@ -11,6 +11,7 @@ counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +196,8 @@ def perturb_positify(
     returned pair is M = M0 + eps v v.T and V = V0 (I + delta x x.T) where
     delta makes (I + delta x x.T)^2 = I + eps x x.T, so V V.T = M exactly.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
     m0 = v0.product()
     v, lam = _perron_vector(m0, tol)
     x = v0.v.T @ v / lam
@@ -357,9 +358,9 @@ def factor_continuation(
     by the smallest singular value.
     """
     vc = np.array(vbar, dtype=float)
-    n = vc.shape[0]
-    if vc.shape != (n, n):
+    if vc.ndim != 2 or vc.shape[0] != vc.shape[1]:
         raise ValueError("square positive factor required")
+    n = vc.shape[0]
     vtilde = np.asarray(vtilde, dtype=float).reshape(n, -1)
     mhat, scale = kernel.as_sym(mhat, tol)
     if vc.min() <= tol.scaled(_factor_scale(vc)):
@@ -418,10 +419,10 @@ def heuristic_min_factor(
     runs with ``p_target`` columns, but columns that end up exactly zero are
     dropped by :class:`NonnegFactor`, so fewer may come back.  ``None``
     means the search failed, which is not a proof of impossibility.  A
-    negative ``p_target`` is a ValueError; a zero matrix gets the factor with
-    no columns.
+    negative ``p_target`` is a ValueError and one that is not an integer a
+    TypeError; a zero matrix gets the factor with no columns.
     """
-    if p_target < 0:
+    if operator.index(p_target) < 0:
         raise ValueError("p_target must be nonnegative")
     m, scale = kernel.as_sym(m, tol)
     if is_dnn(m, tol).answer is not Answer.IN:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_admissible_factor
 from copcone import (
+    DEFAULT_TOL,
     NonnegFactor,
     babe,
     cp_rank_interval,
@@ -21,10 +22,12 @@ from copcone.errors import (
 
 def test_babe_table():
     assert [babe(r) for r in range(1, 8)] == [1, 2, 5, 9, 14, 20, 27]
+    assert (babe(np.int32(3)), babe(True)) == (5, 1)  # numpy integers and bools are integers
 
 
 def test_djl_table():
     assert [djl_lower(n) for n in range(1, 8)] == [1, 2, 3, 4, 6, 9, 12]
+    assert djl_lower(np.int64(6)) == 9
 
 
 def test_known_pn_table():
@@ -32,6 +35,7 @@ def test_known_pn_table():
     assert known_pn_interval(5) == (6, 6)
     assert known_pn_interval(6) == (9, 15)
     assert known_pn_interval(7) == (12, 24)
+    assert known_pn_interval(np.int64(7)) == (12, 24)
 
 
 @pytest.mark.parametrize(
@@ -42,6 +46,17 @@ def test_known_pn_table():
 def test_rules_reject_an_argument_below_1(rule, message):
     with pytest.raises(ValueError, match=message):
         rule(0)
+
+
+@pytest.mark.parametrize(
+    "rule, argument",
+    [(djl_lower, 7.5), (babe, 2.5), (known_pn_interval, 2.5), (babe, 3.0)],
+    ids=["djl_lower", "babe", "known_pn_interval", "babe-integral-float"],
+)
+def test_rules_reject_an_argument_that_is_not_an_integer(rule, argument):
+    # no order or rank is fractional: djl_lower(7.5) was 14, babe(2.5) 3.0
+    with pytest.raises(TypeError):
+        rule(argument)
 
 
 def test_interval_endpoints_ordered():
@@ -69,6 +84,22 @@ def test_witness_bound_guards():
     with pytest.raises(NotCopositiveWitnessError):
         # orthogonal but not copositive witness
         witness_bound(np.diag([1.0, 0.0]), np.diag([0.0, -1.0]))
+    # each rule at the edge of its condition
+    # one positive diagonal entry: no BN_K1
+    assert witness_bound(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])) == []
+    # a negative entry at order 4 gives no BN_4; the same witness at order 5 does
+    for n, rules in [(4, {"BN_K1": 8}), (5, {"BN_K1": 13, "BN_4": 10})]:
+        m, a = np.zeros((n, n)), np.zeros((n, n))
+        m[:2, :2] = 1.0
+        a[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+        assert {e.rule: e.value for e in witness_bound(m, a)} == rules
+    # a Horn witness of order 5, or a Horn block plus two zero rows of order
+    # 7: no HORN15, which holds at order 6 only
+    for zeros in (0, 2):
+        horn = np.pad(horn_matrix(), (0, zeros))
+        m = np.zeros((5 + zeros, 5 + zeros))
+        m[:2, :2] = 1.0  # (e1 + e2)(e1 + e2)' is a zero of the Horn form
+        assert "HORN15" not in {e.rule for e in witness_bound(m, horn)}
 
 
 def zero_entries(m):
@@ -78,6 +109,12 @@ def zero_entries(m):
 def test_zero_entry_bound():
     assert [e.value for e in zero_entries(np.eye(6))] == [12]
     assert zero_entries(np.ones((4, 4)) + np.eye(4)) == []
+    # order 1 has no order below it: no ZERO_ENTRY and no error
+    assert zero_entries(np.zeros((1, 1))) == []
+    # an entry equal to thr counts as zero, one at 2 thr does not
+    thr = DEFAULT_TOL.scaled(1.0)
+    assert [e.value for e in zero_entries(np.array([[1.0, thr], [thr, 1.0]]))] == [2]
+    assert zero_entries(np.array([[1.0, 2 * thr], [2 * thr, 1.0]])) == []
 
 
 def test_cp_rank_interval_identity():

@@ -263,6 +263,12 @@ class TestOrthChecks:
         with pytest.raises(ValueError, match=rf"index {i} is outside \[0, 6\)"):
             orth_nullspace_check(self.m, self.a, self.v, i)
 
+    @pytest.mark.parametrize("i", [1.5, 5.0])
+    def test_nullspace_rejects_an_index_that_is_not_an_integer(self, i):
+        # 1.5 passed the range test and failed on indexing
+        with pytest.raises(TypeError):
+            orth_nullspace_check(self.m, self.a, self.v, i)
+
     def test_nullspace_fail_when_a_factor_is_not_m_s(self):
         """W6 = W W' with W the 5-cycle factor plus e6, orthogonal to Horn
         plus a zero row.  A column of ones has coordinate 0 in its support,

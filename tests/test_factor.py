@@ -246,8 +246,10 @@ class TestPerturbPositify:
             perturb_positify(NonnegFactor(np.eye(2)), 0.5)
 
     def test_rejects_a_negative_eps(self):
-        with pytest.raises(ValueError, match="eps must be nonnegative"):
-            perturb_positify(NonnegFactor(np.ones((2, 1))), -1.0)
+        # NaN and inf passed an eps < 0 test and failed later on the factor's entries
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                perturb_positify(NonnegFactor(np.ones((2, 1))), eps)
 
     def test_a_perron_coordinate_below_the_threshold_is_rejected(self):
         # The path 0 - 1 - 2 has entries 1e-4 and 1e-8, both above the
@@ -316,6 +318,16 @@ class TestCp3:
     def test_rejects_non_dnn(self):
         with pytest.raises(NotDnnError):
             cp3_factorize(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+
+    def test_a_rotated_root_with_a_roundoff_negative_entry_is_clipped_only_within_tolerance(self):
+        # Y = V V' is exact in binary, and its pivoted root needs the
+        # rotation; the rotated root has an entry a roundoff below 0, which
+        # the default tolerance clips and the zero tolerance cannot
+        v = np.array([[1.0, 0.0], [0.0, 0.25], [0.25, 2.0]])
+        y = v @ v.T
+        assert cp3_factorize(y).p == 2
+        with pytest.raises(NotDnnError, match="no nonnegative factor within tolerance"):
+            cp3_factorize(y, Tolerance(0.0, 0.0))
 
     def test_rejects_large_order(self):
         with pytest.raises(ValueError):
@@ -427,6 +439,9 @@ class TestContinuation:
     def test_rejects_a_factor_that_is_not_square(self):
         with pytest.raises(ValueError, match="square positive factor required"):
             factor_continuation(np.ones((3, 2)), np.zeros((3, 0)), np.eye(3))
+        # a 0-d factor has no shape[0]: it raised IndexError
+        with pytest.raises(ValueError, match="square positive factor required"):
+            factor_continuation(5.0, np.zeros((1, 0)), [[25.0]])
 
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(NotPositiveError):
@@ -511,6 +526,25 @@ class TestHeuristic:
         # a negative target fell under the rank test and read as a failed search
         with pytest.raises(ValueError, match="p_target must be nonnegative"):
             heuristic_min_factor(np.eye(3), -1)
+
+    @pytest.mark.parametrize("p_target", [2.5, 4.0])
+    def test_rejects_a_target_that_is_not_an_integer(self, p_target):
+        # 2.5 fell under the rank test and read as a failed search, and 4.0
+        # failed inside numpy after the eigendecomposition
+        with pytest.raises(TypeError):
+            heuristic_min_factor(np.eye(3), p_target)
+
+    def test_a_rank_that_drops_a_tiny_eigenvalue_finds_no_factor(self):
+        """diag(1e-3, 1e-3, 5e-10) has a factor within thr (cp3_factorize
+        gives one), but the rank threshold's absolute part drops the 5e-10
+        eigenvalue, and the root of rank 2 misses the purely relative fit
+        1e-7 max|M|: every restart gives up, so the search answers None.
+        This pins today's failure; thresholds that respect scale (ROADMAP
+        item 6) will flip these answers to factors, and this test with
+        them."""
+        m = np.diag([1e-3, 1e-3, 5e-10])
+        assert cp3_factorize(m).p == 2
+        assert [heuristic_min_factor(m, p) for p in (2, 3, 4)] == [None] * 3
 
     def test_zero_matrix_target_zero_has_no_columns(self):
         # the projection loop reduced over an n x 0 product
