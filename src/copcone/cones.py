@@ -168,11 +168,10 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
     without a stationary point (``None``) refutes nothing.
 
     Then the order gate, for a B that got neither minimum (Cholesky
-    rejected it, or the pivoting came back to a free set it had tried):
-    UNDECIDED means that B exceeds order 16, the limit of the enumeration,
-    got no minimum, and no vertex, edge or triple of it refutes.  B may be
-    positive definite: on exact face ties the pivoting can cycle although
-    Cholesky has shown B strictly copositive.
+    rejected it, or the pivoting, which settles on exact face ties too,
+    gave ``None``, which no known input makes it do): UNDECIDED means that
+    B exceeds order 16, the limit of the enumeration, is indefinite, and no
+    vertex, edge or triple of it refutes.
     Past the gate, ``kernel.simplex_form_min``, the walk over every face,
     gives the exact minimum.  The point found refutes with its value below
     -thr, or decides IN and supplies the ``BoundaryZero`` when that value
@@ -255,7 +254,7 @@ def is_copositive(a, tol: Tolerance = DEFAULT_TOL) -> ConeVerdict:
                             return refute(x, value)
             else:
                 found = kernel._convex_form_min(b)
-        if found is None:  # no Horn cycle, Cholesky rejected B, or the pivoting cycled
+        if found is None:  # no Horn cycle, and Cholesky rejected B (or the pivoting failed)
             if k > kernel.ENUMERATION_MAX_ORDER:
                 return ConeVerdict("COPOSITIVE", Answer.UNDECIDED)
             found = kernel.simplex_form_min(b)

@@ -20,11 +20,12 @@ point for that mask, bit for bit.  A positive definite form is convex on
 the simplex: for a block that Cholesky accepted, ``_convex_form_min``
 finds the minimizer by block principal pivoting, at any order and in one
 solve when the support is every index, and returns its last step's point
-and value, the walk's minimum up to roundoff; it returns ``None`` only when
-pivoting comes back to a free set it has tried (or meets a free block
-singular in roundoff).  The kernel does not choose between the two:
-``cones.is_copositive`` runs the one Cholesky test and calls the pivoting
-only when it passes.
+and value, the walk's minimum up to roundoff; where exact face ties make
+the pivoting come back to a free set, it goes on from there with flips
+against a roundoff tolerance, and it returns ``None`` only when a free set
+comes back twice or a free block is singular in roundoff.  The kernel
+does not choose between the two: ``cones.is_copositive`` runs the one
+Cholesky test and calls the pivoting only when it passes.
 
 A single :class:`Tolerance` object is threaded through every caller; it is
 the one accuracy knob of the whole library.  :func:`as_sym` is the one
@@ -312,8 +313,8 @@ def simplex_form_min(q, supports=None) -> tuple[float, np.ndarray] | None:
 def _convex_form_min(q):
     """The minimum ``(value, lam)`` of ``lam @ q @ lam`` on the standard
     simplex, found by block principal pivoting (Judice & Pires 1994)
-    without enumerating; ``None`` the first time a free set repeats, as the
-    steps would then cycle, or when a free block is singular in roundoff.
+    without enumerating; ``None`` only when a free set repeats twice (see
+    below) or a free block is singular in roundoff.
 
     Precondition: ``np.linalg.cholesky`` accepted ``q``, so ``q`` is
     positive definite and the problem convex (Bomze 1998, J. Glob. Optim.
@@ -331,12 +332,22 @@ def _convex_form_min(q):
     of two at max|q|: the scaling is exact, so z is 2^e times the unscaled
     one and no comparison changes, but a block with subnormal entries no
     longer overflows its solve.
+
+    On exact face ties (a zero weight or a zero multiplier that roundoff
+    puts on either side of 0) the exact flips can cycle.  From the first
+    free set that repeats, the steps go on with flips against the roundoff
+    tau = 8 n eps max_j (|q| |z|)_j of that step (q scaled as above): a free
+    index flips when z < -tau, a fixed one when (q z - 1) < -tau, and the
+    settled z is clipped to >= 0.  A free set that repeats again gives
+    ``None``.  A block that does not cycle never takes that branch, so its
+    point keeps the exact flips' bits.
     """
     n = q.shape[0]
     scaled = np.ldexp(q, -math.frexp(np.abs(q).max())[1])
     free = np.ones(n, dtype=bool)
-    seen = set()
-    while (key := free.tobytes()) not in seen:
+    seen, tied = set(), False  # exact flips until a free set repeats, then one more try
+    while (key := free.tobytes()) not in seen or not tied:
+        tied = tied or key in seen
         seen.add(key)
         idx = np.flatnonzero(free)
         z = np.zeros(n)
@@ -344,8 +355,11 @@ def _convex_form_min(q):
             z[idx] = np.linalg.solve(scaled[idx[:, None], idx], np.ones(idx.size))
         except np.linalg.LinAlgError:  # singular in roundoff
             return None
-        flip = np.where(free, z < 0.0, scaled @ z < 1.0)
+        tau = 8 * n * np.finfo(float).eps * (np.abs(scaled) @ np.abs(z)).max() if tied else 0.0
+        flip = np.where(free, z < -tau, scaled @ z < 1.0 - tau)
         if not flip.any():
+            if tied:  # a weight in [-tau, 0) is roundoff of a zero
+                z = np.maximum(z, 0.0)
             lam = z / z.sum()
             return float(lam @ q @ lam), lam
         free ^= flip
