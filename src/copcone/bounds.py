@@ -58,7 +58,8 @@ def djl_lower(n: int) -> int:
     """Lower bound on the maximum cp-rank at order n: floor(n^2/4) for
     n >= 5, and n itself below (where the maximum is known exactly).  An n
     that is not an integer is a TypeError, one below 1 a ValueError."""
-    if operator.index(n) < 1:
+    n = operator.index(n)  # an int, also for a bool or a numpy integer
+    if n < 1:
         raise ValueError("order must be >= 1")
     return n if n <= 4 else n * n // 4
 
@@ -67,7 +68,8 @@ def babe(r: int) -> int:
     """Rank-based bound: maximum cp-rank of completely positive matrices
     of rank r.  Equals r for r <= 2 and binom(r+1, 2) - 1 beyond.  An r
     that is not an integer is a TypeError, one below 1 a ValueError."""
-    if operator.index(r) < 1:
+    r = operator.index(r)
+    if r < 1:
         raise ValueError("rank must be >= 1")
     if r <= 2:
         return r

@@ -96,7 +96,7 @@ def orth_column_check(m, a, tol: Tolerance = DEFAULT_TOL) -> OrthColumnResult:
     orthogonal.  Returns the maximum diagonal defect max_i |(M A)_ii|."""
     m, _, a, _, gauge = _orthogonal_pair(m, a, tol)
     defect = float(np.abs(np.diag(m @ a)).max())
-    return OrthColumnResult(defect, defect <= tol.scaled(gauge))
+    return OrthColumnResult(defect, bool(defect <= tol.scaled(gauge)))
 
 
 def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
@@ -112,7 +112,8 @@ def orth_nullspace_check(m, a, v, i: int, tol: Tolerance = DEFAULT_TOL) -> str:
     n = m.shape[0]
     if v.n != n:
         raise ValueError(f"factor order {v.n} differs from matrix order {n}")
-    if not 0 <= operator.index(i) < n:
+    i = operator.index(i)  # a bool indexes as the integer, not as a mask
+    if not 0 <= i < n:
         raise ValueError(f"index {i} is outside [0, {n})")
     if not np.all(v.v[i, :] > tol.scaled(v.scale)):
         return SKIP

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from copcone import NonnegFactor, cli, horn_generators, horn_matrix, kernel
+from copcone import NonnegFactor, cli, cones, horn_generators, horn_matrix, kernel
 
 # Hypothesis's built-in "ci" profile: examples derived from each test, not
 # drawn at random, and no example database.  Hypothesis loads it by itself
@@ -69,6 +69,75 @@ def checkout_env(**extra) -> dict:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)
+
+
+def spy(monkeypatch, owner, name, record):
+    """Wrap ``owner.name`` for one test: each call runs the original, then
+    ``record(result, *args)`` with its positional arguments.  A call that
+    raises is recorded with the exception as its result, then raises it."""
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        try:
+            result = inner(*args, **kwargs)
+        except Exception as exc:
+            record(exc, *args)
+            raise
+        record(result, *args)
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+# The stages of ``is_copositive`` in the order it runs them (ROADMAP item 24).
+# Vertex, edge and the order gate make no call, so no call records them.
+STAGES = ("vertex", "edge", "Horn", "convex", "triple", "order gate", "walk")
+
+
+class Route(list):
+    """The calls of ``is_copositive`` in the order they return: ``cholesky k``
+    or ``cholesky k rejects``, ``triple scan k``, ``solve k`` (a one-vector
+    solve, a pivoting step), ``convex`` or ``convex gives None`` (the
+    pivoting), ``enumeration k``, and ``Horn`` (the five cycle faces),
+    ``triple`` (one face) or ``walk`` (every face) for the
+    ``simplex_form_min`` call the enumeration ran in; k is the order.
+    ``found`` holds each minimizing call's ``(value, lam)``, ``masks`` each
+    Horn call's masks."""
+
+    def __init__(self):
+        super().__init__()
+        self.found, self.masks = [], []
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """The :class:`Route` of every call in the test."""
+    taken = Route()
+
+    def convex(out, q):
+        taken.found.append(out)
+        taken.append("convex" if out is not None else "convex gives None")
+
+    def form_min(out, q, supports=None):
+        taken.found.append(out)
+        if supports is None:
+            taken.append("walk")
+        elif supports == [0b111]:
+            taken.append("triple")
+        else:
+            taken.append("Horn")
+            taken.masks.append(sorted(supports))
+
+    def cholesky(out, a):
+        taken.append(f"cholesky {len(a)}" + " rejects" * isinstance(out, np.linalg.LinAlgError))
+
+    spy(monkeypatch, np.linalg, "cholesky", cholesky)
+    spy(monkeypatch, cones, "_worst_triple", lambda out, rows, *_: taken.append(f"triple scan {len(rows)}"))
+    spy(monkeypatch, np.linalg, "solve", lambda out, a, b: taken.append(f"solve {len(b)}") if np.ndim(b) == 1 else None)
+    spy(monkeypatch, kernel, "_convex_form_min", convex)
+    spy(monkeypatch, kernel, "simplex_stationary_points", lambda out, q, *_: taken.append(f"enumeration {len(q)}"))
+    spy(monkeypatch, kernel, "simplex_form_min", form_min)
+    return taken
 
 
 def random_sym(rng, n, scale=1.0):

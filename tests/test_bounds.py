@@ -23,11 +23,13 @@ from copcone.errors import (
 def test_babe_table():
     assert [babe(r) for r in range(1, 8)] == [1, 2, 5, 9, 14, 20, 27]
     assert (babe(np.int32(3)), babe(True)) == (5, 1)  # numpy integers and bools are integers
+    assert type(babe(np.int32(3))) is type(babe(True)) is int
 
 
 def test_djl_table():
     assert [djl_lower(n) for n in range(1, 8)] == [1, 2, 3, 4, 6, 9, 12]
     assert djl_lower(np.int64(6)) == 9
+    assert type(djl_lower(np.int64(6))) is type(djl_lower(True)) is int
 
 
 def test_known_pn_table():
@@ -36,6 +38,8 @@ def test_known_pn_table():
     assert known_pn_interval(6) == (9, 15)
     assert known_pn_interval(7) == (12, 24)
     assert known_pn_interval(np.int64(7)) == (12, 24)
+    assert known_pn_interval(True) == (1, 1)
+    assert {type(end) for n in (np.int64(7), True) for end in known_pn_interval(n)} == {int}
 
 
 @pytest.mark.parametrize(

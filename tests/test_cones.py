@@ -1,5 +1,6 @@
 import itertools
 import math
+import timeit
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checker, cycle_matrix, random_sym, reference_horn_orbit, simplex_grid_min
-from copcone import cones, kernel
+from conftest import STAGES, checker, cycle_matrix, random_sym, reference_horn_orbit, simplex_grid_min
+from copcone import kernel
 from copcone import (
     Answer,
     NonnegFactor,
@@ -218,10 +219,6 @@ def _horn_orbit(rng):
     return a[np.ix_(perm, perm)] * np.outer(d, d)
 
 
-def _horn(rng):
-    return horn_matrix()
-
-
 def _horn_plus_0_2(rng):
     a = np.zeros((7, 7))
     a[:5, :5] = horn_matrix()
@@ -250,195 +247,145 @@ def _near_tie(rng):
     return a[np.ix_(perm, perm)]
 
 
-@pytest.fixture
-def form_min_calls(monkeypatch):
-    """``(supports, result)`` of every ``kernel.simplex_form_min`` call, in
-    call order."""
-    inner = kernel.simplex_form_min
-    calls = []
-
-    def counting(q, supports=None):
-        calls.append((supports, inner(q, supports)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(kernel, "simplex_form_min", counting)
-    return calls
-
-
-@pytest.fixture
-def pivot_calls(monkeypatch):
-    """The result of every ``kernel._convex_form_min`` call, in call order."""
-    inner = kernel._convex_form_min
-    calls = []
-
-    def counting(q):
-        calls.append(inner(q))
-        return calls[-1]
-
-    monkeypatch.setattr(kernel, "_convex_form_min", counting)
-    return calls
-
-
-def negative_pair_masks(a):
-    """The support masks of the negative pairs of ``a``'s reduced block."""
-    keep = np.flatnonzero((a < 0).any(axis=1))
-    b = a[np.ix_(keep, keep)]
-    return sorted(1 << int(i) | 1 << int(j) for i, j in zip(*np.nonzero(np.triu(b < 0))))
-
-
-@pytest.mark.parametrize(
-    "make, routes",
-    [
-        pytest.param(_interior, ["pivot"], id="_interior"),
-        pytest.param(_near_identity_12, ["pivot"], id="_near_identity_12"),
-        pytest.param(_horn_orbit, ["cycle"], id="_horn_orbit"),
-        pytest.param(_horn, ["cycle"], id="_horn"),
-        pytest.param(_horn_plus_0_2, ["cycle"], id="_horn_plus_0_2"),
-        pytest.param(_horn_3_thr_off, ["walk"], id="_horn_3_thr_off"),
-        pytest.param(_near_tie, ["pivot"], id="_near_tie"),
-    ],
-)
-def test_is_copositive_enumerates_the_simplex_once(form_min_calls, pivot_calls, rng, make, routes):
-    """A call the vertex, edge and triple checks cannot refute solves the
-    simplex minimum once: by the five cycle edges of an order-5 block within
-    thr of the Horn orbit, by pivoting on a positive definite block, by one
-    walk over every face if the block is neither or the pivoting gives
-    ``None``.  That solve decides the call, supplies any BoundaryZero, and
-    its value is the reported minimum."""
-    a = make(rng)
-    v = is_copositive(a)
-    assert v.answer is Answer.IN
-    taken = ["pivot" if found else "no-pivot" for found in pivot_calls]
-    taken += ["walk" if supports is None else "cycle" for supports, _ in form_min_calls]
-    assert taken == routes
-    for supports, _ in form_min_calls:
-        assert supports is None or sorted(supports) == negative_pair_masks(a)
-    val, lam = form_min_calls[0][1] if form_min_calls else pivot_calls[0]
-    assert abs(v.minimum - val) <= 1e-15 * max(1.0, np.abs(a).max())
-    if v.certificate is not None:
-        assert v.certificate.value == val
-        assert np.array_equal(v.certificate.x[v.certificate.x > 0], lam[lam > 0])
-    assert_copositive_contract(v, a)
-
-
-@pytest.fixture
-def cholesky_orders(monkeypatch):
-    """The order of every ``np.linalg.cholesky`` call, in call order."""
-    inner = np.linalg.cholesky
-    orders = []
-
-    def counting(a, *args, **kwargs):
-        orders.append(np.shape(a)[-1])
-        return inner(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    return orders
-
-
-@pytest.mark.parametrize(
-    "make, routes",
-    [
-        (_near_identity_12, ["cholesky-12", "pivot"]),
-        (_horn_plus_i2, ["cycle"]),
-        (lambda rng: cycle_matrix(8, -0.75), ["cholesky-8", "triples-8", "walk"]),
-    ],
-    ids=["near-identity-12", "horn-plus-i2", "cycle-8"],
-)
-def test_is_copositive_factors_its_block_once(cholesky_orders, triple_scans, pivot_calls, form_min_calls, rng,
-                                              make, routes):
-    # The reduced block is tested for positive definiteness at most once, in
-    # is_copositive; the pivoting takes that test as its precondition.  The
-    # near-identity block passes it and is decided by one pivoting.  Horn,
-    # once I_2's rows are deleted, is an order-5 Horn block: its five cycle
-    # edges decide it before any Cholesky call or triple scan.  The cycle
-    # fails the test, and after the triple scan the walk refutes it.
-    is_copositive(make(rng))
-    taken = [f"cholesky-{order}" for order in cholesky_orders] + [f"triples-{order}" for order in triple_scans]
-    taken += ["pivot"] * len(pivot_calls)
-    taken += ["walk" if supports is None else "cycle" for supports, _ in form_min_calls]
-    assert taken == routes
-
-
 def _vertex_violation(rng):
     a = random_sym(rng, 6)
     np.fill_diagonal(a, 2.0)
     a[3, 3] = -0.5
-    return a, {3}
+    return a
 
 
 def _edge_violation(rng):
     a = np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4))
     a[1, 2] = a[2, 1] = -1.5
     d = rng.uniform(0.5, 2.0, 4)
-    return a * np.outer(d, d), {1, 2}
+    return a * np.outer(d, d)
 
 
 def _horn_push_minus(rng):
     # Horn + I_2 with the -1 pair (0, 1) pushed down: negative near the
     # scaled midpoint of edge {0, 1}, positive at the plain midpoint.
-    a = np.eye(7)
-    a[:5, :5] = horn_matrix()
+    a = _horn_plus_i2(rng)
     a[0, 1] = a[1, 0] = -1.006
     d = rng.uniform(0.9, 1.1, 7)
     d[0], d[1] = 0.82, 1.18
-    return a * np.outer(d, d), {0, 1}
+    return a * np.outer(d, d)
 
 
-@pytest.mark.parametrize("make", [_vertex_violation, _edge_violation, _horn_push_minus])
-def test_vertex_and_edge_violations_need_no_enumeration(form_min_calls, rng, make):
-    a, support = make(rng)
-    v = is_copositive(a)
-    assert v.answer is Answer.NOT_IN
-    assert form_min_calls == []
-    assert set(np.flatnonzero(v.certificate.x)) == support
-    assert_copositive_contract(v, a)
+def _scaled_definite_10(rng):
+    # Entries from 1e-6 to 1e6, each row with a negative one: the pivoting's
+    # sign tests have no margin that the largest entry could scale.
+    gen = np.random.default_rng(0)
+    g = gen.standard_normal((10, 10))
+    d = 10.0 ** gen.uniform(-3.0, 3.0, 10)
+    return d[:, None] * (g @ g.T / 10 + 0.1 * np.eye(10)) * d
 
 
-@pytest.fixture
-def triple_scans(monkeypatch):
-    """The block order of every scan for a refuting triple, in call order."""
-    inner = cones._worst_triple
-    orders = []
-
-    def counting(rows, nbrs, thr):
-        orders.append(len(rows))
-        return inner(rows, nbrs, thr)
-
-    monkeypatch.setattr(cones, "_worst_triple", counting)
-    return orders
+def _heavy_tridiagonal_16(rng):
+    """2 I - 0.9 (neighbours) with its entry (3, 3) set to 1e13."""
+    a = 2.0 * np.eye(16)
+    i = np.arange(15)
+    a[i, i + 1] = a[i + 1, i] = -0.9
+    a[3, 3] = 1e13
+    return a
 
 
-def test_a_triple_violation_solves_one_3x3_block(form_min_calls, triple_scans, rng):
+def _heavy_near_identity_10(rng):
+    """1.01 I - 0.01 J with its entry (2, 2) set to 1e13."""
+    a = 1.01 * np.eye(10) - 0.01
+    a[2, 2] = 1e13
+    return a
+
+
+def route_row(name, make, answer, route, support=None, holds=None):
+    """A row of ``ROUTES``; ``route`` lists its stages, comma-separated."""
+    return pytest.param(make, answer, route.split(", "), support, holds, id=name)
+
+
+def _tiny_weight(v):
+    """The heavy index of a heavy block keeps a weight near 1e-14, which a
+    margin on the subface gap of 1e-12 times the face value would send to
+    the 2**n walk (97 ms at order 16).  The minimum, near 0.02 and 0.1, is
+    within thr = 1e4 of 0, so the pivoting's point is a BoundaryZero."""
+    return v.certificate.x.min() <= 1e-12
+
+
+IN, NOT_IN, UNDECIDED = Answer.IN, Answer.NOT_IN, Answer.UNDECIDED
+ROUTES = [
+    route_row("vertex", _vertex_violation, NOT_IN, "vertex", {3}),
+    route_row("edge", _edge_violation, NOT_IN, "edge", {1, 2}),
+    route_row("horn-push-minus", _horn_push_minus, NOT_IN, "edge", {0, 1}),
+    # Horn + I_2 and Horn + 0_2 are order-5 Horn blocks once the last two
+    # rows are deleted: the five cycle faces decide them, with no Cholesky
+    *(route_row(name, make, IN, "enumeration 5, Horn")
+      for name, make in [("horn", lambda rng: horn_matrix()), ("horn-plus-i2", _horn_plus_i2),
+                         ("horn-orbit", _horn_orbit), ("horn-plus-0-2", _horn_plus_0_2)]),
     # Horn + I_2 with the +1 pair (0, 2) pushed down: no vertex or edge is
-    # negative, the face {0, 1, 2} is, and the two rows of I_2 are deleted.
-    a = _pushed_horn(rng, 7, (0, 2), 6e-3)
+    # negative, the face {0, 1, 2} is, and it is the one 3x3 block solved
+    route_row("triple", lambda rng: _pushed_horn(rng, 7, (0, 2), 6e-3), NOT_IN,
+              "cholesky 5 rejects, triple scan 5, enumeration 3, triple", {0, 1, 2}),
+    route_row("horn-3-thr-off", _horn_3_thr_off, IN, "cholesky 5 rejects, triple scan 5, enumeration 5, walk"),
+    # no vertex, edge or triple refutes; four consecutive indices do
+    *(route_row(f"cycle-{n}", lambda rng, n=n: cycle_matrix(n, -0.75), NOT_IN,
+                f"cholesky {n} rejects, triple scan {n}, enumeration {n}, walk", {0, n - 3, n - 2, n - 1},
+                lambda v: abs(v.certificate.value + 1 / 2040) <= 1e-15) for n in (8, 12)),
+    route_row("interior", _interior, IN, "cholesky 8, solve 8, solve 5, solve 6, convex"),
+    # one pivoting step, a solve with the whole block, and no triple scan
+    route_row("near-identity-12", _near_identity_12, IN, "cholesky 12, solve 12, convex"),
+    route_row("near-tie", _near_tie, IN, "cholesky 4, solve 4, solve 2, convex"),
+    route_row("scaled-definite-10", _scaled_definite_10, IN, "cholesky 10, solve 10, solve 8, solve 7, convex"),
+    *(route_row(name, make, IN, f"cholesky {n}, solve {n}, convex", set(range(n)), _tiny_weight)
+      for name, make, n in [("tridiagonal-16", _heavy_tridiagonal_16, 16),
+                            ("near-identity-10", _heavy_near_identity_10, 10)]),
+    # past the enumeration, the pivoting gives 1.01 I - 0.01 J's minimum
+    # 1.01 / n - 0.01 at the centre
+    *(route_row(f"definite-{n}", lambda rng, n=n: 1.01 * np.eye(n) - 0.01, IN, f"cholesky {n}, solve {n}, convex",
+                None, lambda v, n=n: abs(v.minimum - (1.01 / n - 0.01)) <= 1e-15) for n in (17, 40)),
+    # No row of an order-17 cycle with c in [-0.7, -0.6] is nonnegative, it
+    # is indefinite, and no vertex, edge or triple is negative: the order-16
+    # limit of the enumeration leaves it undecided
+    *(route_row(f"cycle-17{c}", lambda rng, c=c: cycle_matrix(17, c), UNDECIDED,
+                "cholesky 17 rejects, triple scan 17, order gate") for c in (-0.7, -0.6)),
+    *(route_row(f"undecided-17-{seed}", lambda rng, seed=seed: verdict_family("undecided-17", seed), UNDECIDED,
+                "cholesky 17 rejects, triple scan 17, order gate") for seed in range(6)),
+]
+
+
+@pytest.mark.parametrize("make, answer, want, support, holds", ROUTES)
+def test_is_copositive_takes_its_route(route, rng, make, answer, want, support, holds):
+    """``is_copositive`` decides each row's input by ``answer`` on the route
+    ``want``: the calls of its stages (see ``conftest.Route``), then the stage
+    that decides, which for vertex, edge and the order gate makes no call.
+    The deciding minimizer gives the reported ``minimum`` and the
+    certificate's point, a Horn call solves the faces of the negative pairs,
+    and a route with no walk decides in under 5 ms."""
+    a = make(rng)
     v = is_copositive(a)
-    assert v.answer is Answer.NOT_IN
-    assert triple_scans == [5]
-    assert [(faces, lam.shape) for faces, (_, lam) in form_min_calls] == [([0b111], (3,))]
-    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
-    assert_copositive_contract(v, a)
-
-
-def test_a_positive_definite_block_scans_no_triple(form_min_calls, pivot_calls, triple_scans, rng):
-    a = _near_identity_12(rng)
-    v = is_copositive(a)
-    assert v.answer is Answer.IN
-    assert triple_scans == []
-    assert form_min_calls == [] and len(pivot_calls) == 1
-    assert v.minimum == pivot_calls[0][0]
-
-
-@pytest.mark.parametrize("n", [8, 12])
-def test_a_cycle_no_triple_refutes_is_refuted_by_the_full_walk(form_min_calls, triple_scans, n):
-    a = cycle_matrix(n, -0.75)
-    v = is_copositive(a)
-    assert v.answer is Answer.NOT_IN
-    assert triple_scans == [n]
-    assert [faces for faces, _ in form_min_calls] == [None]
-    assert np.count_nonzero(v.certificate.x) == 4
-    assert abs(v.certificate.value + 1 / 2040) <= 1e-15
+    cert = v.certificate
+    assert v.answer is answer
+    silent = want[-1] in ("vertex", "edge", "order gate")  # the stages that make no call
+    assert route == (want[:-1] if silent else want)
+    keep = np.flatnonzero((a < 0).any(axis=1))
+    negative = np.nonzero(np.triu(a[np.ix_(keep, keep)] < 0))
+    assert all(masks == sorted(1 << int(i) | 1 << int(j) for i, j in zip(*negative)) for masks in route.masks)
+    if not silent:  # a minimizer decides
+        val, lam = route.found[-1]
+        if v.answer is Answer.IN:
+            assert v.minimum == min(float(a.diagonal().min()), val)
+            assert cert is None or cert.value == val
+        if cert is not None:
+            assert np.array_equal(cert.x[cert.x > 0], lam[lam > 0])
+    if isinstance(cert, BoundaryZero):
+        checker.checks.boundary_zero(a, cert.x, cert.value, stationary=True)
+    assert support is None or set(np.flatnonzero(cert.x)) == support
+    assert holds is None or holds(v)
+    if "walk" not in want:
+        assert min(timeit.repeat(lambda: is_copositive(a), number=1, repeat=3)) < 5e-3
     assert_verdicts_hold(a)
+
+
+def test_the_route_table_covers_every_stage():
+    # a stage that no row ends in is a route that no row pins
+    assert {row.values[2][-1] for row in ROUTES} == set(STAGES)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -514,32 +461,6 @@ def test_2x2_answer_matches_the_closed_form(a, b, c, scale):
     v = is_copositive(m)
     assert v.answer is (Answer.IN if copositive else Answer.NOT_IN)
     assert_copositive_contract(v, m)
-
-
-def test_reduced_order_beyond_the_enumeration_is_undecided():
-    # No row of the order-17 cycle with c in [-0.7, -0.6] is nonnegative, it
-    # is not positive definite, and no vertex, edge or triple is negative,
-    # so the block is left to an enumeration that the order-16 limit rules
-    # out.  The same holds across its family.
-    for a in [cycle_matrix(17, -0.7), cycle_matrix(17, -0.6),
-              *(verdict_family("undecided-17", seed) for seed in range(6))]:
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(a)
-        v = is_copositive(a)
-        assert v.answer is Answer.UNDECIDED
-        assert v.certificate is None
-
-
-@pytest.mark.parametrize("n", [17, 40])
-def test_a_positive_definite_block_is_decided_past_the_enumeration(form_min_calls, n):
-    # I_n - 0.01 (J - I) keeps every row and Cholesky accepts it: the
-    # pivoting gives its minimum 1.01 / n - 0.01 at the centre, with no walk.
-    a = 1.01 * np.eye(n) - 0.01
-    v = is_copositive(a)
-    assert v.answer is Answer.IN and v.certificate is None
-    assert abs(v.minimum - (1.01 / n - 0.01)) <= 1e-15
-    assert form_min_calls == []
-    assert_verdicts_hold(a)
 
 
 @pytest.mark.filterwarnings("error")

@@ -236,7 +236,7 @@ class TestOrthChecks:
 
     def test_column_check(self):
         res = orth_column_check(self.m, self.a)
-        assert res.passed
+        assert res.passed is True
         assert res.defect <= 1e-10
 
     def test_column_check_requires_orthogonality(self):
@@ -284,13 +284,14 @@ class TestOrthChecks:
         """A factor with no columns puts every index in the support of all
         of them, so each index gets PASS or FAIL, never SKIP: the condition
         holds where (M A)[:, i] vanishes, as for column 5 of W6 and Horn plus
-        a zero row."""
+        a zero row.  A bool index is its integer (as a numpy index it is a
+        mask, and the product with it raised ValueError)."""
         w = np.eye(6)
         w[[1, 2, 3, 4, 0], [0, 1, 2, 3, 4]] = 1.0
         m, a = w @ w.T, horn_block6()
         v = NonnegFactor(np.zeros((6, 1)))
         assert v.p == 0
-        assert [orth_nullspace_check(m, a, v, i) for i in range(6)] == [FAIL] * 5 + [PASS]
+        assert [orth_nullspace_check(m, a, v, i) for i in [*range(6), False, True]] == [FAIL] * 5 + [PASS] + [FAIL] * 2
 
     def test_anti_dd_all_rows(self):
         res = anti_dd_check(self.m, self.a)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible_factor, random_dd_nonneg, random_positive_dd
+from conftest import random_admissible_factor, random_dd_nonneg, random_positive_dd, spy
 from copcone import (
     DEFAULT_TOL,
     Answer,
@@ -575,13 +575,8 @@ class TestHeuristic:
 def test_heuristic_takes_one_restart_at_every_scale(monkeypatch, scale):
     # the root floor grows like the root, sqrt(scale), so the first rotation
     # of J + 2I fits at every scale; each restart draws one QR
-    qr, restarts = np.linalg.qr, []
-
-    def counting_qr(g):
-        restarts.append(g)
-        return qr(g)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    restarts = []
+    spy(monkeypatch, np.linalg, "qr", lambda out, g: restarts.append(g))
     m = scale * (np.ones((3, 3)) + 2.0 * np.eye(3))
     v = heuristic_min_factor(m, 4)
     assert len(restarts) == 1

@@ -15,7 +15,7 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import random_admissible_factor, random_positive_dd
+from conftest import random_admissible_factor, random_positive_dd, spy
 from copcone import (
     anti_dd_check,
     classify_rank12,
@@ -36,13 +36,7 @@ def kernel_calls(monkeypatch):
     """Calls of ``kernel.as_sym`` and ``kernel.eig_sym``, counted by name."""
     counts = collections.Counter()
     for name in ("as_sym", "eig_sym"):
-        inner = getattr(kernel, name)
-
-        def counting(*args, _inner=inner, _name=name, **kwargs):
-            counts[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(kernel, name, counting)
+        spy(monkeypatch, kernel, name, lambda out, *args, name=name: counts.update([name]))
     return counts
 
 
