@@ -388,6 +388,34 @@ def test_the_route_table_covers_every_stage():
     assert {row.values[2][-1] for row in ROUTES} == set(STAGES)
 
 
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (_near_identity_12, ["cholesky 12", "convex"]),
+        (_horn_plus_i2, ["Horn"]),
+        (lambda rng: cycle_matrix(8, -0.75), ["cholesky 8 rejects", "triple scan 8", "walk"]),
+    ],
+    ids=["near-identity-12", "horn-plus-i2", "cycle-8"],
+)
+def test_is_copositive_factors_its_block_once(route, rng, make, want):
+    # The reduced block is tested for positive definiteness at most once, in
+    # is_copositive; the pivoting takes that test as its precondition.  The
+    # near-identity block passes it and is decided by one pivoting.  Horn,
+    # once I_2's rows are deleted, is an order-5 Horn block: its five cycle
+    # edges decide it before any Cholesky call or triple scan.  The cycle
+    # fails the test, and after the triple scan the walk refutes it.
+    is_copositive(make(rng))
+    assert [call for call in route if not call.startswith(("solve", "enumeration"))] == want
+
+
+def test_a_positive_definite_block_scans_no_triple(route, rng):
+    v = is_copositive(_near_identity_12(rng))
+    assert v.answer is Answer.IN
+    assert not any(call.startswith("triple") for call in route)
+    assert "walk" not in route and route.count("convex") == 1
+    assert v.minimum == route.found[0][0]
+
+
 @pytest.mark.parametrize("n", [8, 12])
 def test_a_cycle_twin_is_copositive(n):
     a = cycle_matrix(n, -0.7)

@@ -584,6 +584,21 @@ def test_pivoting_that_repeats_a_free_set_twice_gives_none(cycling_solve, route,
         assert v.answer is Answer.UNDECIDED and stages == [f"cholesky {n}", "convex gives None"]
 
 
+def test_positive_definite_block_needs_no_enumeration(route, rng):
+    a = np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
+    np.linalg.cholesky(a)
+    assert a.min() < 0  # no row is deleted before the search
+    assert is_copositive(a).answer is Answer.IN
+    assert not any(call.startswith("enumeration") for call in route)
+
+
+def test_well_conditioned_block_is_decided_by_one_inversion(route, rng):
+    a = np.eye(12) + 0.05 * random_sym(rng, 12) + 0.01
+    assert is_copositive(a).answer is Answer.IN
+    # one pivoting step, a solve with the whole block: no face is solved again
+    assert [call for call in route if call.startswith(("solve", "enumeration"))] == ["solve 12"]
+
+
 def test_lp_feasible_basic_cases():
     a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
     # feasible: b = a @ (0.5, 0.25)
