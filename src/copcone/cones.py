@@ -351,7 +351,10 @@ def copositive_boundary_zeros(a, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarra
     |[A x]_k| <= thr for every k in the support of x, where
     thr = tol.scaled(max|a_ij|).  Zeros are collected from the KKT
     stationary points of every support set; where the zero set is a
-    continuum, one representative per support is returned.
+    continuum, one representative per support is returned.  Points whose
+    weights agree when rounded to 9 digits are one zero, the first of them
+    kept: the enumeration can yield a subface's point again under a larger
+    mask, with other last bits, and the rounded keys merge such copies.
 
     Only the indices that can carry a zero are enumerated: an index whose row
     is entrywise >= 0 on the indices kept and whose a_ii > 0 is deleted, to a

@@ -12,7 +12,10 @@ The integer layout of that walk (per support size, the masks' positions and
 member indices) is built once per order and cached.  The enumeration yields
 its points in increasing mask order, with the values a
 one-support-at-a-time loop gives, bit for bit, and ``simplex_form_min`` is
-its first least point.  One full enumeration at order 16, the largest,
+its first least point.  A face's point need not lie in its relative
+interior: a weight in [-1e-10, 0) is clipped to 0, so a subface's point
+can come again under a larger mask, with the same weights or weights that
+differ in their last bits.  One full enumeration at order 16, the largest,
 peaks at 72 MB of RSS, the interpreter and numpy included.  Given a list
 of support bitmasks (bit i for index i), the walk solves only those faces,
 in the same stacked calls, and each point it yields is the full walk's
@@ -182,6 +185,10 @@ def simplex_stationary_points(q, supports=None):
     included as singleton supports), so the global minimum over the simplex
     is always among the yielded values.  Supports whose stationarity system
     is inconsistent are skipped: their face attains its minimum on a subface.
+    The points are not only relative-interior ones: a weight in [-1e-10, 0)
+    is clipped to 0, so a point on a subface's relative interior can come
+    again under a larger mask, as the same ``lam`` or with other last bits,
+    and with another value.
 
     ``supports``, a list of bitmasks in [1, 2**n - 1] where bit i stands for
     index i, restricts the walk to those faces: their points come in
@@ -244,7 +251,8 @@ def _plan(masks, n):
 
 
 def _face_points(q, idx, scale):
-    """Relative-interior KKT points of the faces with supports ``idx`` (m x k).
+    """KKT points of the faces with supports ``idx`` (m x k): relative-interior
+    points, and points whose weights in [-1e-10, 0) are clipped to 0.
 
     Returns ``(keep, values, lams)``: the rows of ``idx`` whose face has a
     stationary point, its form value and its k simplex weights.

@@ -145,6 +145,14 @@ def random_sym(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def horn_plus(block):
+    """Horn ⊕ ``block``."""
+    n = 5 + len(block)
+    a = np.zeros((n, n))
+    a[:5, :5], a[5:, 5:] = horn_matrix(), block
+    return a
+
+
 def reference_horn_orbit(a, tol=kernel.DEFAULT_TOL):
     """Horn-orbit recognition as a loop over the 120 permutations of order
     5 in itertools order: the first p with |a_ij - d_i d_j H[p_i, p_j]| <=

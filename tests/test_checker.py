@@ -28,7 +28,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ROOT, SCRIPT, checker, checkout_env, cycle_matrix, run, run_cli
+from conftest import ROOT, SCRIPT, checker, checkout_env, cycle_matrix, horn_plus, run, run_cli
 from copcone import horn_matrix
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -64,12 +64,6 @@ MADE_AT_1E12 = {"tolerance": {"abs": 1e-12, "rel": 1e-12}}
 
 def matrix_file(name: str, a: np.ndarray) -> tuple:
     return name, json.dumps({"n": a.shape[0], "data": a.tolist()})
-
-
-def horn_plus_i12() -> np.ndarray:
-    a = np.eye(17)
-    a[:5, :5] = horn_matrix()
-    return a
 
 
 def scaled_horn() -> np.ndarray:
@@ -159,7 +153,7 @@ ROWS = [
         "boundary zero: |x'Ax| =", {"result.certificate.x": off_the_zero}, 4),
     # Horn + I_12 has order 17, past the enumeration; its nonnegative rows are deleted first
     Row("boundary-zero-order-17", ("check", "--cone", "copositive", "MATRIX"),
-        matrix_file("horn-plus-i12.json", horn_plus_i12()), 4, "copositive membership has no checkable certificate"),
+        matrix_file("horn-plus-i12.json", horn_plus(np.eye(12))), 4, "copositive membership has no checkable certificate"),
     # interior
     Row("posdd", POSDD, DD, 0, "certificate OK"),
     Row("interior-perturbed", POSDD, DD, 3, "factor: residual",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STAGES, checker, cycle_matrix, random_sym, reference_horn_orbit, simplex_grid_min
+from conftest import STAGES, checker, cycle_matrix, horn_plus, random_sym, reference_horn_orbit, simplex_grid_min
 from copcone import kernel
 from copcone import (
     Answer,
@@ -53,16 +53,6 @@ def test_psd_in_and_eigenvector_witness_on_failure(rng):
     assert float(x @ (a - 10.0 * np.eye(4)) @ x) < 0
 
 
-def test_copositive_violation_certificate(rng):
-    a = random_sym(rng, 5)
-    a[0, 0] = -1.0
-    v = is_copositive(a)
-    assert v.answer is Answer.NOT_IN
-    x = np.asarray(v.certificate.x)
-    assert x.min() >= -1e-12
-    assert float(x @ a @ x) < 0
-
-
 def test_copositive_verdicts_match_projected_gradient_oracle(rng):
     agree = 0
     total = 0
@@ -92,6 +82,22 @@ def test_copositive_shift_monotonicity(rng):
         assert is_copositive(a + d).answer is Answer.IN
 
 
+def reduced_rows(a, zeros=False):
+    """The indices of ``a`` left when each row that is >= 0 on the indices
+    kept is deleted, to a fixpoint; with ``zeros``, only such a row with
+    a_ii > 0 is, as no zero of the form can use it."""
+    keep = np.arange(a.shape[0])
+    while keep.size:
+        sub = a[np.ix_(keep, keep)]
+        drop = (sub >= 0).all(axis=1)
+        if zeros:
+            drop &= np.diag(sub) > 0
+        if not drop.any():
+            break
+        keep = keep[~drop]
+    return keep
+
+
 def assert_copositive_contract(v, a):
     """``v``, ``is_copositive(a)``, keeps the contract its docstring states,
     checked against the exact walk on the reduced block B (the rows that are
@@ -113,12 +119,7 @@ def assert_copositive_contract(v, a):
     """
     sym, scale = kernel.as_sym(a)
     thr, gap = DEFAULT_TOL.scaled(scale), PIVOT_GAP * scale
-    keep = np.arange(sym.shape[0])
-    while keep.size:
-        drop = (sym[np.ix_(keep, keep)] >= 0).all(axis=1)
-        if not drop.any():
-            break
-        keep = keep[~drop]
+    keep = reduced_rows(sym)
     b, k = sym[np.ix_(keep, keep)], keep.size
     try:
         np.linalg.cholesky(b)
@@ -184,18 +185,6 @@ def assert_copositive_contract(v, a):
         assert cert.value - min(f[0] for f in faces if f is not None) <= gap
 
 
-def test_horn_plus_identity_17_is_decided_on_the_horn_block():
-    # Order 17 is past the enumeration limit; the twelve nonnegative rows
-    # are deleted first, so the search runs on the 5x5 Horn block.
-    a = np.eye(17)
-    a[:5, :5] = horn_matrix()
-    v = is_copositive(a)
-    assert v.answer is Answer.IN
-    assert isinstance(v.certificate, BoundaryZero)
-    assert not v.certificate.x[5:].any()
-    assert_copositive_contract(v, a)
-
-
 def _interior(rng):
     g = rng.standard_normal((8, 8))
     u = rng.uniform(0.1, 1.0, (8, 8))
@@ -207,9 +196,7 @@ def _near_identity_12(rng):
 
 
 def _horn_plus_i2(rng):
-    a = np.eye(7)
-    a[:5, :5] = horn_matrix()
-    return a
+    return horn_plus(np.eye(2))
 
 
 def _horn_orbit(rng):
@@ -217,12 +204,6 @@ def _horn_orbit(rng):
     perm = rng.permutation(7)
     d = rng.uniform(0.5, 2.0, 7)
     return a[np.ix_(perm, perm)] * np.outer(d, d)
-
-
-def _horn_plus_0_2(rng):
-    a = np.zeros((7, 7))
-    a[:5, :5] = horn_matrix()
-    return a
 
 
 def _horn_3_thr_off(rng):
@@ -247,6 +228,22 @@ def _near_tie(rng):
     return a[np.ix_(perm, perm)]
 
 
+def _negative_a00(rng):
+    a = random_sym(rng, 5)
+    a[0, 0] = -1.0
+    return a
+
+
+def _symmetrized_threshold(rng):
+    # The input's largest entry is 2 + 1e-10, the symmetrization's is 2.
+    # a_00 lies between the two thresholds they give, so only the latter
+    # refutes at the vertex.
+    v = 3e-9 + 5e-20
+    a = np.array([[-v, 2.0 + 1e-10], [2.0 - 1e-10, 1.0]])
+    assert DEFAULT_TOL.scaled(2.0) < v < DEFAULT_TOL.scaled(np.abs(a).max())
+    return a
+
+
 def _vertex_violation(rng):
     a = random_sym(rng, 6)
     np.fill_diagonal(a, 2.0)
@@ -259,6 +256,44 @@ def _edge_violation(rng):
     a[1, 2] = a[2, 1] = -1.5
     d = rng.uniform(0.5, 2.0, 4)
     return a * np.outer(d, d)
+
+
+def _edge_tie(rng):
+    # The edges {0, 3} and {1, 2} have the same minimum, -0.5.
+    a = np.full((4, 4), 0.5)
+    np.fill_diagonal(a, 1.0)
+    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = -2.0
+    return a
+
+
+def _triple_tie(rng):
+    # The triangles {0, 1, 2} and {3, 4, 5} of -0.6 entries have the same
+    # value, bit for bit; the positive coupling keeps the minimum on one.
+    a = np.full((6, 6), 0.5)
+    a[:3, :3] = a[3:, 3:] = 1.6 * np.eye(3) - 0.6
+    return a
+
+
+def _off_simplex_stationary_point(rng):
+    # The plane of {1, 2, 3} is stationary at (-1, 0.75, 1.25), off the
+    # simplex, with form -0.25, while that face's minimum is 0.  The face
+    # {0, 2, 4} refutes at its interior point, form -0.1748; the simplex
+    # minimum, -0.1785, has the support {0, 1, 2, 4}.
+    return np.array([
+        [4, -3, -4, 4, -3],
+        [-3, 4, -1, 3, 2],
+        [-4, -1, 4, -4, -2],
+        [4, 3, -4, 4, -2],
+        [-3, 2, -2, -2, 4],
+    ]) / 4.0
+
+
+def _negative_triangle_18(rng):
+    # Order 18 keeps every row, and no vertex or edge is negative; the
+    # triangle {0, 1, 2} of -0.6 entries is.
+    a = 1.01 * np.eye(18) - 0.01
+    a[:3, :3] = 1.6 * np.eye(3) - 0.6
+    return a
 
 
 def _horn_push_minus(rng):
@@ -297,11 +332,13 @@ def _heavy_near_identity_10(rng):
 
 
 def route_row(name, make, answer, route, support=None, holds=None):
-    """A row of ``ROUTES``; ``route`` lists its stages, comma-separated."""
+    """A row of ``ROUTES``; ``route`` lists its stages, comma-separated,
+    ``support`` is the certificate's support and ``holds(v, a)`` a predicate
+    on the verdict ``v`` of the input ``a``."""
     return pytest.param(make, answer, route.split(", "), support, holds, id=name)
 
 
-def _tiny_weight(v):
+def _tiny_weight(v, a):
     """The heavy index of a heavy block keeps a weight near 1e-14, which a
     margin on the subface gap of 1e-12 times the face value would send to
     the 2**n walk (97 ms at order 16).  The minimum, near 0.02 and 0.1, is
@@ -309,25 +346,52 @@ def _tiny_weight(v):
     return v.certificate.x.min() <= 1e-12
 
 
+def _minimizer_elsewhere(v, a):
+    """A triple refutes, while the walk's minimum lies below its value, on a
+    support of more than 3 indices."""
+    val, lam = kernel.simplex_form_min(kernel.as_sym(a)[0])
+    return np.count_nonzero(v.certificate.x) == 3 and val < v.certificate.value and np.count_nonzero(lam) > 3
+
+
 IN, NOT_IN, UNDECIDED = Answer.IN, Answer.NOT_IN, Answer.UNDECIDED
 ROUTES = [
     route_row("vertex", _vertex_violation, NOT_IN, "vertex", {3}),
+    route_row("copositive-violation-certificate", _negative_a00, NOT_IN, "vertex", {0}),
+    route_row("symmetrized-threshold", _symmetrized_threshold, NOT_IN, "vertex", {0}),
     route_row("edge", _edge_violation, NOT_IN, "edge", {1, 2}),
+    # of tied edges, the first pair in row-major order
+    route_row("edge-tie", _edge_tie, NOT_IN, "edge", None, lambda v, a: np.array_equal(v.certificate.x, [0.5, 0, 0, 0.5])),
     route_row("horn-push-minus", _horn_push_minus, NOT_IN, "edge", {0, 1}),
     # Horn + I_2 and Horn + 0_2 are order-5 Horn blocks once the last two
     # rows are deleted: the five cycle faces decide them, with no Cholesky
     *(route_row(name, make, IN, "enumeration 5, Horn")
       for name, make in [("horn", lambda rng: horn_matrix()), ("horn-plus-i2", _horn_plus_i2),
-                         ("horn-orbit", _horn_orbit), ("horn-plus-0-2", _horn_plus_0_2)]),
+                         ("horn-orbit", _horn_orbit), ("horn-plus-0-2", lambda rng: horn_plus(np.zeros((2, 2))))]),
+    # past the enumeration limit, the twelve nonnegative rows are deleted
+    route_row("horn-plus-identity-17", lambda rng: horn_plus(np.eye(12)), IN, "enumeration 5, Horn", None,
+              lambda v, a: isinstance(v.certificate, BoundaryZero) and not v.certificate.x[5:].any()),
     # Horn + I_2 with the +1 pair (0, 2) pushed down: no vertex or edge is
     # negative, the face {0, 1, 2} is, and it is the one 3x3 block solved
     route_row("triple", lambda rng: _pushed_horn(rng, 7, (0, 2), 6e-3), NOT_IN,
               "cholesky 5 rejects, triple scan 5, enumeration 3, triple", {0, 1, 2}),
+    # of tied triples, the first in lexicographic order
+    route_row("triple-tie", _triple_tie, NOT_IN, "cholesky 6 rejects, triple scan 6, enumeration 3, triple", {0, 1, 2}),
+    route_row("off-simplex-stationary-point", _off_simplex_stationary_point, NOT_IN,
+              "cholesky 5 rejects, triple scan 5, enumeration 3, triple", {0, 2, 4}),
+    route_row("negative-triangle-18", _negative_triangle_18, NOT_IN,
+              "cholesky 18 rejects, triple scan 18, enumeration 3, triple", {0, 1, 2}),
+    *(route_row(f"triple-not-minimizer-{seed}", lambda rng, seed=seed: verdict_family("triple-not-minimizer", seed),
+                NOT_IN, f"cholesky {m} rejects, triple scan {m}, enumeration 3, triple", None, _minimizer_elsewhere)
+      for seed, m in enumerate([6, 9, 6, 6, 5, 5])),
     route_row("horn-3-thr-off", _horn_3_thr_off, IN, "cholesky 5 rejects, triple scan 5, enumeration 5, walk"),
     # no vertex, edge or triple refutes; four consecutive indices do
     *(route_row(f"cycle-{n}", lambda rng, n=n: cycle_matrix(n, -0.75), NOT_IN,
                 f"cholesky {n} rejects, triple scan {n}, enumeration {n}, walk", {0, n - 3, n - 2, n - 1},
-                lambda v: abs(v.certificate.value + 1 / 2040) <= 1e-15) for n in (8, 12)),
+                lambda v, a: abs(v.certificate.value + 1 / 2040) <= 1e-15) for n in (8, 12)),
+    # at c = -0.7 the cycle is copositive, and its minimum is no zero
+    *(route_row(f"cycle-twin-{n}", lambda rng, n=n: cycle_matrix(n, -0.7), IN,
+                f"cholesky {n} rejects, triple scan {n}, enumeration {n}, walk", None,
+                lambda v, a: v.certificate is None and abs(v.minimum - 0.022) <= 1e-15) for n in (8, 12)),
     route_row("interior", _interior, IN, "cholesky 8, solve 8, solve 5, solve 6, convex"),
     # one pivoting step, a solve with the whole block, and no triple scan
     route_row("near-identity-12", _near_identity_12, IN, "cholesky 12, solve 12, convex"),
@@ -339,7 +403,7 @@ ROUTES = [
     # past the enumeration, the pivoting gives 1.01 I - 0.01 J's minimum
     # 1.01 / n - 0.01 at the centre
     *(route_row(f"definite-{n}", lambda rng, n=n: 1.01 * np.eye(n) - 0.01, IN, f"cholesky {n}, solve {n}, convex",
-                None, lambda v, n=n: abs(v.minimum - (1.01 / n - 0.01)) <= 1e-15) for n in (17, 40)),
+                None, lambda v, a, n=n: abs(v.minimum - (1.01 / n - 0.01)) <= 1e-15) for n in (17, 40)),
     # No row of an order-17 cycle with c in [-0.7, -0.6] is nonnegative, it
     # is indefinite, and no vertex, edge or triple is negative: the order-16
     # limit of the enumeration leaves it undecided
@@ -364,7 +428,7 @@ def test_is_copositive_takes_its_route(route, rng, make, answer, want, support, 
     assert v.answer is answer
     silent = want[-1] in ("vertex", "edge", "order gate")  # the stages that make no call
     assert route == (want[:-1] if silent else want)
-    keep = np.flatnonzero((a < 0).any(axis=1))
+    keep = reduced_rows(a)
     negative = np.nonzero(np.triu(a[np.ix_(keep, keep)] < 0))
     assert all(masks == sorted(1 << int(i) | 1 << int(j) for i, j in zip(*negative)) for masks in route.masks)
     if not silent:  # a minimizer decides
@@ -377,7 +441,7 @@ def test_is_copositive_takes_its_route(route, rng, make, answer, want, support, 
     if isinstance(cert, BoundaryZero):
         checker.checks.boundary_zero(a, cert.x, cert.value, stationary=True)
     assert support is None or set(np.flatnonzero(cert.x)) == support
-    assert holds is None or holds(v)
+    assert holds is None or holds(v, a)
     if "walk" not in want:
         assert min(timeit.repeat(lambda: is_copositive(a), number=1, repeat=3)) < 5e-3
     assert_verdicts_hold(a)
@@ -416,63 +480,6 @@ def test_a_positive_definite_block_scans_no_triple(route, rng):
     assert v.minimum == route.found[0][0]
 
 
-@pytest.mark.parametrize("n", [8, 12])
-def test_a_cycle_twin_is_copositive(n):
-    a = cycle_matrix(n, -0.7)
-    v = is_copositive(a)
-    assert v.answer is Answer.IN and v.certificate is None
-    assert abs(v.minimum - 0.022) <= 1e-15
-    assert_verdicts_hold(a)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_a_triple_refutes_where_the_global_minimizer_is_elsewhere(seed):
-    a = verdict_family("triple-not-minimizer", seed)
-    v = is_copositive(a)
-    assert np.count_nonzero(v.certificate.x) == 3
-    val, lam = kernel.simplex_form_min(kernel.as_sym(a)[0])
-    assert val < v.certificate.value and np.count_nonzero(lam) > 3
-    assert_copositive_contract(v, a)
-
-
-def test_a_triple_tie_goes_to_the_first_in_lexicographic_order():
-    # The triangles {0, 1, 2} and {3, 4, 5} of -0.6 entries have the same
-    # value, bit for bit; the positive coupling keeps the minimum on one.
-    a = np.full((6, 6), 0.5)
-    a[:3, :3] = a[3:, 3:] = 1.6 * np.eye(3) - 0.6
-    v = is_copositive(a)
-    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
-    assert_verdicts_hold(a)
-
-
-def test_a_stationary_point_off_the_simplex_is_no_triple_value():
-    # The plane of {1, 2, 3} is stationary at (-1, 0.75, 1.25), off the
-    # simplex, with form -0.25, while that face's minimum is 0.  The face
-    # {0, 2, 4} refutes at its interior point, form -0.1748; the simplex
-    # minimum, -0.1785, has the support {0, 1, 2, 4}.
-    a = np.array([
-        [4, -3, -4, 4, -3],
-        [-3, 4, -1, 3, 2],
-        [-4, -1, 4, -4, -2],
-        [4, 3, -4, 4, -2],
-        [-3, 2, -2, -2, 4],
-    ]) / 4.0
-    v = is_copositive(a)
-    assert set(np.flatnonzero(v.certificate.x)) == {0, 2, 4}
-    assert_verdicts_hold(a)
-
-
-def test_a_negative_triangle_decides_past_the_enumeration():
-    # Order 18 keeps every row, and no vertex or edge is negative; the
-    # triangle {0, 1, 2} of -0.6 entries is.
-    a = 1.01 * np.eye(18) - 0.01
-    a[:3, :3] = 1.6 * np.eye(3) - 0.6
-    v = is_copositive(a)
-    assert v.answer is Answer.NOT_IN
-    assert set(np.flatnonzero(v.certificate.x)) == {0, 1, 2}
-    assert_verdicts_hold(a)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(-30, 30),
@@ -491,14 +498,16 @@ def test_2x2_answer_matches_the_closed_form(a, b, c, scale):
     assert_copositive_contract(v, m)
 
 
-@pytest.mark.filterwarnings("error")
-def test_a_subnormal_positive_definite_block_is_decided_at_its_minimizer():
+def test_a_subnormal_positive_definite_block_is_decided_at_its_minimizer(route):
     # Its entries are subnormal: the pivoting runs on the block scaled by a
     # power of two, so its solve stays finite (unscaled, it overflowed to a
     # NaN point, and the answer fell back to a vertex and the smallest
-    # diagonal entry).  The minimum is at the centre, within thr of 0.
+    # diagonal entry).  The minimum is at the centre, within thr of 0.  Every
+    # point the walk yields on this block is a vertex, so it is no row of
+    # ROUTES: assert_copositive_contract holds a verdict to the walk's minimum.
     a = (1.01 * np.eye(6) - 0.01) * 1e-310
     v = is_copositive(a)
+    assert route == ["cholesky 6", "solve 6", "convex"]
     assert v.answer is Answer.IN and isinstance(v.certificate, BoundaryZero)
     assert np.abs(v.certificate.x - 1 / 6).max() <= 1e-15
     exact = sum(map(Fraction, a.ravel())) / 36  # the form's value at the centre
@@ -525,54 +534,6 @@ def test_nonnegative_border_keeps_answer(n, m, seed):
     assert_copositive_contract(v, full)
 
 
-def test_boundary_zeros_of_horn_contains_edge_midpoints():
-    zeros = copositive_boundary_zeros(horn_matrix())
-    h = horn_matrix()
-    for z in zeros:
-        z = np.asarray(z)
-        assert abs(float(z @ h @ z)) <= 1e-12
-    found = 0
-    for i in range(5):
-        x = np.zeros(5)
-        x[i] = x[(i + 1) % 5] = 0.5
-        if any(np.abs(np.asarray(z) - x).max() <= 1e-9 for z in zeros):
-            found += 1
-    assert found == 5
-
-
-def test_boundary_zeros_of_horn_plus_identity_17_stay_on_the_horn_block():
-    # Order 17 is past the enumeration limit; the twelve identity rows are
-    # nonnegative with a positive diagonal, so no zero can use them.
-    a = np.eye(17)
-    a[:5, :5] = horn_matrix()
-    zeros = copositive_boundary_zeros(a)
-    assert len(zeros) == 10
-    horn_zeros = copositive_boundary_zeros(horn_matrix())
-    for z, h in zip(zeros, horn_zeros):
-        assert not z[5:].any()
-        assert np.array_equal(z[:5], h)
-        assert z.min() >= 0.0 and abs(z.sum() - 1.0) <= 1e-12
-        assert abs(float(z @ a @ z)) <= 1e-12
-        assert np.abs((a @ z)[z > 0]).max() <= 1e-12
-
-
-def test_boundary_zeros_of_horn_plus_zeros_17_hit_the_enumeration_limit():
-    # Horn plus a zero block is copositive, but the twelve zero-diagonal
-    # rows can carry zeros and are kept: 17 indices to enumerate.
-    a = np.zeros((17, 17))
-    a[:5, :5] = horn_matrix()
-    assert is_copositive(a).answer is Answer.IN
-    with pytest.raises(ValueError, match=r"^support enumeration is limited to order 16$"):
-        copositive_boundary_zeros(a)
-
-
-def test_boundary_zeros_keep_a_nonnegative_row_with_zero_diagonal():
-    # Row 0 is nonnegative but a_00 = 0, so its vertex is a zero.
-    zeros = copositive_boundary_zeros(np.array([[0.0, 1.0], [1.0, 1.0]]))
-    assert len(zeros) == 1
-    assert np.array_equal(zeros[0], [1.0, 0.0])
-
-
 def reference_boundary_zeros(a, tol=DEFAULT_TOL):
     """The one-point-at-a-time filter that the array filter of
     ``copositive_boundary_zeros`` must reproduce bit for bit: the same
@@ -580,13 +541,7 @@ def reference_boundary_zeros(a, tol=DEFAULT_TOL):
     a, _ = kernel.as_sym(a, tol)
     assert is_copositive(a, tol).answer is Answer.IN
     thr = tol.scaled(np.abs(a).max())
-    keep = np.arange(a.shape[0])
-    while keep.size:
-        sub = a[np.ix_(keep, keep)]
-        drop = (sub >= 0).all(axis=1) & (np.diag(sub) > 0)
-        if not drop.any():
-            break
-        keep = keep[~drop]
+    keep = reduced_rows(a, zeros=True)
     zeros = []
     seen = set()
     if not keep.size:
@@ -614,14 +569,11 @@ def zero_family(kind, seed):
     h = horn_matrix()
     if kind.startswith("horn-orbit-"):  # Horn + I_k, scaled and permuted
         n = 5 + int(kind[-1])
-        a = np.eye(n)
-        a[:5, :5] = h
+        a = horn_plus(np.eye(n - 5))
         perm = rng.permutation(n)
         return a[np.ix_(perm, perm)] * np.outer(*2 * [rng.uniform(0.5, 2.0, n)])
     if kind == "horn-plus-identity-12":
-        a = np.eye(17)
-        a[:5, :5] = h
-        return a
+        return horn_plus(np.eye(12))
     if kind == "shifted-interior":  # x'Ax - min on the simplex, a zero at the minimizer
         n = int(rng.integers(3, 10))
         g = rng.standard_normal((n, n))
@@ -668,6 +620,51 @@ def test_boundary_zeros_match_the_per_point_loop(kind):
 @given(st.sampled_from(ZERO_FAMILIES), st.integers(0, 10_000))
 def test_boundary_zeros_match_the_per_point_loop_on_every_family(kind, seed):
     assert_same_zero_lists(zero_family(kind, seed))
+
+
+def zeros_row(name, a, want, count=None):
+    """A row of ``ZEROS``: ``copositive_boundary_zeros(a)`` holds each point
+    of the list ``want`` bit for bit, and ``count`` zeros in all (by default
+    as many); or ``want`` is ``(error, message)``, the error it raises."""
+    return pytest.param(a, want, len(want) if count is None else count, id=name)
+
+
+ZEROS = [
+    # a zero at each of the five cycle edges' midpoints, and one on each
+    # face of three consecutive indices
+    zeros_row("horn", horn_matrix(), [np.roll([0.5, 0.5, 0.0, 0.0, 0.0], i) for i in range(5)], 10),
+    # Order 17 is past the enumeration limit; the twelve identity rows are
+    # nonnegative with a positive diagonal, so no zero can use them.
+    zeros_row("horn-plus-identity-17", horn_plus(np.eye(12)),
+              [np.pad(z, (0, 12)) for z in copositive_boundary_zeros(horn_matrix())]),
+    # Row 0 is nonnegative but a_00 = 0, so its vertex is a zero.
+    zeros_row("zero-diagonal", np.array([[0.0, 1.0], [1.0, 1.0]]), [np.array([1.0, 0.0])]),
+    zeros_row("interior", np.eye(4), []),
+    zeros_row("non-copositive", -np.eye(3), (NotCopositiveError, r"^matrix is not certified copositive$")),
+    # Horn plus a zero block is copositive, but the twelve zero-diagonal
+    # rows can carry zeros and are kept: 17 indices to enumerate.
+    zeros_row("horn-plus-zeros-17", horn_plus(np.zeros((12, 12))),
+              (ValueError, r"^support enumeration is limited to order 16$")),
+]
+
+
+@pytest.mark.parametrize("a, want, count", ZEROS)
+def test_boundary_zeros_of(a, want, count):
+    """Each row's zeros, as the per-point loop finds them bit for bit, each
+    a stationary zero to 1e-12; or its error, which is NotCopositiveError
+    exactly where ``is_copositive`` does not answer IN."""
+    if isinstance(want, tuple):
+        error, message = want
+        assert (is_copositive(a).answer is Answer.IN) is (error is not NotCopositiveError)
+        with pytest.raises(error, match=message):
+            copositive_boundary_zeros(a)
+        return
+    zeros = assert_same_zero_lists(a)
+    assert len(zeros) == count
+    assert all(any(np.array_equal(x, z) for z in zeros) for x in want)
+    for z in zeros:
+        checker.checks.boundary_zero(a, z, stationary=True)
+        assert z.min() >= 0.0 and np.abs([z.sum() - 1.0, z @ a @ z, *(a @ z)[z > 0]]).max() <= 1e-12
 
 
 def reference_as_sym(a, tol=DEFAULT_TOL):
@@ -717,8 +714,7 @@ def _pushed_horn(rng, n, pair, delta):
     """Horn + I_(n-5) with the pair (0, 1) (-1) or (0, 2) (+1) pushed down by
     delta, scaled by d; d0 < 0.85 < 1.15 < d1 hides the (0, 1) violation
     from the edge midpoint."""
-    a = np.eye(n)
-    a[:5, :5] = horn_matrix()
+    a = horn_plus(np.eye(n - 5))
     a[pair] = a[pair[::-1]] = a[pair] - delta
     d = rng.uniform(0.9, 1.1, n)
     if pair == (0, 1):
@@ -775,8 +771,7 @@ def verdict_family(kind, seed):
         return positive_definite("tied", int(rng.integers(17, 25)), seed)
     if kind == "horn-orbit-noise":  # both sides of the Horn stage's threshold
         k = n % 4
-        a = np.eye(5 + k) if rng.random() < 0.5 else np.zeros((5 + k, 5 + k))
-        a[:5, :5] = horn_matrix()
+        a = horn_plus(np.eye(k) if rng.random() < 0.5 else np.zeros((k, k)))
         perm = rng.permutation(5 + k)
         d = rng.uniform(0.5, 2.0, 5 + k) * 10.0 ** (0.5 * rng.uniform(-3, 3))
         a = a[np.ix_(perm, perm)] * np.outer(d, d)
@@ -907,27 +902,6 @@ def test_the_largest_allowed_entry_is_accepted(test):
     assert got == [] if test is copositive_boundary_zeros else got.answer is Answer.IN
 
 
-def test_threshold_is_taken_from_the_symmetrized_matrix():
-    # The input's largest entry is 2 + 1e-10, the symmetrization's is 2.
-    # a_00 lies between the two thresholds they give, so only the latter
-    # refutes at the vertex.
-    v = 3e-9 + 5e-20
-    a = np.array([[-v, 2.0 + 1e-10], [2.0 - 1e-10, 1.0]])
-    assert DEFAULT_TOL.scaled(2.0) < v < DEFAULT_TOL.scaled(np.abs(a).max())
-    assert is_copositive(a).answer is Answer.NOT_IN
-    assert_verdicts_hold(a)
-
-
-def test_an_edge_tie_goes_to_the_first_pair_in_row_major_order():
-    # The edges {0, 3} and {1, 2} have the same minimum, -0.5.
-    a = np.full((4, 4), 0.5)
-    np.fill_diagonal(a, 1.0)
-    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = -2.0
-    v = is_copositive(a)
-    assert np.array_equal(v.certificate.x, [0.5, 0.0, 0.0, 0.5])
-    assert_verdicts_hold(a)
-
-
 def test_boundary_zeros_drop_a_point_whose_gradient_is_not_zero(monkeypatch):
     """The support-gradient filter, on crafted points: both have |value| <=
     thr, but only e_0 has [A x]_k = 0 on its support; [A e_1]_1 = 1."""
@@ -947,15 +921,6 @@ def test_boundary_zeros_drop_a_point_whose_gradient_is_not_zero(monkeypatch):
     assert len(blocks) == 1 and np.array_equal(blocks[0], a)
     assert len(zeros) == 1 and np.array_equal(zeros[0], [1.0, 0.0, 0.0])
     assert_same_zero_lists(a)
-
-
-def test_boundary_zeros_rejects_non_copositive():
-    with pytest.raises(NotCopositiveError):
-        copositive_boundary_zeros(-np.eye(3))
-
-
-def test_interior_matrix_has_no_boundary_zero():
-    assert copositive_boundary_zeros(np.eye(4)) == []
 
 
 def test_dnn_requires_both_sides():

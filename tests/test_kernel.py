@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sym, spy
+from conftest import horn_plus, random_sym, spy
 from copcone import kernel
 from copcone import (
     DEFAULT_TOL,
@@ -161,15 +161,9 @@ def test_simplex_form_min_quadratic_oracle():
     assert abs(val) <= 1e-12
 
 
-def reference_stationary_points(q):
-    """One KKT solve per support, in mask order: the loop the batched
-    enumeration must reproduce bit for bit."""
-    for _, value, lam in reference_tagged_points(q):
-        yield value, lam
-
-
 def reference_tagged_points(q):
-    """``(mask, value, lam)`` of :func:`reference_stationary_points`."""
+    """``(mask, value, lam)``, one KKT solve per support in mask order: the
+    loop the batched enumeration must reproduce bit for bit."""
     assert np.array_equal(q, q.T)  # the kernel's precondition
     n = q.shape[0]
     scale = max(1.0, np.abs(q).max())
@@ -219,9 +213,7 @@ def oracle_matrices():
         p = rng.permutation(5)
         d = rng.uniform(0.5, 2.0, 5)
         mats.append((d[:, None] * h * d[None, :])[np.ix_(p, p)])
-    h2 = np.eye(7)
-    h2[:5, :5] = h
-    mats.append(h2)
+    mats.append(horn_plus(np.eye(2)))
     a = random_sym(rng, 11)
     mats += [np.round(2.0 * a), np.eye(11) + 0.05 * a]  # 2047 masks
     mats.append(random_sym(rng, 1))  # one mask, one support size
@@ -235,16 +227,6 @@ def oracle_matrices():
 
 
 @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
-def test_stationary_points_match_per_support_loop(a):
-    got = list(simplex_stationary_points(a))
-    want = list(reference_stationary_points(a))
-    assert len(got) == len(want)
-    for (v1, x1), (v2, x2) in zip(got, want):
-        assert v1 == v2
-        assert np.array_equal(x1, x2)
-
-
-@pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
 def test_form_min_is_the_first_least_stationary_point(a):
     # Horn orbits and integer entries tie; the first point in mask order wins
     val, lam = simplex_form_min(a)
@@ -253,26 +235,31 @@ def test_form_min_is_the_first_least_stationary_point(a):
     assert np.array_equal(lam, want_lam)
 
 
+def assert_same_points(got, want):
+    """Two streams of ``(value, lam)`` agree point for point, bit for bit."""
+    assert len(got) == len(want)
+    for (v1, x1), (v2, x2) in zip(got, want):
+        assert v1 == v2
+        assert np.array_equal(x1, x2)
+
+
 @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: f"n{a.shape[0]}")
 def test_a_support_list_walks_only_its_faces(a):
-    """The walk over a list of masks is the full walk's stream filtered to
-    those masks, bit for bit, and its minimum is the filtered stream's first
-    least point.  The masks come unordered, some repeated, some of faces
-    without a stationary point."""
+    """The full walk's stream is the per-support loop's, and the walk over a
+    list of masks is that stream filtered to those masks, bit for bit; its
+    minimum is the filtered stream's first least point.  The masks come
+    unordered, some repeated, some of faces without a stationary point."""
     n = a.shape[0]
     full = list(simplex_stationary_points(a))
-    tags = [mask for mask, _, _ in reference_tagged_points(a)]
-    assert len(tags) == len(full)  # the kernel's stream is the reference's
+    tagged = list(reference_tagged_points(a))
+    assert_same_points(full, [(value, lam) for _, value, lam in tagged])
+    tags = [mask for mask, _, _ in tagged]
     rng = np.random.default_rng(n)
     for size in (1, 3, 40):
         chosen = rng.choice(np.arange(1, 1 << n), min(size, (1 << n) - 1), replace=False).tolist()
         chosen += chosen[:1]
         want = [point for mask, point in zip(tags, full) if mask in chosen]
-        got = list(simplex_stationary_points(a, chosen))
-        assert len(got) == len(want)
-        for (v1, x1), (v2, x2) in zip(got, want):
-            assert v1 == v2
-            assert np.array_equal(x1, x2)
+        assert_same_points(list(simplex_stationary_points(a, chosen)), want)
         least = min(want, key=lambda point: point[0], default=None)
         found = simplex_form_min(a, chosen)
         if least is None:
