@@ -355,17 +355,21 @@ def factor_continuation(
     step solves the linearized equation E V.T + V E.T = R through the SVD
     V = U diag(s) W.T, which diagonalizes it into Z_ij = (U.T R U)_ij /
     (s_i + s_j), E = U Z W.T.  Quadratic convergence inside the radius set
-    by the smallest singular value.
+    by the smallest singular value.  A ``vtilde`` or ``mhat`` of another
+    order than ``vbar`` is a ValueError.
     """
     vc = np.array(vbar, dtype=float)
     if vc.ndim != 2 or vc.shape[0] != vc.shape[1]:
         raise ValueError("square positive factor required")
     n = vc.shape[0]
-    vtilde = np.asarray(vtilde, dtype=float).reshape(n, -1)
     mhat, scale = kernel.as_sym(mhat, tol)
+    if mhat.shape[0] != n:
+        raise ValueError(f"factor order {n} differs from matrix order {mhat.shape[0]}")
     if vc.min() <= tol.scaled(_factor_scale(vc)):
         raise NotPositiveError("square factor must be entrywise positive")
     vtilde = NonnegFactor(vtilde, tol).v
+    if vtilde.shape[0] != n:
+        raise ValueError(f"factor order {vtilde.shape[0]} differs from matrix order {n}")
     scale = max(scale, np.finfo(float).tiny)
     target = mhat - vtilde @ vtilde.T
     residuals = []

@@ -283,15 +283,6 @@ def test_a_support_list_without_stationary_points_gives_none():
         assert simplex_form_min(q, supports) is None
 
 
-@pytest.mark.parametrize("mask", [0, 1 << 3, -1, 1.0, "7"], ids=repr)
-def test_a_support_mask_outside_the_order_is_rejected(mask):
-    q = horn_matrix()[:3, :3]
-    with pytest.raises(ValueError):
-        next(simplex_stationary_points(q, [0b111, mask]))
-    with pytest.raises(ValueError):
-        simplex_form_min(q, [mask])
-
-
 def test_support_plan_holds_only_integer_indices():
     """The cached plans of the full walk at the largest order and of one
     face: integer arrays only, one position per mask and one index per
@@ -307,11 +298,6 @@ def test_support_plan_holds_only_integer_indices():
         assert sum(arr.nbytes for arr in arrays) <= bound <= 5_000_000
         rows = np.concatenate([rows for rows, _ in plan])
         assert np.array_equal(np.sort(rows), np.arange(len(listed)))
-
-
-def test_stationary_points_order_limit():
-    with pytest.raises(ValueError):
-        next(simplex_stationary_points(np.eye(17)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -600,23 +586,6 @@ def test_lp_feasible_basic_cases():
     assert lp_feasible(a_eq=a, b_eq=np.array([1.0, 0.0, -2.0])) is None
 
 
-@pytest.mark.parametrize(
-    "a_eq, b_eq, message",
-    [
-        (np.ones((2, 2)), np.ones(3), "shape mismatch"),
-        (np.array([[1.0, np.inf]]), np.ones(1), "must be finite"),
-        (np.ones((1, 2)), np.array([np.nan]), "must be finite"),
-        # dependent columns: more columns than rows, equal columns, a zero column
-        (np.array([[1.0, 1.0]]), np.ones(1), "linearly independent"),
-        (np.array([[9.0, 9.0], [6.0, 6.0], [9.0, 9.0]]), np.ones(3), "linearly independent"),
-        (np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2), "linearly independent"),
-    ],
-)
-def test_lp_feasible_rejects_malformed_input(a_eq, b_eq, message):
-    with pytest.raises(ValueError, match=message):
-        lp_feasible(a_eq, b_eq)
-
-
 def test_lp_feasible_cone_membership(rng):
     gens = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     c = np.array([0.3, 0.0, 0.7])
@@ -690,11 +659,3 @@ def test_tolerance_scaling():
     tol = Tolerance(abs=1e-9, rel=1e-6)
     assert tol.scaled(0.0) == 1e-9
     assert abs(tol.scaled(100.0) - (1e-9 + 1e-4)) <= 1e-18
-
-
-@pytest.mark.parametrize("field", ["abs", "rel"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
-def test_tolerance_rejects_non_finite_and_negative_values(field, value):
-    # a NaN threshold fails every comparison, so no test could refute
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        Tolerance(**{field: value})
