@@ -285,6 +285,15 @@ def _cp3_factor(y: np.ndarray, scale: float, tol: Tolerance) -> NonnegFactor:
 # order-6 Horn-orthogonal factorization
 
 
+# The Horn block, and the five cones that hold every nonnegative factor
+# column of a matrix orthogonal to it: cone i is spanned by the generators
+# (e_i + e_{i+1}, e_{i+1} + e_{i+2}, e6), indices cyclic over the first five.
+_HORN_BLOCK6 = special.horn_block6()
+_CONES = np.stack([special.horn_generators()[:, [i, (i + 1) % 5, 5]] for i in range(5)])
+# cone i's window: the first five coordinates its generators reach, {i, i+1, i+2}
+_WINDOWS = _CONES[:, :5].any(axis=2)
+
+
 def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
     """Re-factor an order-6 matrix orthogonal to the Horn block with at most
     15 columns.
@@ -294,34 +303,37 @@ def horn_orthogonal_factorize(v: NonnegFactor, tol: Tolerance = DEFAULT_TOL) -> 
     (indices cyclic over 1..5); columns are grouped per cone, the 3x3
     coefficient Gram matrices are factorized with at most 3 columns each,
     and the pieces are mapped back through the generators.
+
+    A column's candidate cones are those whose window {i, i+1, i+2} holds
+    its first five coordinates above ``tol.scaled`` of its largest entry; it
+    goes to the first candidate, in order of i, that ``kernel.lp_feasible``
+    fits.  One stacked ``lp_feasible`` call per round fits every unplaced
+    column to its next untried candidate, so most factors take one call.
     """
     if v.n != 6:
         raise ValueError("order-6 input required")
     m = v.product()
-    hb = special.horn_block6()
-    if abs(float(np.sum(m * hb))) > tol.scaled(np.abs(m).max(initial=0.0)):
+    if abs(float(np.sum(m * _HORN_BLOCK6))) > tol.scaled(np.abs(m).max(initial=0.0)):
         raise NotOrthogonalToHornError("product is not orthogonal to the Horn block")
-    w = special.horn_generators()
-    gens = [w[:, [i, (i + 1) % 5, 5]] for i in range(5)]
-    groups: dict[int, list[np.ndarray]] = {}
-    for j in range(v.p):
-        col = v.v[:, j]
-        col_thr = tol.scaled(col.max(initial=0.0))
-        support = set(np.nonzero(col[:5] > col_thr)[0])
-        for i in range(5):
-            if support <= {i, (i + 1) % 5, (i + 2) % 5}:
-                c = kernel.lp_feasible(gens[i], col, tol)
-                if c is not None:
-                    groups.setdefault(i, []).append(c)
-                    break
-        else:
-            raise ColumnOutsideConesError(f"column {j} lies outside the generator cones")
+    above = v.v[:5] > tol.scaled(v.v.max(axis=0, initial=0.0))
+    untried = ~(above & ~_WINDOWS[:, :, None]).any(axis=1)  # (cone, column) candidates
+    cone = np.full(v.p, -1)  # the cone each column lies in, -1 while unplaced
+    coef = np.zeros((3, v.p))
+    while (todo := np.flatnonzero((cone < 0) & untried.any(axis=0))).size:
+        cones = untried[:, todo].argmax(axis=0)  # each column's next candidate
+        untried[cones, todo] = False
+        for j, i, c in zip(todo, cones, kernel.lp_feasible(_CONES[cones], v.v.T[todo], tol)):
+            if c is not None:
+                cone[j], coef[:, j] = i, c
+    missed = np.flatnonzero(cone < 0)
+    if missed.size:
+        raise ColumnOutsideConesError(f"column {missed[0]} lies outside the generator cones")
     out_cols = [np.zeros((6, 0))]
-    for i in sorted(groups):
-        c = np.column_stack(groups[i])  # 3 x p_i coefficient block
+    for i in sorted(set(cone.tolist())):
+        c = coef[:, cone == i]  # 3 x p_i coefficient block, columns in input order
         y = c @ c.T  # doubly nonnegative: lp_feasible returns c >= 0
         z = _cp3_factor(y, np.abs(y).max(), tol)
-        out_cols.append(gens[i] @ z.v)
+        out_cols.append(_CONES[i] @ z.v)
     return NonnegFactor(np.hstack(out_cols), tol)
 
 
@@ -349,7 +361,11 @@ def factor_continuation(
     vbar, vtilde, mhat, tol: Tolerance = DEFAULT_TOL
 ) -> ContinuationResult:
     """Adjust a positive square factor so the combined factor matches a
-    nearby target matrix, keeping the column count.
+    nearby target matrix.
+
+    The factor is [V | Vtilde], V the adjusted square factor: n + k columns
+    for an n x k ``vtilde``, less its zero columns, which are dropped, as
+    ``NonnegFactor`` drops every zero column.
 
     Newton iteration on F(V) = V V.T against Mhat - Vtilde Vtilde.T; each
     step solves the linearized equation E V.T + V E.T = R through the SVD

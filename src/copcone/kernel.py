@@ -5,9 +5,12 @@ exact quadratic-form minimization over the standard simplex, and a
 feasibility test for ``A x = b, x >= 0``.  Orders are small (n <= ~12), so
 robustness and high relative accuracy come first.  The feasibility test
 takes linearly independent columns and solves the normal equations on a
-support that shrinks to the positive weights.  Speed matters in one place, the
-exact simplex minimization.  The walk enumerates all 2**n - 1 supports
-and solves their KKT systems in stacked LAPACK calls, one per support size.
+support that shrinks to the positive weights.  Given a stack of systems it
+returns one answer per system, each bit for bit that system's own call,
+from one validation, one rank guard and one stacked solve for the stack.
+Speed matters most in one place, the exact simplex minimization.  The walk
+enumerates all 2**n - 1 supports and solves their KKT systems in stacked
+LAPACK calls, one per support size.
 The integer layout of that walk (per support size, the masks' positions and
 member indices) is built once per order and cached.  The enumeration yields
 its points in increasing mask order, with the values a
@@ -374,7 +377,9 @@ def _convex_form_min(q):
     return None
 
 
-def lp_feasible(a_eq, b_eq, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+def lp_feasible(
+    a_eq, b_eq, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray | list[np.ndarray | None] | None:
     """Find ``x >= 0`` with ``a_eq @ x == b_eq``, each row within
     ``tol.scaled(max|b_eq|)``, for linearly independent columns of ``a_eq``.
 
@@ -383,24 +388,38 @@ def lp_feasible(a_eq, b_eq, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     starts as every column and shrinks to the positive weights while some
     weight is <= 0 (at most one solve per column).  Returns x, zero off S,
     if its residual is within the threshold, else ``None``.
+
+    A stack of p systems, ``a_eq`` of shape (p, m, n) and ``b_eq`` of shape
+    (p, m), gets a list of p answers, each the one its own 2-d call returns,
+    bit for bit: a 2-d call is a stack of one.  The checks and the rank
+    guard run once per call, and the full-support solves of the whole stack
+    in one stacked call; a system with a weight <= 0 shrinks on its own.
     """
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    if a.ndim != 2 or b.shape != a.shape[:1]:
+    if a.ndim > 3 or b.shape != a.shape[:-1]:
         raise ValueError("constraint matrix/rhs shape mismatch")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("constraint entries must be finite")
-    if np.linalg.matrix_rank(a) < a.shape[1]:
+    stacked = a.ndim == 3
+    if not stacked:
+        a, b = a[None], b[None]
+    if (np.linalg.matrix_rank(a) < a.shape[2]).any():
         raise ValueError("constraint columns must be linearly independent")
-    q, c = a.T @ a, a.T @ b
-    x = np.zeros(a.shape[1])
-    support = np.arange(a.shape[1])
-    while support.size:
-        weights = np.linalg.solve(q[support[:, None], support], c[support])
-        if weights.min() > 0.0:
-            x[support] = weights
-            break
-        support = support[weights > 0.0]
-    if np.abs(a @ x - b).max(initial=0.0) > tol.scaled(np.abs(b).max(initial=0.0)):
-        return None
-    return x
+    b = b[..., None]  # (p, m, 1): numpy 1.24 and 2.x both read a stack of columns
+    at = a.swapaxes(1, 2)
+    q, c = at @ a, at @ b
+    x = np.linalg.solve(q, c)  # the weights on every column
+    for k in np.flatnonzero(~(x > 0.0).all(axis=(1, 2))):  # some weight is <= 0
+        support = np.flatnonzero(x[k, :, 0] > 0.0)
+        x[k] = 0.0
+        while support.size:
+            weights = np.linalg.solve(q[k][support[:, None], support], c[k][support])
+            if weights.min() > 0.0:
+                x[k][support] = weights
+                break
+            support = support[weights[:, 0] > 0.0]
+    residual = np.abs(a @ x - b).max(axis=(1, 2), initial=0.0)
+    refused = residual > tol.scaled(np.abs(b).max(axis=(1, 2), initial=0.0))
+    answers = [None if no else xk[:, 0] for xk, no in zip(x, refused)]
+    return answers if stacked else answers[0]

@@ -15,12 +15,15 @@ from copcone import (
     factor_continuation,
     heuristic_min_factor,
     horn_block6,
+    horn_generators,
     is_dnn,
+    kernel,
     perturb_positify,
     positive_dd_factorize,
 )
-from copcone.kernel import pivoted_cholesky
-from copcone.factor import _perron_vector, horn_orthogonal_factorize
+from copcone.errors import ColumnOutsideConesError
+from copcone.kernel import lp_feasible, pivoted_cholesky
+from copcone.factor import _cp3_factor, _perron_vector, horn_orthogonal_factorize
 
 
 def indep_cols_rank(v, tol=1e-9):
@@ -255,7 +258,98 @@ class TestCp3:
         assert tried >= 300
 
 
+def reference_horn_orthogonal_factorize(v, tol=DEFAULT_TOL):
+    """One ``lp_feasible`` call per column and candidate cone, column by
+    column, on a factor whose product is orthogonal to the Horn block: the
+    loop ``horn_orthogonal_factorize`` must reproduce bit for bit."""
+    w = horn_generators()
+    gens = [w[:, [i, (i + 1) % 5, 5]] for i in range(5)]
+    groups = {}
+    for j in range(v.p):
+        col = v.v[:, j]
+        col_thr = tol.scaled(col.max(initial=0.0))
+        support = set(np.nonzero(col[:5] > col_thr)[0])
+        for i in range(5):
+            if support <= {i, (i + 1) % 5, (i + 2) % 5}:
+                c = lp_feasible(gens[i], col, tol)
+                if c is not None:
+                    groups.setdefault(i, []).append(c)
+                    break
+        else:
+            raise ColumnOutsideConesError(f"column {j} lies outside the generator cones")
+    out_cols = [np.zeros((6, 0))]
+    for i in sorted(groups):
+        c = np.column_stack(groups[i])
+        y = c @ c.T
+        out_cols.append(gens[i] @ _cp3_factor(y, np.abs(y).max(), tol).v)
+    return NonnegFactor(np.hstack(out_cols), tol)
+
+
+def horn6_family(seed):
+    """An order-6 factor orthogonal to the Horn block: 1 to 40 columns of
+    four kinds, each a nonnegative combination of the generators, at a
+    scale in [1e-6, 1e6]."""
+    rng = np.random.default_rng(seed)
+    p = seed % 40 + 1
+    x = np.zeros((6, p))
+    for j, kind in enumerate(rng.integers(0, 4, p)):
+        i = int(rng.integers(0, 5))
+        if kind == 0:  # e6 alone: every cone is a candidate
+            x[5, j] = rng.random() + 0.1
+        elif kind == 1:  # support {i, i+1}: cones i-1 and i both fit
+            x[i, j] = rng.random() + 0.1
+        elif kind == 2:
+            x[i, j] = rng.random() + 0.1
+            x[5, j] = rng.random() + 0.1
+        else:  # zero weights send the fit down its shrinking path
+            x[i, j] = rng.random() + 0.1
+            x[(i + 1) % 5, j] = rng.random() * (rng.random() < 0.7)
+            x[5, j] = rng.random() * (rng.random() < 0.7)
+    return horn_generators() @ x * 10.0 ** rng.uniform(-6, 6)
+
+
+def horn6_outcome(factorize, v, tol=DEFAULT_TOL):
+    try:
+        return factorize(NonnegFactor(v, tol), tol).v
+    except ColumnOutsideConesError as exc:
+        return str(exc)
+
+
 class TestHorn6:
+    def test_matches_the_per_column_loop(self):
+        for seed in range(80):
+            v = horn6_family(seed)
+            miss = seed % 4 == 3
+            if miss:  # one column 6e-8 off every cone, at a seeded place
+                j = seed % v.shape[1]
+                v[:, j] = [1.0, 1.0, 1e-7, 0.0, 0.0, 0.0]
+            got = horn6_outcome(horn_orthogonal_factorize, v)
+            want = horn6_outcome(reference_horn_orthogonal_factorize, v)
+            if miss:
+                assert got == want == f"column {j} lies outside the generator cones", seed
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("tol", [Tolerance(abs=0.0, rel=1e-9), Tolerance(abs=1e-6, rel=1e-7)], ids=str)
+    def test_matches_the_per_column_loop_at_each_tolerance(self, tol):
+        for seed in range(20):
+            v = horn6_family(seed)
+            got = horn6_outcome(horn_orthogonal_factorize, v, tol)
+            assert np.array_equal(got, horn6_outcome(reference_horn_orthogonal_factorize, v, tol)), seed
+
+    def test_a_column_off_its_first_candidate_cone_waits_for_the_next_round(self, monkeypatch):
+        # Column 0 holds 1 and 1 + 5e-9 in rows 1 and 2, so its candidate
+        # cones are 0 and 1.  Its fit is off cone 0 by 2.5e-9 and off cone 1
+        # by 1.7e-9, against the threshold 2e-9.  Column 1, e6, fits cone 0
+        # in the first round.
+        v = np.zeros((6, 2))
+        v[1, 0], v[2, 0], v[5, 1] = 1.0, 1.0 + 5e-9, 1.0
+        stacks = []
+        spy(monkeypatch, kernel, "lp_feasible", lambda out, a, *args: stacks.append(len(a)))
+        got = horn6_outcome(horn_orthogonal_factorize, v)
+        assert stacks == [2, 1]
+        assert np.array_equal(got, horn6_outcome(reference_horn_orthogonal_factorize, v))
+
     def test_column_budget_residual_orthogonality(self, rng):
         for _ in range(30):
             v0 = random_admissible_factor(rng, int(rng.integers(1, 8)))
@@ -266,7 +360,8 @@ class TestHorn6:
             assert abs(float(np.sum(m * horn_block6()))) <= 1e-10
 
     def test_all_zero_factor_gives_no_columns(self):
-        assert horn_orthogonal_factorize(NonnegFactor(np.zeros((6, 2)))).v.shape == (6, 0)
+        v = NonnegFactor(np.zeros((6, 2)))
+        assert horn_orthogonal_factorize(v).v.shape == (6, 0) == reference_horn_orthogonal_factorize(v).v.shape
 
     def test_cone_fit_uses_the_given_tolerance(self):
         # e1 + e2 plus 1e-7 e3: orthogonal to the Horn block up to 1e-14,
@@ -300,6 +395,13 @@ class TestContinuation:
             assert out[:, :n].min() > 0
             assert np.abs(res.factor.product() - (m0 + d)).max() <= 1e-9
 
+    def test_a_zero_vtilde_column_is_dropped(self):
+        # n + k = 4 columns go in, and the factor keeps the three of vbar
+        vbar = np.eye(3) + 0.2
+        mhat = vbar @ vbar.T + 1e-4 * np.eye(3)
+        res = factor_continuation(vbar, np.zeros((3, 1)), mhat)
+        assert res.factor.p == 3
+        assert np.abs(res.factor.product() - mhat).max() <= 1e-12 * np.abs(mhat).max()
 
 
 class TestHeuristic:

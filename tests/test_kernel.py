@@ -655,6 +655,67 @@ def test_lp_feasible_decides_orthogonal_columns():
         assert lp_feasible(a, a @ c) is None, seed
 
 
+def reference_lp_feasible(a, b, tol=DEFAULT_TOL):
+    """One system at a time, on valid input: the normal equations solved on
+    a support that shrinks to the positive weights.  Each answer of a
+    stacked ``lp_feasible`` call must be this one, bit for bit."""
+    q, c = a.T @ a, a.T @ b
+    x = np.zeros(a.shape[1])
+    support = np.arange(a.shape[1])
+    while support.size:
+        weights = np.linalg.solve(q[support[:, None], support], c[support])
+        if weights.min() > 0.0:
+            x[support] = weights
+            break
+        support = support[weights > 0.0]
+    if np.abs(a @ x - b).max(initial=0.0) > tol.scaled(np.abs(b).max(initial=0.0)):
+        return None
+    return x
+
+
+# a system's columns (generator cone 0 to 4, or 5: three orthonormal columns
+# of a seeded random basis), its coefficients on them, how the right-hand
+# side is made from them, and the scale of the right-hand side
+SYSTEM = st.tuples(
+    st.integers(0, 5),
+    st.lists(COEFF, min_size=3, max_size=3),
+    st.sampled_from(["in-cone", "one-zero", "negative", "off-span"]),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SYSTEM, min_size=1, max_size=12), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_a_stack_gets_each_system_answer_bit_for_bit(systems, k0, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((len(systems), 6, 3))
+    b = np.zeros((len(systems), 6))
+    for k, (i, coeffs, kind, scale) in enumerate(systems):
+        if i == 5:
+            basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        else:  # the generator e_{i+3} + e_{i+4} lies off cone i's span
+            basis = horn_generators()[:, [i, (i + 1) % 5, 5, (i + 3) % 5]]
+        a[k] = basis[:, :3]
+        c = np.array(coeffs)
+        if kind == "one-zero":  # the full-support solve gives a weight <= 0
+            c[k0] = 0.0
+        elif kind == "negative":
+            c[k0] = -1.0 - c[k0]
+        b[k] = a[k] @ c
+        if kind == "off-span":
+            b[k] += (1.0 + np.abs(b[k]).max()) * basis[:, 3]
+        b[k] *= scale
+    got = lp_feasible(a, b)
+    assert isinstance(got, list) and len(got) == len(systems)
+    for k, (x, (_, _, kind, _)) in enumerate(zip(got, systems)):
+        if kind != "negative":  # a negative weight may fit within the tolerance
+            assert (x is None) is (kind == "off-span")
+        alone = lp_feasible(a[k : k + 1], b[k : k + 1])  # a stack of one
+        for want in (lp_feasible(a[k], b[k]), *alone, reference_lp_feasible(a[k], b[k])):
+            assert (want is None) is (x is None)
+            assert x is None or np.array_equal(want, x)
+
+
 def test_tolerance_scaling():
     tol = Tolerance(abs=1e-9, rel=1e-6)
     assert tol.scaled(0.0) == 1e-9

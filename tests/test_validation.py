@@ -228,6 +228,15 @@ REFUSALS = [
     refusal("lp_feasible-equal-columns", ValueError, DEPENDENT, kernel.lp_feasible,
             [[9.0, 9.0], [6.0, 6.0], [9.0, 9.0]], np.ones(3)),
     refusal("lp_feasible-zero-column", ValueError, DEPENDENT, kernel.lp_feasible, [[1.0, 0.0], [2.0, 0.0]], np.ones(2)),
+    # a stack of systems is refused as a whole, for any system's fault
+    refusal("lp_feasible-stack-length", ValueError, "constraint matrix/rhs shape mismatch", kernel.lp_feasible,
+            np.ones((2, 3, 1)), np.ones((3, 3))),
+    refusal("lp_feasible-stack-of-stacks", ValueError, "constraint matrix/rhs shape mismatch", kernel.lp_feasible,
+            np.ones((1, 2, 3, 1)), np.ones((1, 2, 3))),
+    refusal("lp_feasible-stack-nan", ValueError, "constraint entries must be finite", kernel.lp_feasible,
+            np.ones((2, 3, 1)), [[1.0] * 3, [1.0, np.nan, 1.0]]),
+    refusal("lp_feasible-stack-one-dependent", ValueError, DEPENDENT, kernel.lp_feasible,
+            [np.eye(3)[:, :2], np.ones((3, 2))], np.ones((2, 3))),
     refusal("e12-order-1", ValueError, "e12 requires order >= 2", e12, 1),
     refusal("NonnegFactor-negative", NotNonnegativeError, "factor has a negative entry beyond tolerance", NonnegFactor,
             [[-1.0]]),
