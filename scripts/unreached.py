@@ -11,7 +11,8 @@ instead of statement by statement.
 
 Usage: unreached.py [PYTEST_ARGS...]   (defaults to every test of the repository)
 
-It reports and gates nothing: the exit code is 0 whatever the tests do.
+It exits with the tests' status once the report is printed: a test that
+stops early can leave statements unreached that it would have run.
 """
 import ast
 import os
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             continue
         for line in unreached(path.read_text(), ran[str(path)]):
             print(f"{path.name}:{line}")
-    return 0
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import positive_horn_partner, random_admissible_factor, random_sym, reference_horn_orbit
 from copcone import (
+    DEFAULT_TOL,
     Answer,
     NonnegFactor,
     anti_dd_check,
     classify_rank12,
+    copositive_boundary_zeros,
     e12,
     horn_block6,
     horn_matrix,
@@ -303,3 +305,69 @@ def test_rank3_witness_check_false(a):
 def test_rank3_witness_check_guards(m):
     # diag(1, -1, 0) is orthogonal to both I and J; neither is positive and nonsingular
     assert rank3_witness_check(m, np.diag([1.0, -1.0, 0.0])) == SKIP
+
+
+def order6_pairs(count, seed=11):
+    """Pairs (V, A): V an admissible order-6 factor of 2 to 8 columns, every
+    other one with a positive last coordinate in each column, and A the
+    Horn block, which V V' is orthogonal to."""
+    rng = np.random.default_rng(seed)
+    return [(random_admissible_factor(rng, int(rng.integers(2, 9)), full6=k % 2 == 0), horn_block6())
+            for k in range(count)]
+
+
+def horn_zero_pairs(count, seed=12):
+    """Pairs (V, A): A a scaled Horn matrix plus a zero block of order k <= 2,
+    simultaneously permuted, and V's columns positive multiples of some of
+    A's boundary zeros, so that M = V V' is orthogonal to A."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = 5 + int(rng.integers(0, 3))
+        a = np.zeros((n, n))
+        a[:5, :5] = horn_matrix()
+        perm = rng.permutation(n)
+        d = rng.random(n) + 0.25
+        a = a[np.ix_(perm, perm)] * np.outer(d, d)
+        zeros = np.array(copositive_boundary_zeros(a))
+        pick = rng.permutation(len(zeros))[: int(rng.integers(1, len(zeros) + 1))]
+        out.append((NonnegFactor(zeros[pick].T * (rng.random(pick.size) + 0.1)), a))
+    return out
+
+
+def psd_kernel_pairs(count, seed=13):
+    """Pairs (V, A): A = B B' of order 3..7 with r nonnegative vectors in its
+    kernel, and V those vectors times positive weights, so that A V = 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        r = int(rng.integers(1, n))
+        u = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
+        u[rng.integers(0, n, r), np.arange(r)] += 0.1  # no zero vector
+        # the last n - r right singular vectors of u' are orthogonal to u
+        b = np.linalg.svd(u.T)[2][r:].T @ rng.standard_normal((n - r, n - r))
+        out.append((NonnegFactor(u * (rng.random(r) + 0.1)), b @ b.T))
+    return out
+
+
+@pytest.mark.parametrize(
+    "pairs", [order6_pairs, horn_zero_pairs, psd_kernel_pairs], ids=["order6", "horn-zero", "psd-kernel"]
+)
+def test_orthogonal_pair_relations(pairs):
+    """The paper's relations on 200 orthogonal pairs (M = V V', A) of each
+    family: the column check passes, every row is anti-dominant when M's
+    diagonal is positive, a row of V positive in every column makes the
+    nullspace check PASS and no other row makes it FAIL, and the rank-3
+    witness check never fails."""
+    for v, a in pairs(200):
+        m = v.product()
+        col = orth_column_check(m, a)
+        assert col.passed and col.defect <= 1e-10
+        if np.diag(m).min() > DEFAULT_TOL.scaled(np.abs(m).max()):
+            assert anti_dd_check(m, a).all_pass
+        thr = 1e-12 * max(v.v.max(), 1.0)
+        for i in range(v.n):
+            got = orth_nullspace_check(m, a, v, i)
+            assert got == PASS if np.all(v.v[i, :] > thr) else got != FAIL
+        assert rank3_witness_check(m, a) != FAIL

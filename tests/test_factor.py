@@ -82,7 +82,7 @@ def reference_dd_columns(m):
 
 class TestDd:
     def test_residual_and_column_count(self, rng):
-        for _ in range(50):
+        for _ in range(1000):
             n = int(rng.integers(2, 9))
             m = random_dd_nonneg(rng, n)
             v = dd_factorize(m)
@@ -114,7 +114,7 @@ class TestDd:
 
 class TestPositiveDd:
     def test_certificate(self, rng):
-        for _ in range(20):
+        for _ in range(200):
             n = int(rng.integers(3, 9))
             m = random_positive_dd(rng, n)
             v, cert = positive_dd_factorize(m)
@@ -132,15 +132,15 @@ class TestPerturbPositify:
         assert np.abs(v.product() - m).max() <= 1e-10
 
     def test_random_inputs(self, rng):
-        for _ in range(30):
+        for _ in range(100):
             n = int(rng.integers(2, 7))
             p = int(rng.integers(1, 7))
             v0 = NonnegFactor(rng.random((n, p)) + 0.01)
-            eps = float(rng.random() * 0.5 + 1e-3)
+            eps = float(rng.random() * 0.501) or 1e-3
             m, v = perturb_positify(v0, eps)
             assert v.p == v0.p
             assert v.v.min() > 0
-            assert np.abs(v.product() - m).max() <= 1e-10 * max(np.abs(m).max(), 1.0)
+            assert np.abs(v.product() - m).max() <= 1e-10
             # the perturbation is a rank-one nonnegative bump of the product
             bump = m - v0.product()
             assert bump.min() >= -1e-12
@@ -350,9 +350,10 @@ class TestHorn6:
         assert stacks == [2, 1]
         assert np.array_equal(got, horn6_outcome(reference_horn_orthogonal_factorize, v))
 
-    def test_column_budget_residual_orthogonality(self, rng):
-        for _ in range(30):
-            v0 = random_admissible_factor(rng, int(rng.integers(1, 8)))
+    @pytest.mark.parametrize("full6", [False, True], ids=["generic", "full6"])
+    def test_column_budget_residual_orthogonality(self, rng, full6):
+        for _ in range(100):
+            v0 = random_admissible_factor(rng, int(rng.integers(1, 9)), full6=full6)
             m = v0.product()
             v = horn_orthogonal_factorize(v0)
             assert v.p <= 15
@@ -383,7 +384,7 @@ class TestContinuation:
         return vbar, vtilde, vbar @ vbar.T + vtilde @ vtilde.T
 
     def test_converges_quadratically_near_target(self, rng):
-        for _ in range(20):
+        for _ in range(50):
             n = int(rng.integers(3, 5))
             vbar, vtilde, m0 = self.interior_point(rng, n, int(rng.integers(0, 3)))
             d = rng.standard_normal((n, n))

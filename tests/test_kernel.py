@@ -13,9 +13,7 @@ from copcone import (
     horn_generators,
     horn_matrix,
     is_copositive,
-    is_psd,
 )
-from copcone.cones import ViolationVector
 from copcone.kernel import (
     eig_sym,
     lp_feasible,
@@ -99,30 +97,6 @@ def test_num_rank_agrees_with_gaussian_elimination(rng):
         b = rng.standard_normal((n, r))
         a = b @ b.T
         assert num_rank(a) == gauss_rank(a) == r
-
-
-def test_is_psd_matches_eigenvalue_sign(rng):
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
-        a = random_sym(rng, n)
-        verdict = is_psd(a)
-        lo = float(np.linalg.eigvalsh(a)[0])
-        if lo < -1e-6:
-            assert verdict.answer is Answer.NOT_IN
-            w = verdict.certificate.x
-            assert verdict.certificate.value == float(w @ a @ w) < 0
-        if lo > 1e-6:
-            assert verdict.answer is Answer.IN
-            assert verdict.certificate is None
-
-
-def test_psd_witness_on_horn():
-    verdict = is_psd(horn_matrix())
-    assert verdict.answer is Answer.NOT_IN
-    assert isinstance(verdict.certificate, ViolationVector)
-    w = verdict.certificate.x
-    assert float(w @ horn_matrix() @ w) < 0
-    assert np.linalg.norm(w) == pytest.approx(1.0)
 
 
 def test_pivoted_cholesky_reconstructs_low_rank(rng):

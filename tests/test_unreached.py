@@ -2,6 +2,8 @@
 
 import importlib.util
 
+import pytest
+
 from conftest import ROOT
 
 _spec = importlib.util.spec_from_file_location("unreached", ROOT / "scripts" / "unreached.py")
@@ -43,3 +45,9 @@ def test_the_statements_a_call_never_ran(tmp_path):
     result, ran = unreached.traced(str(tmp_path), lambda: module.f(1))
     assert result == 2
     assert unreached.unreached(SNIPPET, ran[str(path)]) == [10, 14]
+
+
+def test_the_report_exits_with_the_tests_status(monkeypatch, capsys):
+    monkeypatch.setattr(pytest, "main", lambda args: 1)
+    assert unreached.main(["-q"]) == 1
+    assert capsys.readouterr().out.startswith("tier-1 exit status 1; ")
