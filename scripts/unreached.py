@@ -11,8 +11,10 @@ instead of statement by statement.
 
 Usage: unreached.py [PYTEST_ARGS...]   (defaults to every test of the repository)
 
-It exits with the tests' status once the report is printed: a test that
-stops early can leave statements unreached that it would have run.
+It exits with the tests' status once the report is printed, since a test
+that stops early can leave statements unreached that it would have run;
+when the tests pass, it exits 1 if the report lists any statement or any
+module other than ``__main__.py``.
 """
 import ast
 import os
@@ -81,13 +83,16 @@ def main(argv=None) -> int:
     package = ROOT / "src" / "copcone"
     status, ran = traced(str(package) + os.sep, lambda: pytest.main(args))
     print(f"tier-1 exit status {int(status)}; statements of src/copcone never run:")
+    listed = False
     for path in sorted(package.glob("*.py")):
         if str(path) not in ran:
             print(f"{path.name}: not imported in process")
+            listed |= path.name != "__main__.py"
             continue
         for line in unreached(path.read_text(), ran[str(path)]):
             print(f"{path.name}:{line}")
-    return int(status)
+            listed = True
+    return int(status) or int(listed)
 
 
 if __name__ == "__main__":

@@ -43,11 +43,13 @@ def _as_matrix(raw, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _order(doc) -> int:
-    """A JSON file's ``n``; ``int()`` would read 2.5 as 2 and true as 1."""
-    n = doc["n"]
+def _order(n) -> int:
+    """A file's order ``n``, an integer of at least 1; ``int()`` would read
+    a JSON 2.5 as 2 and true as 1."""
     if type(n) is not int:
         raise DataError(f"n must be an integer, not {n!r}")
+    if n < 1:
+        raise DataError(f"n must be at least 1, not {n}")
     return n
 
 
@@ -81,13 +83,13 @@ def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray | None]:
     values after the order n of a text file, with no factor."""
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        n = _order(doc)
+        n = _order(doc["n"])
         data, factor = _as_matrix(doc["data"], n, "data"), doc.get("factor")
         return data, None if factor is None else _as_matrix(factor, n, "factor")
     tokens = text.split()
     if not tokens:
         raise DataError("empty matrix file")
-    n = int(tokens[0])
+    n = _order(int(tokens[0]))
     values = [float(t) for t in tokens[1:]]
     if len(values) != n * n:
         raise DataError(f"expected n^2 = {n * n} matrix values, got {len(values)}")
@@ -97,7 +99,7 @@ def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray | None]:
 def _parse_factor(text: str) -> np.ndarray:
     """A JSON object's n x p ``factor``, or its ``data`` field without one."""
     doc = json.loads(text)
-    n = _order(doc)
+    n = _order(doc["n"])
     return _as_matrix(doc.get("factor", doc.get("data")), n, "factor")
 
 

@@ -145,6 +145,28 @@ def random_sym(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def gauss_rank(a, tol=1e-9):
+    """Row-reduction rank with full pivoting, independent of the eigensolver."""
+    a = np.array(a, dtype=float)
+    scale = max(np.abs(a).max(), 1.0)
+    rank = 0
+    rows = list(range(a.shape[0]))
+    cols = list(range(a.shape[1]))
+    while rows and cols:
+        sub = np.abs(a[np.ix_(rows, cols)])
+        k = np.unravel_index(np.argmax(sub), sub.shape)
+        if sub[k] <= tol * scale:
+            break
+        pi, pj = rows[k[0]], cols[k[1]]
+        for i in rows:
+            if i != pi:
+                a[i, :] -= a[i, pj] / a[pi, pj] * a[pi, :]
+        rows.remove(pi)
+        cols.remove(pj)
+        rank += 1
+    return rank
+
+
 def horn_plus(block):
     """Horn ⊕ ``block``."""
     n = 5 + len(block)

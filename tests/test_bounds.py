@@ -42,14 +42,11 @@ def test_interval_endpoints_ordered():
 
 
 def test_witness_bound_horn_block(rng):
-    v = random_admissible_factor(rng, 6, full6=True)
-    m = v.product()
-    entries = witness_bound(m, horn_block6())
-    rules = {e.rule: e.value for e in entries}
-    assert rules["HORN15"] == 15
-    assert rules["BN_K1"] == 16  # five positive diagonal entries
-    assert rules["BN_4"] == 16
-    assert min(e.value for e in entries) == 15
+    # BN_K1 counts five positive diagonal entries; HORN15 is the least
+    for draw in (rng, np.random.default_rng(5)):
+        v = random_admissible_factor(draw, 6, full6=True)
+        entries = witness_bound(v.product(), horn_block6())
+        assert sorted((e.rule, e.value) for e in entries) == [("BN_4", 16), ("BN_K1", 16), ("HORN15", 15)]
 
 
 def test_witness_bound_guards():
@@ -77,7 +74,8 @@ def zero_entries(m):
 
 def test_zero_entry_bound():
     assert [e.value for e in zero_entries(np.eye(6))] == [12]
-    assert zero_entries(np.ones((4, 4)) + np.eye(4)) == []
+    for n in (4, 6):
+        assert zero_entries(np.ones((n, n)) + np.eye(n)) == []
     # order 1 has no order below it: no ZERO_ENTRY and no error
     assert zero_entries(np.zeros((1, 1))) == []
     # an entry equal to thr counts as zero, one at 2 thr does not

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible_factor, random_dd_nonneg, random_positive_dd, spy
+from conftest import gauss_rank, random_admissible_factor, random_dd_nonneg, random_positive_dd, spy
 from copcone import (
     DEFAULT_TOL,
     Answer,
@@ -24,19 +24,6 @@ from copcone import (
 from copcone.errors import ColumnOutsideConesError
 from copcone.kernel import lp_feasible, pivoted_cholesky
 from copcone.factor import _cp3_factor, _perron_vector, horn_orthogonal_factorize
-
-
-def indep_cols_rank(v, tol=1e-9):
-    """Column rank via Gram-Schmidt, independent of the library kernels."""
-    basis = []
-    for j in range(v.shape[1]):
-        c = np.array(v[:, j], dtype=float)
-        for b in basis:
-            c -= (c @ b) * b
-        norm = np.linalg.norm(c)
-        if norm > tol * max(np.abs(v).max(), 1.0):
-            basis.append(c / norm)
-    return len(basis)
 
 
 class TestNonnegFactor:
@@ -144,7 +131,7 @@ class TestPerturbPositify:
             # the perturbation is a rank-one nonnegative bump of the product
             bump = m - v0.product()
             assert bump.min() >= -1e-12
-            assert indep_cols_rank(bump) <= 1
+            assert gauss_rank(bump) <= 1
 
 
     # (d1**2, d2**2) for the path 0 - 1 - 2 below.  A shifted power
@@ -486,15 +473,6 @@ def test_heuristic_factor_of_4_to_the_k_m_is_2_to_the_k_times_m_s(n, p):
         k = int(rng.choice([-5, -2, -1, 1, 3, 6, 9]))
         base = heuristic_min_factor(m, p)
         assert np.array_equal(heuristic_min_factor(4.0**k * m, p).v, 2.0**k * base.v)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 10_000))
-def test_dd_factorization_roundtrip_property(n, seed):
-    rng = np.random.default_rng(seed)
-    m = random_dd_nonneg(rng, n)
-    v = dd_factorize(m)
-    assert np.abs(v.product() - m).max() <= 1e-9 * np.abs(m).max()
 
 
 @settings(max_examples=200, deadline=None)

@@ -88,20 +88,24 @@ class TestLoadMatrix:
 
     @pytest.mark.parametrize("load", [load_matrix, load_factor])
     @pytest.mark.parametrize(
-        "doc",
+        "doc, message",
         [
-            '{"n": 2.5, "data": [[1, 0], [0, 1]]}',
-            '{"n": true, "data": [[1]]}',
-            '{"n": "2", "data": [[1, 0], [0, 1]]}',
+            ('{"n": 2.5, "data": [[1, 0], [0, 1]]}', "n must be an integer, not 2.5"),
+            ('{"n": true, "data": [[1]]}', "n must be an integer, not True"),
+            ('{"n": "2", "data": [[1, 0], [0, 1]]}', "n must be an integer, not '2'"),
+            ('{"n": 0, "data": []}', "n must be at least 1, not 0"),
+            ('{"n": -2, "data": [1, 2, 3, 4]}', "n must be at least 1, not -2"),
+            ('{"n": -1, "data": [[1]]}', "n must be at least 1, not -1"),
         ],
-        ids=["float", "bool", "string"],
+        ids=["float", "bool", "string", "zero", "negative", "negative-one-row"],
     )
-    def test_rejects_an_order_that_is_not_an_integer(self, tmp_path, doc, load):
-        # int() read these as orders 2, 1 and 2, and the data fits each
+    def test_rejects_an_order_that_is_not_an_integer(self, tmp_path, doc, message, load):
+        # int() read the first three as orders 2, 1 and 2, and the data fits each
         p = tmp_path / "bad.json"
         p.write_text(doc)
-        with pytest.raises(DataError, match="n must be an integer"):
+        with pytest.raises(DataError) as info:
             load(str(p))
+        assert str(info.value) == message
 
     def test_missing_file(self):
         with pytest.raises(DataError):
@@ -199,6 +203,8 @@ ROWS = [
         {"m.json": '{"n": 3, "data": [[1, 0], [0, 1]]}'}),
     Row("data-nan", ("check", "--cone", "psd", "m.json"), 65, None, "data has non-finite entries",
         {"m.json": '{"n": 1, "data": [[NaN]]}'}),
+    Row("order-negative-text", ("check", "--cone", "psd", "m.txt"), 65, None, "n must be at least 1, not -1",
+        {"m.txt": "-1 5"}),
     Row("empty-text", ("check", "--cone", "psd", "m.txt"), 65, None, "empty matrix file", {"m.txt": " \n\t\n"}),
     Row("factor-not-json", ("bounds", "w6.json", "--factor", "f.json"), 65, None, "malformed factor file",
         {"f.json": "not json"}),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import horn_plus, random_sym, spy
+from conftest import gauss_rank, horn_plus, random_sym, spy
 from copcone import kernel
 from copcone import (
     DEFAULT_TOL,
@@ -22,28 +22,6 @@ from copcone.kernel import (
     simplex_form_min,
     simplex_stationary_points,
 )
-
-
-def gauss_rank(a, tol=1e-9):
-    """Row-reduction rank with full pivoting, independent of the eigensolver."""
-    a = np.array(a, dtype=float)
-    scale = max(np.abs(a).max(), 1.0)
-    rank = 0
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
-    while rows and cols:
-        sub = np.abs(a[np.ix_(rows, cols)])
-        k = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[k] <= tol * scale:
-            break
-        pi, pj = rows[k[0]], cols[k[1]]
-        for i in rows:
-            if i != pi:
-                a[i, :] -= a[i, pj] / a[pi, pj] * a[pi, :]
-        rows.remove(pi)
-        cols.remove(pj)
-        rank += 1
-    return rank
 
 
 def test_horn_eigenvalues_match_circulant_formula():
@@ -97,6 +75,8 @@ def test_num_rank_agrees_with_gaussian_elimination(rng):
         b = rng.standard_normal((n, r))
         a = b @ b.T
         assert num_rank(a) == gauss_rank(a) == r
+    h = horn_matrix()
+    assert num_rank(h) == gauss_rank(h) == 5
 
 
 def test_pivoted_cholesky_reconstructs_low_rank(rng):

@@ -51,3 +51,21 @@ def test_the_report_exits_with_the_tests_status(monkeypatch, capsys):
     monkeypatch.setattr(pytest, "main", lambda args: 1)
     assert unreached.main(["-q"]) == 1
     assert capsys.readouterr().out.startswith("tier-1 exit status 1; ")
+
+
+def test_a_listed_statement_fails_the_report(monkeypatch, capsys):
+    # every module runs in full but __main__.py, which is never imported
+    package = ROOT / "src" / "copcone"
+    ran = {
+        str(path): set(range(1, len(path.read_text().splitlines()) + 1))
+        for path in package.glob("*.py") if path.name != "__main__.py"
+    }
+    monkeypatch.setattr(unreached, "traced", lambda prefix, call: (0, ran))
+    assert unreached.main(["-q"]) == 0
+    assert capsys.readouterr().out.endswith("never run:\n__main__.py: not imported in process\n")
+    # the first statement of kernel.py never runs, and tier-1 still passes
+    kernel = package / "kernel.py"
+    first, own = min(unreached.statements(kernel.read_text()).items())
+    ran[str(kernel)] -= set(own)
+    assert unreached.main(["-q"]) == 1
+    assert f"\nkernel.py:{first}\n" in capsys.readouterr().out
