@@ -19,10 +19,6 @@ class NotDiagonallyDominantError(CopconeError):
     tag = "NOT_DD"
 
 
-class OrderTooSmallError(CopconeError):
-    tag = "ORDER_TOO_SMALL"
-
-
 class NotPositiveError(CopconeError):
     tag = "NOT_POSITIVE"
 

@@ -26,7 +26,6 @@ from .errors import (
     NotNonnegativeError,
     NotOrthogonalToHornError,
     NotPositiveError,
-    OrderTooSmallError,
     PerronNotPositiveError,
     PositivityLostError,
 )
@@ -107,8 +106,9 @@ def dd_factorize(m, tol: Tolerance = DEFAULT_TOL) -> NonnegFactor:
 def _dd_columns(m: np.ndarray, thr: float, mu: float = 0.0) -> np.ndarray:
     """The columns of :func:`dd_factorize` of a validated ``m`` less ``mu``
     times the all-ones matrix, n x p.  Nonnegativity and dominance are
-    checked on ``m``; for 0 < mu = min m_ij and n >= 3 the remainder keeps
-    both, since each of its rows gains (n - 2) mu of slack."""
+    checked on ``m``; for 0 < mu = min m_ij the remainder keeps both at
+    every order: its entries m_ij - mu are >= 0, and each row's dominance
+    slack gains (n - 2) mu, or at n = 1 falls to m_11 - mu = 0."""
     n = m.shape[0]
     if m.min() < -thr:
         raise NotNonnegativeError("matrix has a negative entry")
@@ -135,16 +135,14 @@ def positive_dd_factorize(
     certificate.
 
     Peels off mu = min M_ij times the all-ones matrix: the first column is
-    sqrt(mu) e, the rest factor the strictly diagonally dominant remainder.
-    The result has a positive column and rank n, certifying membership in
-    the interior of the completely positive cone.  Orders n <= 2 are
-    rejected: there, positive diagonally dominant matrices can sit on the
-    boundary.
+    sqrt(mu) e, the rest factor the nonnegative diagonally dominant remainder.
+    A factor of rank n with a positive column certifies membership in the
+    interior of the completely positive cone at every order (Dur & Still
+    2008); a matrix on its boundary, such as the all-ones J2, gives a factor
+    of lower rank and is refused.
     """
     m, scale = kernel.as_sym(m, tol)
     n = m.shape[0]
-    if n <= 2:
-        raise OrderTooSmallError("interior construction needs order >= 3")
     thr = tol.scaled(scale)
     mu = m.min()
     if mu <= thr:
@@ -161,24 +159,15 @@ def positive_dd_factorize(
 
 
 def _perron_vector(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
-    """Unit Perron vector and eigenvalue of a nonnegative symmetric matrix.
+    """Unit leading eigenvector and eigenvalue of a nonnegative symmetric
+    matrix, refused unless every coordinate is positive.
 
-    The support graph must be connected (irreducibility), which makes the
-    Perron root simple and its eigenvector positive.  That vector is the
-    leading eigenvector of LAPACK ``eigh``, whose sign rule makes its
-    largest entry, and so every entry, positive.
+    A connected support graph (irreducibility) is sufficient, but it is not
+    checked: it makes the Perron root simple and its eigenvector positive,
+    and that vector is the leading eigenvector of LAPACK ``eigh``, whose sign
+    rule makes its largest entry, and so every entry, positive.  Positivity
+    is all :func:`perturb_positify` uses, so it is tested directly.
     """
-    n = m.shape[0]
-    thr = tol.scaled(np.abs(m).max())
-    # connected iff the layers reached from vertex 0 cover every vertex;
-    # each vertex is expanded once, so this costs O(n^2)
-    adj = (m > thr) | np.eye(n, dtype=bool)
-    reached = frontier = adj[0]
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~reached
-        reached = reached | frontier
-    if not reached.all():
-        raise PerronNotPositiveError("support graph is not connected")
     v = kernel.eig_sym(m)[1][:, 0]
     lam = float(v @ m @ v)
     if v.min() <= tol.scaled(np.abs(v).max()):

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import itertools
 import os
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -255,36 +256,34 @@ def positive_horn_partner():
     return (w @ x) @ (w @ x).T
 
 
-def simplex_grid_min(a, starts=96, iters=250, seed=0):
-    """Independent estimate of min x'Ax over the standard simplex: projected
-    gradient descent from vertices, edge midpoints and random starts, run in
-    parallel with a sort-based simplex projection."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    pts = [np.eye(n)]
-    mids = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros(n)
-            x[i] = x[j] = 0.5
-            mids.append(x)
-    pts.append(np.array(mids))
-    rng = np.random.default_rng(seed)
-    pts.append(rng.dirichlet(np.ones(n), size=starts))
-    x = np.vstack(pts)
-
-    def project(y):
-        u = np.sort(y, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - 1.0
-        ind = np.arange(1, n + 1)
-        cond = u - css / ind > 0
-        rho = n - np.argmax(cond[:, ::-1], axis=1) - 1
-        theta = css[np.arange(len(y)), rho] / (rho + 1)
-        return np.maximum(y - theta[:, None], 0.0)
-
-    lam = max(np.abs(np.linalg.eigvalsh(a)).max(), 1e-12)
-    step = 1.0 / (2.0 * lam)
-    for _ in range(iters):
-        x = project(x - step * (x @ (2.0 * a)))
-    vals = np.einsum("ki,ij,kj->k", x, a, x)
-    return float(vals.min())
+def exact_simplex_min(a):
+    """The exact minimum of x'Ax over the standard simplex, a ``Fraction``:
+    each float entry is a dyadic rational, and each support S's KKT system
+    A_SS x = v 1, sum x = 1 is solved by exact elimination, its value x'Ax
+    being v.  A system that is exactly singular is skipped: its face's
+    stationary value is also reached on a proper subface, along a direction
+    d with sum d = 0 on which the form is constant.  So is a solution with a
+    negative weight, which lies off the simplex."""
+    a = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=float)]
+    n = len(a)
+    best = None
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        k = len(idx)
+        # unknowns x_S and v: rows [A_SS, -1 | 0] and [1, 0 | 1]
+        rows = [[a[i][j] for j in idx] + [Fraction(-1), Fraction(0)] for i in idx]
+        rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+        for col in range(k + 1):
+            pivot = next((r for r in range(col, k + 1) if rows[r][col] != 0), None)
+            if pivot is None:
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(k + 1):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col] / rows[col][col]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+        else:
+            x = [rows[r][k + 1] / rows[r][r] for r in range(k + 1)]
+            if min(x[:k]) >= 0 and (best is None or x[k] < best):
+                best = x[k]
+    return best

@@ -156,6 +156,9 @@ ROWS = [
         matrix_file("horn-plus-i12.json", horn_plus(np.eye(12))), 4, "copositive membership has no checkable certificate"),
     # interior
     Row("posdd", POSDD, DD, 0, "certificate OK"),
+    # the interior construction holds at every order: rank 2 with the positive column (1, 1)
+    Row("posdd-order-2", ("factorize", "--method", "posdd", "MATRIX"),
+        matrix_file("order-2.json", np.array([[2.0, 1.0], [1.0, 2.0]])), 0, "certificate OK"),
     Row("interior-perturbed", POSDD, DD, 3, "factor: residual",
         {"result.certificate.factor.0.0": lambda v: v + 1e-3}, 0),
     Row("interior-wrong-column", POSDD, DD, 3, "interior certificate: column is not positive",

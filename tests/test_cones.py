@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STAGES, checker, cycle_matrix, horn_plus, random_sym, reference_horn_orbit, simplex_grid_min
+from conftest import STAGES, checker, cycle_matrix, exact_simplex_min, horn_plus, random_sym, reference_horn_orbit
 from copcone import kernel
 from copcone import (
     Answer,
@@ -79,19 +79,21 @@ def test_psd_in_and_eigenvector_witness_on_failure(rng, draw):
 @pytest.mark.parametrize(
     "seed, orders, decided", [(20240611, (3, 5), 80), (42, (4, 5), 500)], ids=["orders-3-to-5", "orders-4-to-5"]
 )
-def test_copositive_verdicts_match_projected_gradient_oracle(seed, orders, decided):
+def test_copositive_verdicts_match_the_exact_oracle(seed, orders, decided):
     """Random symmetric matrices of the given orders, drawn until ``decided``
-    of them have an oracle minimum off the band |min| <= 1e-4: every verdict
-    the oracle decides agrees with it."""
+    of them have m* + thr off the band |m* + thr| <= ``PIVOT_GAP * max|a|``,
+    m* the exact simplex minimum and thr the threshold from max|a|: each of
+    those verdicts is IN above the band and NOT_IN below it."""
     rng = np.random.default_rng(seed)
     total = 0
     while total < decided:
         a = random_sym(rng, int(rng.integers(orders[0], orders[1] + 1)))
-        oracle_min = simplex_grid_min(a, seed=int(rng.integers(1 << 30)))
-        if abs(oracle_min) <= 1e-4:
+        scale = float(np.abs(a).max())
+        margin = exact_simplex_min(a) + Fraction(DEFAULT_TOL.scaled(scale))
+        if abs(margin) <= PIVOT_GAP * scale:
             continue
         total += 1
-        assert is_copositive(a).answer is (Answer.IN if oracle_min > 0 else Answer.NOT_IN)
+        assert is_copositive(a).answer is (Answer.IN if margin > 0 else Answer.NOT_IN)
 
 
 def test_copositive_shift_monotonicity(rng):

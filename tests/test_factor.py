@@ -102,7 +102,7 @@ class TestDd:
 class TestPositiveDd:
     def test_certificate(self, rng):
         for _ in range(200):
-            n = int(rng.integers(3, 9))
+            n = int(rng.integers(1, 9))
             m = random_positive_dd(rng, n)
             v, cert = positive_dd_factorize(m)
             assert np.abs(v.product() - m).max() <= 1e-9 * np.abs(m).max()

@@ -12,6 +12,7 @@ same runner, with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
+which prints the name of each case whose report or exit code it changed,
 and regenerate only the reports a change is meant to move.
 """
 
@@ -59,6 +60,9 @@ if __name__ == "__main__":
     codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
     for case in sys.argv[1:] or sorted(CASES):
         r = run_cli(*CASES[case], cwd=ROOT)
+        path = GOLDEN / f"{case}.json"
+        if codes.get(case) != r.returncode or not path.exists() or path.read_text() != r.stdout:
+            print(case)
         codes[case] = r.returncode
-        (GOLDEN / f"{case}.json").write_text(r.stdout)
+        path.write_text(r.stdout)
     EXIT_CODES.write_text(json.dumps(dict(sorted(codes.items())), indent=2) + "\n")

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_rank, horn_plus, random_sym, spy
+from conftest import exact_simplex_min, gauss_rank, horn_plus, random_sym, spy
 from copcone import kernel
 from copcone import (
     DEFAULT_TOL,
@@ -256,15 +258,15 @@ def test_support_plan_holds_only_integer_indices():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
-def test_simplex_form_min_never_beaten_by_random_points(n, seed):
+def test_simplex_form_min_is_the_exact_minimum(n, seed):
+    """The walk's minimum is within 4 eps max|a| of the exact one, at a
+    point of the simplex where the form takes that value."""
     rng = np.random.default_rng(seed)
     a = random_sym(rng, n)
     val, x = simplex_form_min(a)
     assert abs(x.sum() - 1.0) <= 1e-9 and x.min() >= -1e-12
     assert abs(float(x @ a @ x) - val) <= 1e-9
-    pts = rng.dirichlet(np.ones(n), size=200)
-    sampled = np.einsum("ki,ij,kj->k", pts, a, pts).min()
-    assert val <= sampled + 1e-9
+    assert abs(Fraction(val) - exact_simplex_min(a)) <= 4 * np.finfo(float).eps * np.abs(a).max()
 
 
 def enumerated_min(q):

@@ -74,7 +74,6 @@ from copcone.errors import (
     NotOrthogonalError,
     NotOrthogonalToHornError,
     NotPositiveError,
-    OrderTooSmallError,
     PerronNotPositiveError,
     PositivityLostError,
     ZeroRowError,
@@ -253,8 +252,10 @@ REFUSALS = [
             [[1.0, 2.0], [2.0, 1.0]]),
     refusal("dd_factorize-negative", NotNonnegativeError, "matrix has a negative entry", dd_factorize,
             [[2.0, -1.0], [-1.0, 2.0]]),
-    refusal("positive_dd_factorize-order-2", OrderTooSmallError, "interior construction needs order >= 3",
-            positive_dd_factorize, [[2.0, 1.0], [1.0, 2.0]]),
+    # J2 is on the boundary of the cp cone: its one column sqrt(1) e has rank 1
+    refusal("positive_dd_factorize-j2", NotPositiveError,
+            "the factor's numerical rank is below the order 2: no interior certificate", positive_dd_factorize,
+            np.ones((2, 2))),
     refusal("positive_dd_factorize-zero-entry", NotPositiveError, "matrix must be entrywise positive",
             positive_dd_factorize, np.ones((4, 4)) + 3.0 * np.eye(4) - e12(4)),
     # each row of J + 0.5 I has diagonal 1.5 against an off-diagonal sum of 2
@@ -263,20 +264,21 @@ REFUSALS = [
     refusal("positive_dd_factorize-rank-below-order", NotPositiveError,
             "the factor's numerical rank is below the order 3: no interior certificate", positive_dd_factorize,
             RANK_SHORT),
-    refusal("_perron_vector-disconnected", PerronNotPositiveError, "support graph is not connected",
+    # a disconnected support graph: eigh's leading eigenvector of I2 is e_1
+    refusal("_perron_vector-disconnected", PerronNotPositiveError, "Perron vector has a vanishing coordinate",
             factor._perron_vector, np.eye(2), DEFAULT_TOL),
-    refusal("perturb_positify-disconnected", PerronNotPositiveError, "support graph is not connected",
+    refusal("perturb_positify-disconnected", PerronNotPositiveError, "Perron vector has a vanishing coordinate",
             perturb_positify, NonnegFactor(np.eye(2)), 0.5),
     # NaN and inf passed an eps < 0 test and failed later on the factor's entries
     *(refusal(f"perturb_positify-eps-{eps}", ValueError, "eps must be nonnegative and finite", perturb_positify,
               NonnegFactor(np.ones((2, 1))), eps) for eps in (-1.0, np.nan, np.inf)),
     # The path 0 - 1 - 2 has entries 1e-4 and 1e-8, both above the threshold
-    # 2e-9, so it is connected; the Perron vector's last coordinate is about
-    # 1e-4 * 1e-8 and reads as zero.
+    # 2e-9, so it is connected and its Perron vector is positive; its last
+    # coordinate is about 1e-4 * 1e-8 and reads as zero.
     refusal("perturb_positify-vanishing-perron-coordinate", PerronNotPositiveError,
             "Perron vector has a vanishing coordinate", perturb_positify,
             NonnegFactor([[1.0, 0.0], [1e-4, 1e-4], [0.0, 1e-4]]), 0.5),
-    # order 1 is connected, but the zero product's Perron vector meets no column
+    # the zero product of order 1 has the Perron vector (1), which meets no column
     refusal("perturb_positify-no-columns", PerronNotPositiveError, "factor columns do not all meet the Perron vector",
             perturb_positify, NonnegFactor(np.zeros((1, 0))), 0.5),
     refusal("cp3_factorize-not-dnn", NotDnnError, NOT_DNN, cp3_factorize, [[1.0, -0.5], [-0.5, 1.0]]),
